@@ -13,15 +13,13 @@ suite checks every layer against central finite differences.
 
 from __future__ import annotations
 
-import json
-import struct
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .mts import MtsTensor, NormalizationParams
+from .mts import MtsTensor, NormalizationParams, read_container, write_container
 from .numerics import RmspropState, clip_global_norm, rmsprop_step, seeded_rng
 
 GATE_ORDER = ("i", "f", "o", "c")
@@ -362,10 +360,6 @@ class AutoencoderModel:
     def variant(self) -> str:
         return self.config.variant
 
-    @property
-    def norm_fingerprint(self) -> Optional[str]:
-        return self.norm_params.fingerprint() if self.norm_params is not None else None
-
     def params_dict(self) -> dict[str, np.ndarray]:
         out = {}
         out.update(self.encoder.blocks("encoder"))
@@ -557,40 +551,32 @@ def save_model(model: AutoencoderModel, path) -> None:
     """Versioned checkpoint: JSON header plus float64 parameter blocks."""
     blocks = model.params_dict()
     names = sorted(blocks)
-    header = json.dumps(
-        {
-            "version": 1,
-            "config": model.config.to_dict(),
-            "seq_len": model.seq_len,
-            "input_dim": model.input_dim,
-            "norm_params": model.norm_params.to_dict() if model.norm_params else None,
-            "blocks": [{"name": n, "shape": list(blocks[n].shape)} for n in names],
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for n in names:
-            fh.write(np.ascontiguousarray(blocks[n], dtype="<f8").tobytes())
+    header = {
+        "version": 1,
+        "config": model.config.to_dict(),
+        "seq_len": model.seq_len,
+        "input_dim": model.input_dim,
+        "norm_params": model.norm_params.to_dict() if model.norm_params else None,
+        "blocks": [{"name": n, "shape": list(blocks[n].shape)} for n in names],
+    }
+    write_container(path, _CKPT_MAGIC, header, [blocks[n] for n in names])
+
+
+def _checkpoint_size(header: dict) -> int:
+    if header["version"] != 1:
+        raise ValueError(f"unsupported checkpoint version {header['version']}")
+    return sum(int(np.prod(entry["shape"])) for entry in header["blocks"])
 
 
 def load_model(path) -> AutoencoderModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header["version"] != 1:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        blocks = {}
-        for entry in header["blocks"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            blocks[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    header, body = read_container(path, _CKPT_MAGIC, "model checkpoint", _checkpoint_size)
+    blocks = {}
+    offset = 0
+    for entry in header["blocks"]:
+        shape = tuple(entry["shape"])
+        count = int(np.prod(shape))
+        blocks[entry["name"]] = body[offset:offset + count].reshape(shape)
+        offset += count
     config = AutoencoderConfig.from_dict(header["config"])
     norm = NormalizationParams.from_dict(header["norm_params"]) if header["norm_params"] else None
     rng = seeded_rng(0)

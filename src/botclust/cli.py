@@ -2,7 +2,10 @@
 
 Every stage is a subcommand writing its artifact into --outdir, so a run
 can be driven stepwise (extract, train, encode, features, cluster,
-evaluate) or in one shot (run-all). Settings merge with precedence
+evaluate) or in one shot (run-all). A step only loads its input
+artifacts, calls the pipeline stage that run-all chains, and saves the
+result with the saver run-all uses, so for the same settings both flows
+write the same bytes. Settings merge with precedence
 flag > config file > default; --variant-preset expands to a
 representation plus clustering method before explicit flags apply.
 
@@ -19,52 +22,39 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import encode, load_model, save_model, train
+from .autoencoder import load_model, save_model
 from .clustering import (
-    cut_dendrogram,
-    dbscan,
     distance_matrix,
-    kdist_knee_eps,
     load_assignment_csv,
     save_assignment_csv,
     save_dendrogram_json,
-    ward_agglomerative,
 )
-from .globalfeats import (
-    concat_features,
-    extract_global_features,
-    load_features_csv,
-    save_features_csv,
-    zscore_standardize,
-)
-from .ingest import (
-    FEATURE_NAMES,
-    GENUINE_CLASS,
-    LabelTable,
-    ParseError,
-    build_timelines,
-    load_labels,
-    parse_tweets,
-    write_tweets_jsonl,
-)
-from .labeling import (
-    assign_labels_binary,
-    assign_labels_multiclass,
-    feature_importance,
-    prf_metrics,
-)
-from .mts import MtsTensor, apply_normalization, extract_mts, load_tensor, minmax_normalize, save_tensor
+from .globalfeats import load_features_csv, save_features_csv
+from .ingest import LabelTable, ParseError, load_labels, parse_tweets, write_tweets_jsonl
+from .labeling import feature_importance
+from .mts import MtsTensor, load_tensor, save_tensor
 from .pipeline import (
+    ENCODERS,
     PRESETS,
+    Clustering,
     PipelineConfig,
-    _ae_config,
+    _cluster,
+    _encode,
+    _label_and_score,
+    _make_points,
+    _train_models,
+    apply_preset,
     config_hash,
+    global_features,
     lobo_run,
+    prepare,
     run_pipeline_from_mts,
+    truth_vector,
 )
 from .synth import SynthConfig, generate_dataset
 
@@ -140,30 +130,22 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _merged(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
-    """Resolve paths and pipeline settings with flag > config > default."""
+    """Resolve paths and pipeline settings with flag > config > default;
+    each source's preset applies before that source's own keys."""
     file_cfg = _load_config_file(getattr(args, "config", None))
-    merged = PipelineConfig().to_dict()
-    if file_cfg.get("variant_preset"):
-        preset = file_cfg["variant_preset"]
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        merged.update(PRESETS[preset])
-    for key in _PIPELINE_KEYS:
-        if key in file_cfg:
-            merged[key] = file_cfg[key]
-    flag_preset = getattr(args, "variant_preset", None)
-    if flag_preset:
-        if flag_preset not in PRESETS:
-            raise ConfigError(f"unknown preset {flag_preset!r}; choose from {sorted(PRESETS)}")
-        merged.update(PRESETS[flag_preset])
-    for key in _PIPELINE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if isinstance(merged.get("features"), str):
-        merged["features"] = [f.strip() for f in merged["features"].split(",") if f.strip()]
+    layers = (
+        (file_cfg.get("variant_preset"), {k: file_cfg[k] for k in _PIPELINE_KEYS if k in file_cfg}),
+        (getattr(args, "variant_preset", None),
+         {k: getattr(args, k) for k in _PIPELINE_KEYS if getattr(args, k, None) is not None}),
+    )
+    config = PipelineConfig()
     try:
-        config = PipelineConfig.from_dict(merged)
+        for preset, keys in layers:
+            if preset:
+                config = apply_preset(config, preset)
+            if isinstance(keys.get("features"), str):
+                keys["features"] = [f.strip() for f in keys["features"].split(",") if f.strip()]
+            config = PipelineConfig.from_dict({**config.to_dict(), **keys})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     paths = {}
@@ -180,13 +162,9 @@ def _outdir(paths: dict) -> Path:
     return out
 
 
-def _write_report(path: Path, payload: dict, config: PipelineConfig | None,
+def _write_report(path: Path, payload: dict, config: PipelineConfig,
                   timing: dict | None = None) -> None:
-    doc = dict(payload)
-    if config is not None:
-        doc["config"] = config.to_dict()
-        doc["config_hash"] = config_hash(config)
-        doc["seed"] = config.seed
+    doc = dict(payload, config=config.to_dict(), config_hash=config_hash(config), seed=config.seed)
     if timing:
         doc["timing"] = timing
     with open(path, "w") as fh:
@@ -194,69 +172,89 @@ def _write_report(path: Path, payload: dict, config: PipelineConfig | None,
         fh.write("\n")
 
 
+def _input(paths: dict, key: str) -> str:
+    if not paths[key]:
+        raise ConfigError(f"no {key} file given (flag --{key} or config key '{key}')")
+    return paths[key]
+
+
 def _read_inputs(paths: dict) -> tuple[list, LabelTable]:
-    if not paths["tweets"]:
-        raise ConfigError("no tweets file given (flag --tweets or config key 'tweets')")
-    if not paths["labels"]:
-        raise ConfigError("no labels file given (flag --labels or config key 'labels')")
-    records = parse_tweets(paths["tweets"], format=paths["format"])
-    labels = load_labels(paths["labels"])
-    return records, labels
-
-
-def _true_vector(labels: LabelTable, user_ids) -> np.ndarray:
-    missing = [u for u in user_ids if u not in labels.labels]
-    if missing:
-        raise ValueError(f"{len(missing)} users lack labels, first: {missing[0]!r}")
-    return np.asarray([labels.labels[u] for u in user_ids], dtype=np.int64)
+    tweets, labels = _input(paths, "tweets"), _input(paths, "labels")
+    return parse_tweets(tweets, format=paths["format"]), load_labels(labels)
 
 
 def _wrap_latent(latent: np.ndarray, source: MtsTensor, variant: str) -> MtsTensor:
+    """A latent as a tensor file body: (N, T, 1) for uts, (N, 1, L) for vec."""
     if variant == "uts":
-        return MtsTensor(
-            values=latent,
-            user_ids=list(source.user_ids),
-            feature_names=("latent",),
-            day_min=source.day_min,
-            normalized=False,
-            kind="latent_uts",
-        )
-    return MtsTensor(
-        values=latent[:, np.newaxis, :],
-        user_ids=list(source.user_ids),
-        feature_names=tuple(f"latent.{j}" for j in range(latent.shape[1])),
-        day_min=source.day_min,
-        normalized=False,
-        kind="latent_vec",
-    )
+        values, names = latent, ("latent",)
+    else:
+        values, names = latent[:, np.newaxis, :], tuple(f"latent.{j}" for j in range(latent.shape[1]))
+    return MtsTensor(values=values, user_ids=list(source.user_ids), feature_names=names,
+                     day_min=source.day_min, kind=f"latent_{variant}")
 
 
-def _load_points(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
-    if path.suffix == ".tensor":
-        tensor = load_tensor(path)
-        return tensor.values.reshape(tensor.n_users, -1), tuple(tensor.user_ids)
-    feats = load_features_csv(path)
-    return feats.values, feats.user_ids
+def _load_latents(out: Path, variants) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
+    """Latent tensors back in the shapes the pipeline stages produce."""
+    latents = {}
+    for variant in variants:
+        tensor = load_tensor(_require(out / _latent_name(variant), "encode"))
+        latents[variant] = tensor.values if variant == "uts" else tensor.values[:, 0, :]
+    return latents, tuple(tensor.user_ids)
 
 
-def _points_source(config: PipelineConfig, out: Path) -> tuple[Path, str]:
-    """Default clustering input for the configured representation."""
-    if config.representation == "uts":
-        return out / _latent_name("uts"), "encode"
-    if config.representation == "vec":
-        return out / _latent_name("vec"), "encode"
-    return out / A_FEATS, "features"
+def _load_points(config: PipelineConfig, out: Path) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The clustering matrix from what the representation's producer step wrote."""
+    if config.representation in ("glob", "glob_vec"):
+        feats = load_features_csv(_require(out / A_FEATS, "features"))
+        return feats.values, feats.user_ids
+    latents, user_ids = _load_latents(out, ENCODERS[config.representation])
+    return _make_points(config, latents, user_ids)[0], user_ids
+
+
+# Savers shared by the step subcommands and run-all, so both flows write
+# the same bytes.
+
+def _save_models(out: Path, config: PipelineConfig, models: dict, reports: dict) -> None:
+    for variant, model in models.items():
+        save_model(model, out / _model_name(variant))
+        doc = reports[variant].to_dict()
+        timing = doc.pop("timing")
+        _write_report(out / f"train_report_{variant}.json", {"train": doc}, config, timing)
+
+
+def _save_latents(out: Path, latents: dict[str, np.ndarray], source: MtsTensor) -> None:
+    for variant, latent in latents.items():
+        save_tensor(_wrap_latent(latent, source, variant), out / _latent_name(variant))
+
+
+def _save_features(out: Path, tables) -> None:
+    raw, table = tables
+    save_features_csv(raw, out / A_FEATS_RAW)
+    save_features_csv(table, out / A_FEATS)
+
+
+def _save_clustering(out: Path, config: PipelineConfig, clustering: Clustering) -> None:
+    save_assignment_csv(clustering.assignment, out / A_CLUSTERS)
+    if clustering.dendrogram is not None:
+        save_dendrogram_json(clustering.dendrogram, out / A_DENDRO)
+    _write_report(out / A_CLUSTER_REP, clustering.report(config), config)
+
+
+def _save_scores(out: Path, config: PipelineConfig, metrics, timing: dict | None = None) -> None:
+    _write_report(out / A_METRICS, {"task": config.task, "metrics": metrics.to_dict()},
+                  config, timing)
+    with open(out / A_CONFUSION, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        k = metrics.confusion.shape[0]
+        writer.writerow(["true\\pred"] + [str(j) for j in range(k)])
+        for i in range(k):
+            writer.writerow([str(i)] + [int(v) for v in metrics.confusion[i]])
 
 
 def cmd_extract(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    if not paths["tweets"]:
-        raise ConfigError("no tweets file given (flag --tweets or config key 'tweets')")
-    records = parse_tweets(paths["tweets"], format=paths["format"])
-    timelines, manifest = build_timelines(records)
-    features = config.features or FEATURE_NAMES
-    mts = extract_mts(timelines, manifest, features=features)
+    mts, _ = prepare(parse_tweets(_input(paths, "tweets"), format=paths["format"]), None, config)
     save_tensor(mts, out / A_MTS)
     print(
         f"extract: wrote {out / A_MTS} "
@@ -268,58 +266,42 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    variant = args.variant or ("vec" if config.representation == "vec" else "uts")
     mts = load_tensor(_require(out / A_MTS, "extract"))
-    norm, params = minmax_normalize(mts)
-    model, report = train(_ae_config(config, variant, config.seed), norm, params)
-    save_model(model, out / _model_name(variant))
-    doc = report.to_dict()
-    timing = doc.pop("timing")
-    _write_report(out / f"train_report_{variant}.json", {"train": doc}, config, timing)
-    print(
-        f"train: {variant} autoencoder, final train MSE "
-        f"{report.train_mse[-1]:.6f} -> {out / _model_name(variant)}"
-    )
+    models, reports = _train_models(config, mts, config.seed)
+    _save_models(out, config, models, reports)
+    for variant, report in reports.items():
+        print(
+            f"train: {variant} autoencoder, final train MSE "
+            f"{report.train_mse[-1]:.6f} -> {out / _model_name(variant)}"
+        )
     return EXIT_OK
 
 
 def cmd_encode(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    variant = args.variant or ("vec" if config.representation == "vec" else "uts")
-    model = load_model(_require(out / _model_name(variant), "train"))
+    models = {
+        variant: load_model(_require(out / _model_name(variant), "train"))
+        for variant in ENCODERS[config.representation]
+    }
     mts = load_tensor(_require(out / A_MTS, "extract"))
-    if model.norm_params is None:
-        raise ValueError("checkpoint lacks normalization statistics")
-    norm = apply_normalization(mts, model.norm_params)
-    latent = encode(model, norm)
-    tensor = _wrap_latent(latent, mts, variant)
-    save_tensor(tensor, out / _latent_name(variant))
-    print(f"encode: latent shape {latent.shape} -> {out / _latent_name(variant)}")
+    latents = _encode(models, mts)
+    _save_latents(out, latents, mts)
+    for variant, latent in latents.items():
+        print(f"encode: latent shape {latent.shape} -> {out / _latent_name(variant)}")
     return EXIT_OK
 
 
 def cmd_features(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    latent = load_tensor(_require(out / _latent_name("uts"), "encode"))
-    stats = extract_global_features(
-        latent.values, user_ids=tuple(latent.user_ids), catalog=config.stats_catalog
-    )
-    save_features_csv(stats, out / A_FEATS_RAW)
-    standardized = zscore_standardize(stats)
-    with_vec = args.with_vec
-    if with_vec is None:
-        with_vec = config.representation == "glob_vec"
-    if with_vec:
-        vec = load_tensor(_require(out / _latent_name("vec"), "encode"))
-        combined = concat_features(standardized, vec.values.reshape(vec.n_users, -1))
-    else:
-        combined = standardized
-    save_features_csv(combined, out / A_FEATS)
+    variants = ("uts", "vec") if config.representation == "glob_vec" else ("uts",)
+    latents, user_ids = _load_latents(out, variants)
+    tables = global_features(config, latents, user_ids)
+    _save_features(out, tables)
     print(
-        f"features: {combined.values.shape[1]} columns for "
-        f"{combined.n_users} users -> {out / A_FEATS}"
+        f"features: {tables[1].values.shape[1]} columns for "
+        f"{tables[1].n_users} users -> {out / A_FEATS}"
     )
     return EXIT_OK
 
@@ -327,84 +309,34 @@ def cmd_features(args) -> int:
 def cmd_cluster(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    if args.points:
-        source = Path(args.points)
-        if not source.exists():
-            raise MissingArtifactError(source, "encode or features")
-    else:
-        default, producer = _points_source(config, out)
-        source = _require(default, producer)
-    points, user_ids = _load_points(source)
-    dist = distance_matrix(points)
-    payload: dict = {"method": config.cluster_method, "points_file": source.name}
-    if config.cluster_method == "dbscan":
-        eps = config.eps
-        if eps is None:
-            eps, _ = kdist_knee_eps(dist, config.min_pts - 1)
-        assignment = dbscan(dist, eps, config.min_pts, user_ids=user_ids)
-        payload.update({"eps": eps, "min_pts": config.min_pts})
-    else:
-        dendro = ward_agglomerative(dist)
-        save_dendrogram_json(dendro, out / A_DENDRO)
-        k = config.n_clusters or (2 if config.task == "binary" else None)
-        if k is None:
-            raise ConfigError(
-                "ward multiclass clustering needs n_clusters (flag --n-clusters)"
-            )
-        assignment = cut_dendrogram(dendro, k, user_ids=user_ids)
-        payload["cut_k"] = k
-    save_assignment_csv(assignment, out / A_CLUSTERS)
-    n_noise = int(np.sum(assignment.labels == 0))
-    payload.update({"n_clusters": assignment.n_clusters, "n_noise": n_noise})
-    _write_report(out / A_CLUSTER_REP, payload, config)
-    print(
-        f"cluster: {assignment.n_clusters} clusters, {n_noise} noise "
-        f"-> {out / A_CLUSTERS}"
-    )
+    if config.cluster_method == "ward" and config.task == "multiclass" and config.n_clusters is None:
+        # run-all cuts at the class count, which needs the labels
+        raise ConfigError("ward multiclass clustering needs n_clusters (flag --n-clusters)")
+    points, user_ids = _load_points(config, out)
+    clustering = _cluster(config, points, user_ids, n_classes=None)
+    _save_clustering(out, config, clustering)
+    report = clustering.report(config)
+    print(f"cluster: {report['n_clusters']} clusters, {report['n_noise']} noise -> {out / A_CLUSTERS}")
     return EXIT_OK
-
-
-def _write_confusion_csv(cm: np.ndarray, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        k = cm.shape[0]
-        writer.writerow(["true\\pred"] + [str(j) for j in range(k)])
-        for i in range(k):
-            writer.writerow([str(i)] + [int(v) for v in cm[i]])
 
 
 def cmd_evaluate(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    if not paths["labels"]:
-        raise ConfigError("no labels file given (flag --labels or config key 'labels')")
+    labels_path = _input(paths, "labels")
     assignment = load_assignment_csv(
         _require(out / A_CLUSTERS, "cluster"), method=config.cluster_method
     )
-    labels = load_labels(paths["labels"])
-    true = _true_vector(labels, assignment.user_ids)
-    if config.task == "binary":
-        truth = (true != GENUINE_CLASS).astype(np.int64)
-        dist = None
-        if config.cluster_method == "ward" and config.genuine_cluster is None:
-            source, producer = _points_source(config, out)
-            points, point_users = _load_points(_require(source, producer))
-            if point_users != assignment.user_ids:
-                raise ValueError("points artifact and clusters disagree on users")
-            dist = distance_matrix(points)
-        pred = assign_labels_binary(
-            assignment,
-            dist=dist,
-            genuine_cluster=config.genuine_cluster,
-            polarity=config.cluster_method == "ward",
-            min_pts=config.min_pts,
-        )
-        metrics = prf_metrics(truth, pred, 2)
-    else:
-        pred = assign_labels_multiclass(assignment, true)
-        metrics = prf_metrics(true, pred, labels.num_classes)
-    _write_report(out / A_METRICS, {"task": config.task, "metrics": metrics.to_dict()}, config)
-    _write_confusion_csv(metrics.confusion, out / A_CONFUSION)
+    labels = load_labels(labels_path)
+    true = truth_vector(labels, assignment.user_ids)
+    dist = None
+    if config.task == "binary" and config.cluster_method == "ward" and config.genuine_cluster is None:
+        points, point_users = _load_points(config, out)
+        if point_users != assignment.user_ids:
+            raise ValueError("points artifact and clusters disagree on users")
+        dist = distance_matrix(points)
+    _pred, metrics = _label_and_score(config, assignment, dist, true, labels.num_classes)
+    _save_scores(out, config, metrics)
     print(
         f"evaluate: task={config.task} weighted_f1={metrics.weighted_f1:.4f} "
         f"accuracy={metrics.accuracy:.4f} mcc={metrics.mcc:.4f} -> {out / A_METRICS}"
@@ -416,13 +348,8 @@ def cmd_importance(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
     records, labels = _read_inputs(paths)
-    timelines, manifest = build_timelines(records)
-    base_features = config.features or FEATURE_NAMES
-    mts = extract_mts(timelines, manifest, features=base_features)
-    true = _true_vector(labels, manifest.user_ids)
+    mts, true = prepare(records, labels, config)
     started = time.perf_counter()
-
-    from dataclasses import replace
 
     def runner(feats: tuple[str, ...]) -> float:
         result = run_pipeline_from_mts(
@@ -430,7 +357,7 @@ def cmd_importance(args) -> int:
         )
         return result.metrics.weighted_f1
 
-    report = feature_importance(runner, tuple(base_features))
+    report = feature_importance(runner, mts.feature_names)
     _write_report(
         out / A_IMPORTANCE,
         report.to_dict(),
@@ -500,50 +427,16 @@ def cmd_run_all(args) -> int:
     out = _outdir(paths)
     records, labels = _read_inputs(paths)
     started = time.perf_counter()
-    timelines, manifest = build_timelines(records)
-    features = config.features or FEATURE_NAMES
-    mts = extract_mts(timelines, manifest, features=features)
+    mts, true = prepare(records, labels, config)
     save_tensor(mts, out / A_MTS)
-    true = _true_vector(labels, manifest.user_ids)
     result = run_pipeline_from_mts(mts, true, labels.num_classes, config)
-
-    for variant, model in result.models.items():
-        save_model(model, out / _model_name(variant))
-        doc = result.train_reports[variant].to_dict()
-        timing = doc.pop("timing")
-        _write_report(out / f"train_report_{variant}.json", {"train": doc}, config, timing)
-        save_tensor(
-            _wrap_latent(result.latents[variant], mts, variant),
-            out / _latent_name(variant),
-        )
-    if config.representation in ("glob", "glob_vec"):
-        stats = extract_global_features(
-            result.latents["uts"], user_ids=tuple(mts.user_ids), catalog=config.stats_catalog
-        )
-        save_features_csv(stats, out / A_FEATS_RAW)
-        standardized = zscore_standardize(stats)
-        if config.representation == "glob_vec":
-            standardized = concat_features(standardized, result.latents["vec"])
-        save_features_csv(standardized, out / A_FEATS)
-    save_assignment_csv(result.assignment, out / A_CLUSTERS)
-    if result.dendrogram is not None:
-        save_dendrogram_json(result.dendrogram, out / A_DENDRO)
-    cluster_payload: dict = {
-        "method": config.cluster_method,
-        "n_clusters": result.assignment.n_clusters,
-        "n_noise": int(np.sum(result.assignment.labels == 0)),
-    }
-    if result.eps_used is not None:
-        cluster_payload["eps"] = result.eps_used
-    _write_report(out / A_CLUSTER_REP, cluster_payload, config)
+    _save_models(out, config, result.models, result.train_reports)
+    _save_latents(out, result.latents, mts)
+    if result.features is not None:
+        _save_features(out, result.features)
+    _save_clustering(out, config, result.clustering)
     metrics = result.metrics
-    _write_report(
-        out / A_METRICS,
-        {"task": config.task, "metrics": metrics.to_dict()},
-        config,
-        timing={"wall_time_s": time.perf_counter() - started},
-    )
-    _write_confusion_csv(metrics.confusion, out / A_CONFUSION)
+    _save_scores(out, config, metrics, timing={"wall_time_s": time.perf_counter() - started})
     print(
         f"run-all: task={config.task} rep={config.representation} "
         f"method={config.cluster_method} weighted_f1={metrics.weighted_f1:.4f} "
@@ -592,25 +485,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", parents=[common, pipe],
-                       help="train an autoencoder on the extracted tensor")
-    p.add_argument("--variant", choices=("uts", "vec"))
+                       help="train the autoencoder(s) the representation needs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", parents=[common, pipe],
-                       help="encode the tensor with a trained model")
-    p.add_argument("--variant", choices=("uts", "vec"))
+                       help="encode the tensor with the trained model(s)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("features", parents=[common, pipe],
-                       help="summary statistics of the encoded series")
-    p.add_argument("--with-vec", action="store_true", default=None,
-                   help="concatenate the vec encoding onto the statistics")
+                       help="summary statistics of the encoded series "
+                            "(plus the vec encoding for glob_vec)")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("cluster", parents=[common, pipe],
-                       help="cluster an encoded representation")
-    p.add_argument("--points", help="points artifact (.tensor or .csv); "
-                                    "default depends on representation")
+                       help="cluster the representation's points")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("evaluate", parents=[common, pipe, io],

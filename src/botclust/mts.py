@@ -102,19 +102,6 @@ class NormalizationParams:
         if np.any(self.mins > self.maxs):
             raise ValueError("per-feature min exceeds max")
 
-    def fingerprint(self) -> str:
-        import hashlib
-
-        payload = json.dumps(
-            {
-                "features": list(self.feature_names),
-                "mins": [repr(x) for x in self.mins.tolist()],
-                "maxs": [repr(x) for x in self.maxs.tolist()],
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
     def to_dict(self) -> dict:
         return {
             "feature_names": list(self.feature_names),
@@ -229,55 +216,63 @@ def apply_normalization(mts: MtsTensor, params: NormalizationParams) -> MtsTenso
     )
 
 
-def save_tensor(mts: MtsTensor, path: str | Path) -> None:
-    """Write the flat binary container: magic, JSON header, float64 body."""
-    header = json.dumps(
-        {
-            "kind": mts.kind,
-            "n": mts.n_users,
-            "t": mts.n_days,
-            "d": mts.n_features,
-            "feature_names": list(mts.feature_names),
-            "user_ids": mts.user_ids,
-            "day_min": mts.day_min.isoformat(),
-            "normalized": mts.normalized,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    body = np.ascontiguousarray(mts.values, dtype="<f8").tobytes()
+def write_container(path: str | Path, magic: bytes, header: dict, arrays) -> None:
+    """The binary container of tensors and checkpoints: magic, u32 header
+    length, JSON header, then each array as little-endian float64."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(Path(path), "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(body)
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+
+
+def read_container(path: str | Path, magic: bytes, what: str, body_size) -> tuple[dict, np.ndarray]:
+    """Read a write_container file as (header, flat float64 body);
+    body_size(header) is the number of values the body must hold. A file
+    that is not a `what`, or is cut short anywhere, raises ValueError
+    naming the path."""
+
+    def take(fh, n: int, part: str) -> bytes:
+        data = fh.read(n)
+        if len(data) < n:
+            raise ValueError(f"{path}: truncated {what}: {part} has {len(data)} of {n} bytes")
+        return data
+
+    with open(Path(path), "rb") as fh:
+        head = fh.read(len(magic))
+        if head != magic:
+            raise ValueError(f"{path}: not a {what} (bad magic {head!r})")
+        (header_len,) = struct.unpack("<I", take(fh, 4, "header length"))
+        header = json.loads(take(fh, header_len, "header").decode("utf-8"))
+        count = body_size(header)
+        body = take(fh, count * 8, "body")
+    return header, np.frombuffer(body, dtype="<f8").copy()
+
+
+def save_tensor(mts: MtsTensor, path: str | Path) -> None:
+    header = {
+        "kind": mts.kind,
+        "n": mts.n_users,
+        "t": mts.n_days,
+        "d": mts.n_features,
+        "feature_names": list(mts.feature_names),
+        "user_ids": mts.user_ids,
+        "day_min": mts.day_min.isoformat(),
+        "normalized": mts.normalized,
+    }
+    write_container(path, _MAGIC, header, [mts.values])
 
 
 def load_tensor(path: str | Path) -> MtsTensor:
-    with open(Path(path), "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a tensor file (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        n, t, d = header["n"], header["t"], header["d"]
-        body = fh.read(n * t * d * 8)
-    values = np.frombuffer(body, dtype="<f8").reshape(n, t, d).copy()
+    header, body = read_container(path, _MAGIC, "tensor file",
+                                  lambda h: h["n"] * h["t"] * h["d"])
     return MtsTensor(
-        values=values,
+        values=body.reshape(header["n"], header["t"], header["d"]),
         user_ids=list(header["user_ids"]),
         feature_names=tuple(header["feature_names"]),
         day_min=date.fromisoformat(header["day_min"]),
         normalized=header["normalized"],
         kind=header["kind"],
     )
-
-
-def save_normalization(params: NormalizationParams, path: str | Path) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(params.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_normalization(path: str | Path) -> NormalizationParams:
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        return NormalizationParams.from_dict(json.load(fh))

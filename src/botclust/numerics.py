@@ -1,9 +1,8 @@
-"""Dense float64 kernels: matmul, seeded RNG, RMSProp, finite differences.
+"""Float64 kernels: seeded RNG, RMSProp, gradient clipping, finite differences.
 
-Matrices are plain 2-D C-contiguous float64 numpy arrays. The PRNG is
-numpy's PCG64 (O'Neill's permuted congruential generator, 128-bit state,
-as shipped by numpy) so that a given seed yields the same stream on every
-platform.
+The PRNG is numpy's PCG64 (O'Neill's permuted congruential generator,
+128-bit state, as shipped by numpy) so that a given seed yields the same
+stream on every platform.
 """
 
 from __future__ import annotations
@@ -12,25 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-Matrix = np.ndarray
-
-
-def as_matrix(rows: int, cols: int, entries) -> Matrix:
-    """Build a rows x cols float64 matrix from row-major entries."""
-    m = np.asarray(entries, dtype=np.float64).reshape(rows, cols)
-    return np.ascontiguousarray(m)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product with explicit shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})")
-    return a @ b
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -8,6 +8,9 @@ Representations
 
 The five named presets pair a representation with a clustering method;
 everything else (features, epochs, seeds, eps) comes from PipelineConfig.
+Each stage (prepare, _train_models, _encode, global_features,
+_make_points, _cluster, _label_and_score) is one function, chained here
+by run_pipeline_from_mts and called one at a time by the CLI steps.
 The leave-one-botnet-out harness retrains on a reduced population and
 scores the full one, which is the generalization question that matters
 for detecting botnets that were never seen during training.
@@ -40,18 +43,19 @@ from .clustering import (
 )
 from .globalfeats import (
     DEFAULT_CATALOG,
+    GlobalFeatureVector,
     concat_features,
     extract_global_features,
     zscore_standardize,
 )
-from .ingest import GENUINE_CLASS, LabelTable, TweetRecord, build_timelines
+from .ingest import FEATURE_NAMES, GENUINE_CLASS, LabelTable, TweetRecord, build_timelines
 from .labeling import (
     MetricsReport,
     assign_labels_binary,
     assign_labels_multiclass,
     prf_metrics,
 )
-from .mts import MtsTensor, NormalizationParams, apply_normalization, extract_mts, minmax_normalize
+from .mts import MtsTensor, apply_normalization, extract_mts, minmax_normalize
 
 REPRESENTATIONS = ("uts", "vec", "glob", "glob_vec")
 CLUSTER_METHODS = ("dbscan", "ward")
@@ -143,21 +147,81 @@ def derive_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
 
 
+# The encoders each representation needs, in training order.
+ENCODERS = {"uts": ("uts",), "vec": ("vec",), "glob": ("uts",), "glob_vec": ("uts", "vec")}
+
+
+@dataclass
+class Clustering:
+    """A partition plus the choices that produced it."""
+
+    dist: np.ndarray
+    assignment: ClusterAssignment
+    eps: Optional[float] = None                  # DBSCAN radius used
+    dendrogram: Optional[Dendrogram] = None
+    cut_k: Optional[int] = None                  # Ward cut size used
+
+    def report(self, config: PipelineConfig) -> dict:
+        """The cluster_report.json payload of run-all and `cluster` alike."""
+        doc = {
+            "method": config.cluster_method,
+            "n_clusters": self.assignment.n_clusters,
+            "n_noise": int(np.sum(self.assignment.labels == 0)),
+        }
+        if self.dendrogram is None:
+            doc.update(eps=self.eps, min_pts=config.min_pts)
+        else:
+            doc["cut_k"] = self.cut_k
+        return doc
+
+
 @dataclass
 class PipelineResult:
     config: PipelineConfig
     user_ids: tuple[str, ...]
     true_labels: np.ndarray
     pred_labels: np.ndarray
-    assignment: ClusterAssignment
+    clustering: Clustering
     metrics: MetricsReport
     models: dict[str, AutoencoderModel] = field(default_factory=dict)
     train_reports: dict[str, TrainReport] = field(default_factory=dict)
     latents: dict[str, np.ndarray] = field(default_factory=dict)
     points: Optional[np.ndarray] = None
-    eps_used: Optional[float] = None
-    dendrogram: Optional[Dendrogram] = None
-    norm_params: Optional[NormalizationParams] = None
+    # (raw statistics, clustering table) for the glob representations
+    features: Optional[tuple[GlobalFeatureVector, GlobalFeatureVector]] = None
+
+    @property
+    def assignment(self) -> ClusterAssignment:
+        return self.clustering.assignment
+
+    @property
+    def eps_used(self) -> Optional[float]:
+        return self.clustering.eps
+
+    @property
+    def dendrogram(self) -> Optional[Dendrogram]:
+        return self.clustering.dendrogram
+
+
+def truth_vector(labels: LabelTable, user_ids) -> np.ndarray:
+    """Class ids in the given user order; every user must be labeled."""
+    missing = [u for u in user_ids if u not in labels.labels]
+    if missing:
+        raise ValueError(f"{len(missing)} users lack labels, first: {missing[0]!r}")
+    return np.asarray([labels.labels[u] for u in user_ids], dtype=np.int64)
+
+
+def prepare(
+    records: list[TweetRecord],
+    labels: Optional[LabelTable],
+    config: PipelineConfig,
+) -> tuple[MtsTensor, Optional[np.ndarray]]:
+    """Timelines -> raw daily tensor of the configured features, plus the
+    truth vector in tensor row order when labels are given."""
+    timelines, manifest = build_timelines(records)
+    true = None if labels is None else truth_vector(labels, manifest.user_ids)
+    mts = extract_mts(timelines, manifest, features=config.features or FEATURE_NAMES)
+    return mts, true
 
 
 def _ae_config(config: PipelineConfig, variant: str, seed: int) -> AutoencoderConfig:
@@ -174,84 +238,94 @@ def _ae_config(config: PipelineConfig, variant: str, seed: int) -> AutoencoderCo
 
 def _train_models(
     config: PipelineConfig,
-    norm_tensor: MtsTensor,
-    norm_params: NormalizationParams,
+    mts_raw: MtsTensor,
     seed: int,
 ) -> tuple[dict[str, AutoencoderModel], dict[str, TrainReport]]:
-    """Train the encoder(s) a representation needs. The combined route
-    trains the vec encoder from a derived seed so both models are pinned
-    by the one pipeline seed."""
+    """Min-max fit a raw tensor and train the encoder(s) a representation
+    needs; each model keeps the fitted statistics. A second encoder (the
+    vec one of glob_vec) trains from a derived seed so both models are
+    pinned by the one pipeline seed."""
+    norm, params = minmax_normalize(mts_raw)
     models: dict[str, AutoencoderModel] = {}
     reports: dict[str, TrainReport] = {}
-    if config.representation in ("uts", "glob", "glob_vec"):
-        models["uts"], reports["uts"] = train(
-            _ae_config(config, "uts", seed), norm_tensor, norm_params
-        )
-    if config.representation in ("vec", "glob_vec"):
-        vec_seed = seed if config.representation == "vec" else derive_seed(seed, 1)
-        models["vec"], reports["vec"] = train(
-            _ae_config(config, "vec", vec_seed), norm_tensor, norm_params
+    for stream, variant in enumerate(ENCODERS[config.representation]):
+        model_seed = derive_seed(seed, stream) if stream else seed
+        models[variant], reports[variant] = train(
+            _ae_config(config, variant, model_seed), norm, params
         )
     return models, reports
 
 
+def _encode(models: dict[str, AutoencoderModel], mts_raw: MtsTensor) -> dict[str, np.ndarray]:
+    """Each model's latent of a raw tensor, scaled with that model's own
+    statistics (so users unseen in training get the training scale)."""
+    latents: dict[str, np.ndarray] = {}
+    for variant, model in models.items():
+        if model.norm_params is None:
+            raise ValueError(f"{variant} model lacks normalization statistics")
+        latents[variant] = encode(model, apply_normalization(mts_raw, model.norm_params))
+    return latents
+
+
+def global_features(
+    config: PipelineConfig,
+    latents: dict[str, np.ndarray],
+    user_ids: tuple[str, ...],
+) -> tuple[GlobalFeatureVector, GlobalFeatureVector]:
+    """Summary statistics of the uts latent, raw and as the clustering
+    table: z-scored, with the vec latent appended for glob_vec."""
+    raw = extract_global_features(latents["uts"], user_ids=user_ids, catalog=config.stats_catalog)
+    table = zscore_standardize(raw)
+    if config.representation == "glob_vec":
+        table = concat_features(table, latents["vec"])
+    return raw, table
+
+
 def _make_points(
     config: PipelineConfig,
-    models: dict[str, AutoencoderModel],
-    norm_tensor: MtsTensor,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Encode a normalized tensor and compose the clustering matrix."""
-    latents: dict[str, np.ndarray] = {}
-    n = norm_tensor.n_users
-    if "uts" in models:
-        latents["uts"] = encode(models["uts"], norm_tensor)
-    if "vec" in models:
-        latents["vec"] = encode(models["vec"], norm_tensor)
-    rep = config.representation
-    if rep == "uts":
-        points = latents["uts"].reshape(n, -1)
-    elif rep == "vec":
-        points = latents["vec"]
-    else:
-        stats = extract_global_features(
-            latents["uts"], user_ids=tuple(norm_tensor.user_ids), catalog=config.stats_catalog
-        )
-        stats = zscore_standardize(stats)
-        if rep == "glob":
-            points = stats.values
-        else:
-            points = concat_features(stats, latents["vec"]).values
-    return points, latents
+    latents: dict[str, np.ndarray],
+    user_ids: tuple[str, ...],
+) -> tuple[np.ndarray, Optional[tuple[GlobalFeatureVector, GlobalFeatureVector]]]:
+    """The clustering matrix, plus the feature tables it came from."""
+    if config.representation == "uts":
+        return latents["uts"].reshape(len(user_ids), -1), None
+    if config.representation == "vec":
+        return latents["vec"], None
+    tables = global_features(config, latents, user_ids)
+    return tables[1].values, tables
 
 
 def _cluster(
     config: PipelineConfig,
     points: np.ndarray,
     user_ids: tuple[str, ...],
-    n_classes: int,
-) -> tuple[np.ndarray, ClusterAssignment, Optional[float], Optional[Dendrogram]]:
+    n_classes: Optional[int],
+) -> Clustering:
+    """DBSCAN at the configured or knee eps, or a Ward cut at n_clusters
+    (default 2 for binary, n_classes for multiclass)."""
     dist = distance_matrix(points)
     if config.cluster_method == "dbscan":
         eps = config.eps
         if eps is None:
             eps, _curve = kdist_knee_eps(dist, config.min_pts - 1)
-        assignment = dbscan(dist, eps, config.min_pts, user_ids=user_ids)
-        return dist, assignment, eps, None
+        return Clustering(dist, dbscan(dist, eps, config.min_pts, user_ids=user_ids), eps=eps)
     dendro = ward_agglomerative(dist)
     k = config.n_clusters
     if k is None:
         k = 2 if config.task == "binary" else max(n_classes, 1)
     assignment = cut_dendrogram(dendro, k, user_ids=user_ids)
-    return dist, assignment, None, dendro
+    return Clustering(dist, assignment, dendrogram=dendro, cut_k=k)
 
 
 def _label_and_score(
     config: PipelineConfig,
     assignment: ClusterAssignment,
-    dist: np.ndarray,
+    dist: Optional[np.ndarray],
     true_labels: np.ndarray,
     n_classes: int,
 ) -> tuple[np.ndarray, MetricsReport]:
+    """Account labels and scores; dist is read only by the binary Ward
+    polarity rule."""
     if config.task == "binary":
         truth = (true_labels != GENUINE_CLASS).astype(np.int64)
         pred = assign_labels_binary(
@@ -281,26 +355,26 @@ def run_pipeline_from_mts(
     sub = mts_raw
     if config.features is not None and config.features != mts_raw.feature_names:
         sub = mts_raw.select_features(config.features)
-    norm, params = minmax_normalize(sub)
-    models, reports = _train_models(config, norm, params, config.seed)
-    points, latents = _make_points(config, models, norm)
+    models, reports = _train_models(config, sub, config.seed)
+    latents = _encode(models, sub)
     user_ids = tuple(mts_raw.user_ids)
-    dist, assignment, eps_used, dendro = _cluster(config, points, user_ids, n_classes)
-    pred, metrics = _label_and_score(config, assignment, dist, true_labels, n_classes)
+    points, features = _make_points(config, latents, user_ids)
+    clustering = _cluster(config, points, user_ids, n_classes)
+    pred, metrics = _label_and_score(
+        config, clustering.assignment, clustering.dist, true_labels, n_classes
+    )
     return PipelineResult(
         config=config,
         user_ids=user_ids,
         true_labels=true_labels,
         pred_labels=pred,
-        assignment=assignment,
+        clustering=clustering,
         metrics=metrics,
         models=models,
         train_reports=reports,
         latents=latents,
         points=points,
-        eps_used=eps_used,
-        dendrogram=dendro,
-        norm_params=params,
+        features=features,
     )
 
 
@@ -310,12 +384,7 @@ def run_pipeline(
     config: PipelineConfig,
 ) -> PipelineResult:
     """Full run from raw tweet records plus ground-truth labels."""
-    timelines, manifest = build_timelines(records)
-    missing = [u for u in manifest.user_ids if u not in labels.labels]
-    if missing:
-        raise ValueError(f"{len(missing)} users lack labels, first: {missing[0]!r}")
-    mts_raw = extract_mts(timelines, manifest)
-    true = np.asarray([labels.labels[u] for u in manifest.user_ids], dtype=np.int64)
+    mts_raw, true = prepare(records, labels, config)
     return run_pipeline_from_mts(mts_raw, true, labels.num_classes, config)
 
 
@@ -362,14 +431,8 @@ def lobo_run(
     if any(c == GENUINE_CLASS for c in bot_classes):
         raise ValueError("cannot exclude the genuine class")
 
-    timelines, manifest = build_timelines(records)
-    missing = [u for u in manifest.user_ids if u not in labels.labels]
-    if missing:
-        raise ValueError(f"{len(missing)} users lack labels, first: {missing[0]!r}")
-    mts_raw = extract_mts(timelines, manifest)
-    if config.features is not None and config.features != mts_raw.feature_names:
-        mts_raw = mts_raw.select_features(config.features)
-    true = np.asarray([labels.labels[u] for u in manifest.user_ids], dtype=np.int64)
+    mts_raw, true = prepare(records, labels, config)
+    user_ids = tuple(mts_raw.user_ids)
     n_classes = labels.num_classes
 
     base = run_pipeline_from_mts(mts_raw, true, n_classes, config)
@@ -385,17 +448,13 @@ def lobo_run(
             continue
         if keep.size < 2:
             raise ValueError(f"excluding class {cid} leaves fewer than 2 users")
-        leg_seed = derive_seed(config.seed, cid)
-        reduced = mts_raw.select_users(keep)
-        norm_reduced, params_reduced = minmax_normalize(reduced)
-        models, _reports = _train_models(config, norm_reduced, params_reduced, leg_seed)
-        norm_full = apply_normalization(mts_raw, params_reduced)
-        points, _latents = _make_points(config, models, norm_full)
-        leg_config = replace(config, seed=leg_seed)
-        dist, assignment, _eps, _dendro = _cluster(
-            leg_config, points, tuple(mts_raw.user_ids), n_classes
+        leg_config = replace(config, seed=derive_seed(config.seed, cid))
+        models, _reports = _train_models(config, mts_raw.select_users(keep), leg_config.seed)
+        points, _features = _make_points(config, _encode(models, mts_raw), user_ids)
+        clustering = _cluster(leg_config, points, user_ids, n_classes)
+        _pred, metrics = _label_and_score(
+            leg_config, clustering.assignment, clustering.dist, true, n_classes
         )
-        _pred, metrics = _label_and_score(leg_config, assignment, dist, true, n_classes)
         f1 = metrics.weighted_f1
         entries[cid] = {
             "weighted_f1": f1,

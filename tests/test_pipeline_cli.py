@@ -186,12 +186,12 @@ def test_cli_step_flow_and_exit_codes(cli_workspace, tmp_path):
     assert (out / "mts_raw.tensor").exists()
 
     assert _cli(
-        "train", "--outdir", out, "--variant", "uts", "--epochs", 6, "--seed", 1
+        "train", "--outdir", out, "--epochs", 6, "--seed", 1
     ) == 0
     assert (out / "model_uts.ckpt").exists()
     assert (out / "train_report_uts.json").exists()
 
-    assert _cli("encode", "--outdir", out, "--variant", "uts") == 0
+    assert _cli("encode", "--outdir", out) == 0
     assert (out / "latent_uts.tensor").exists()
 
     assert _cli("features", "--outdir", out) == 0
@@ -284,8 +284,8 @@ def test_cli_ward_multiclass_needs_explicit_k(cli_workspace, tmp_path):
     root, tweets, labels_csv = cli_workspace
     out = tmp_path / "wardk"
     assert _cli("extract", "--outdir", out, "--tweets", tweets) == 0
-    assert _cli("train", "--outdir", out, "--variant", "uts", "--epochs", 4) == 0
-    assert _cli("encode", "--outdir", out, "--variant", "uts") == 0
+    assert _cli("train", "--outdir", out, "--epochs", 4) == 0
+    assert _cli("encode", "--outdir", out) == 0
     rc = _cli(
         "cluster", "--outdir", out, "--representation", "uts",
         "--cluster-method", "ward", "--task", "multiclass",
@@ -296,3 +296,55 @@ def test_cli_ward_multiclass_needs_explicit_k(cli_workspace, tmp_path):
 def test_cli_unreadable_tweets_is_data_error(tmp_path):
     rc = _cli("extract", "--outdir", tmp_path / "o", "--tweets", tmp_path / "nope.jsonl")
     assert rc == 4
+
+
+@pytest.mark.parametrize("preset, task", [("UTS_DBSCAN", "multiclass"), ("Glob_Vec_Hier", "binary")])
+def test_cli_step_flow_equals_run_all(cli_workspace, tmp_path, preset, task):
+    root, tweets, labels_csv = cli_workspace
+    flags = ["--variant-preset", preset, "--task", task, "--seed", 2,
+             "--epochs", FAST["epochs"], "--latent-dim", FAST["latent_dim"]]
+    whole, steps = tmp_path / "whole", tmp_path / "steps"
+    assert _cli("run-all", "--outdir", whole, "--tweets", tweets, "--labels", labels_csv, *flags) == 0
+    assert _cli("extract", "--outdir", steps, "--tweets", tweets, *flags) == 0
+    names = ["train", "encode", "cluster"]
+    if preset.startswith("Glob"):
+        names.insert(2, "features")
+    for name in names:
+        assert _cli(name, "--outdir", steps, *flags) == 0, name
+    assert _cli("evaluate", "--outdir", steps, "--labels", labels_csv, *flags) == 0
+
+    compared = ["clusters.csv", "confusion.csv", "cluster_report.json"]
+    if preset == "Glob_Vec_Hier":
+        compared += ["dendrogram.json", "global_features.csv"]
+    compared += sorted(p.name for p in whole.glob("model_*.ckpt"))
+    assert len(compared) == (4 if preset == "UTS_DBSCAN" else 7)
+    for name in compared:
+        assert (steps / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def trained_workspace(cli_workspace, tmp_path_factory):
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path_factory.mktemp("trained")
+    assert _cli("extract", "--outdir", out, "--tweets", tweets) == 0
+    assert _cli("train", "--outdir", out, "--epochs", 2) == 0
+    return out
+
+
+@pytest.mark.parametrize("artifact, command", [
+    ("mts_raw.tensor", "train"), ("model_uts.ckpt", "encode"),
+])
+@pytest.mark.parametrize("part", ["magic", "length", "header", "body"])
+def test_cli_truncated_container_is_data_error(trained_workspace, tmp_path, caplog,
+                                               artifact, command, part):
+    out = tmp_path / "cut"
+    out.mkdir()
+    for name in ("mts_raw.tensor", "model_uts.ckpt"):
+        (out / name).write_bytes((trained_workspace / name).read_bytes())
+    data = (out / artifact).read_bytes()
+    header_end = 12 + int.from_bytes(data[8:12], "little")
+    cut = {"magic": 5, "length": 10, "header": (12 + header_end) // 2,
+           "body": len(data) - 3}[part]
+    (out / artifact).write_bytes(data[:cut])
+    assert _cli(command, "--outdir", out, "--epochs", 2) == 4
+    assert artifact in caplog.text
