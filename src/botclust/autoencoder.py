@@ -7,108 +7,94 @@ width-1 hidden sequence):
   vec: LSTM(D->1) -> flatten T -> dense T->L (tanh) latent; dense L->T
        (tanh) -> reshape -> LSTM(1->D) reconstruction.
 
+Each LSTM layer stores its four gates fused: W (input, 4H), U (H, 4H)
+and b (4H,), gate blocks in GATE_ORDER. A forward pass projects the
+input of all T steps with one matrix product before the recurrence, and
+the backward pass forms the weight gradients with one product after its
+reverse loop, so each time step costs one product with U either way.
+
 All gradients are hand-derived backpropagation through time; the test
 suite checks every layer against central finite differences.
+
+Checkpoints are format version 2 (blocks encoder.W/U/b, decoder.W/U/b,
+plus the dense layers of vec). Version 1 files held one block per gate;
+loading one raises ValueError (exit 4 from the CLI): retrain the model.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .mts import MtsTensor, NormalizationParams, read_container, write_container
-from .numerics import RmspropState, clip_global_norm, rmsprop_step, seeded_rng
+from .numerics import RmspropState, clip_global_norm, global_norm, rmsprop_step, seeded_rng
 
 GATE_ORDER = ("i", "f", "o", "c")
 
 _CKPT_MAGIC = b"BCAECK01"
+_CKPT_VERSION = 2
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+class _Layer:
+    """Checkpoint blocks of a layer: its parameter arrays named in BLOCKS."""
+
+    BLOCKS: tuple[str, ...] = ()
+
+    def blocks(self, prefix: str) -> dict[str, np.ndarray]:
+        return {f"{prefix}.{name}": getattr(self, name) for name in self.BLOCKS}
+
+    def load_blocks(self, prefix: str, blocks: dict[str, np.ndarray]) -> None:
+        for name in self.BLOCKS:
+            setattr(self, name, blocks[f"{prefix}.{name}"])
 
 
 @dataclass
-class LstmLayerParams:
-    """Gate weights for one LSTM layer.
+class LstmLayerParams(_Layer):
+    """One LSTM layer with its four gates fused along the last axis.
 
-    W_* map the input to each gate, U_* map the previous hidden state,
-    b_* are gate biases. Cell and output activations are tanh, gate
-    activations sigmoid.
+    W (input, 4*hidden) maps the input, U (hidden, 4*hidden) the previous
+    hidden state and b (4*hidden,) holds the biases; the gate blocks of
+    width hidden follow GATE_ORDER. Cell and output activations are tanh,
+    gate activations sigmoid.
     """
+
+    BLOCKS = ("W", "U", "b")
 
     input_size: int
     hidden_size: int
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    U_i: np.ndarray
-    U_f: np.ndarray
-    U_o: np.ndarray
-    U_c: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        for g in GATE_ORDER:
-            w = getattr(self, f"W_{g}")
-            u = getattr(self, f"U_{g}")
-            b = getattr(self, f"b_{g}")
-            if w.shape != (self.input_size, self.hidden_size):
-                raise ValueError(f"W_{g} shape {w.shape} != ({self.input_size}, {self.hidden_size})")
-            if u.shape != (self.hidden_size, self.hidden_size):
-                raise ValueError(f"U_{g} shape {u.shape} != ({self.hidden_size}, {self.hidden_size})")
-            if b.shape != (self.hidden_size,):
-                raise ValueError(f"b_{g} shape {b.shape} != ({self.hidden_size},)")
+        h4 = 4 * self.hidden_size
+        for name, shape in (("W", (self.input_size, h4)), ("U", (self.hidden_size, h4)), ("b", (h4,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
 
     @classmethod
     def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator) -> "LstmLayerParams":
-        """Xavier-uniform weights; biases zero except forget gate at 1."""
+        """Xavier-uniform weights drawn gate by gate (every W, then every
+        U); biases zero except the forget gate at 1."""
         def xavier(fan_in, fan_out):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-        w = {g: xavier(input_size, hidden_size) for g in GATE_ORDER}
-        u = {g: xavier(hidden_size, hidden_size) for g in GATE_ORDER}
-        b = {g: np.zeros(hidden_size) for g in GATE_ORDER}
-        b["f"] = np.ones(hidden_size)
-        return cls(
-            input_size=input_size,
-            hidden_size=hidden_size,
-            **{f"W_{g}": w[g] for g in GATE_ORDER},
-            **{f"U_{g}": u[g] for g in GATE_ORDER},
-            **{f"b_{g}": b[g] for g in GATE_ORDER},
-        )
-
-    def blocks(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {}
-        for g in GATE_ORDER:
-            out[f"{prefix}.W_{g}"] = getattr(self, f"W_{g}")
-            out[f"{prefix}.U_{g}"] = getattr(self, f"U_{g}")
-            out[f"{prefix}.b_{g}"] = getattr(self, f"b_{g}")
-        return out
-
-    def load_blocks(self, prefix: str, blocks: dict[str, np.ndarray]) -> None:
-        for g in GATE_ORDER:
-            setattr(self, f"W_{g}", blocks[f"{prefix}.W_{g}"])
-            setattr(self, f"U_{g}", blocks[f"{prefix}.U_{g}"])
-            setattr(self, f"b_{g}", blocks[f"{prefix}.b_{g}"])
+        w = np.concatenate([xavier(input_size, hidden_size) for _ in GATE_ORDER], axis=1)
+        u = np.concatenate([xavier(hidden_size, hidden_size) for _ in GATE_ORDER], axis=1)
+        b = np.zeros(4 * hidden_size)
+        b[hidden_size:2 * hidden_size] = 1.0
+        return cls(input_size=input_size, hidden_size=hidden_size, W=w, U=u, b=b)
 
 
 @dataclass
-class DenseLayerParams:
+class DenseLayerParams(_Layer):
     """Fully connected layer with tanh activation: y = tanh(x W + b)."""
+
+    BLOCKS = ("W", "b")
 
     input_size: int
     output_size: int
@@ -125,13 +111,6 @@ class DenseLayerParams:
             b=np.zeros(output_size),
         )
 
-    def blocks(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
-
-    def load_blocks(self, prefix: str, blocks: dict[str, np.ndarray]) -> None:
-        self.W = blocks[f"{prefix}.W"]
-        self.b = blocks[f"{prefix}.b"]
-
 
 class MissingCacheError(RuntimeError):
     pass
@@ -141,53 +120,38 @@ def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarr
     """Batched LSTM pass over x of shape (N, T, input) with h0 = c0 = 0.
 
     Returns the full hidden sequence (N, T, hidden) and the cache needed
-    for backpropagation through time.
+    for backpropagation through time: the input, the gate activations
+    (N, T, 4, hidden) in GATE_ORDER, the cell states and the hidden states.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != layer.input_size:
         raise ValueError(f"expected (N, T, {layer.input_size}) input, got {x.shape}")
-    n, t, _ = x.shape
+    n, t, d = x.shape
     h = layer.hidden_size
-    gates = {g: np.empty((n, t, h)) for g in GATE_ORDER}
+    # The input projection of every step in one GEMM; each step adds its
+    # recurrent term and overwrites its own slice with the activations.
+    acts = x.reshape(n * t, d) @ layer.W
+    acts += layer.b
+    acts = acts.reshape(n, t, 4, h)
     cells = np.empty((n, t, h))
-    tanh_c = np.empty((n, t, h))
     hidden = np.empty((n, t, h))
     h_prev = np.zeros((n, h))
     c_prev = np.zeros((n, h))
     for step in range(t):
-        xt = x[:, step, :]
-        zi = xt @ layer.W_i + h_prev @ layer.U_i + layer.b_i
-        zf = xt @ layer.W_f + h_prev @ layer.U_f + layer.b_f
-        zo = xt @ layer.W_o + h_prev @ layer.U_o + layer.b_o
-        zc = xt @ layer.W_c + h_prev @ layer.U_c + layer.b_c
-        i_t = _sigmoid(zi)
-        f_t = _sigmoid(zf)
-        o_t = _sigmoid(zo)
-        g_t = np.tanh(zc)
-        c_t = f_t * c_prev + i_t * g_t
-        tc = np.tanh(c_t)
-        h_t = o_t * tc
-        gates["i"][:, step] = i_t
-        gates["f"][:, step] = f_t
-        gates["o"][:, step] = o_t
-        gates["c"][:, step] = g_t
-        cells[:, step] = c_t
-        tanh_c[:, step] = tc
-        hidden[:, step] = h_t
-        h_prev, c_prev = h_t, c_t
-    cache = {"x": x, "gates": gates, "cells": cells, "tanh_c": tanh_c, "hidden": hidden}
+        z = acts[:, step]
+        z += (h_prev @ layer.U).reshape(n, 4, h)
+        # sigmoid of the i, f, o rows: 1/(1+e) for z >= 0, e/(1+e) below,
+        # with e = exp(-|z|) so that neither side overflows
+        s = z[:, :3]
+        e = np.exp(-np.abs(s))
+        np.divide(np.where(s >= 0, 1.0, e), 1.0 + e, out=s)
+        i_t, f_t, o_t, g_t = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
+        np.tanh(g_t, out=g_t)
+        c_prev = np.multiply(f_t, c_prev, out=cells[:, step])
+        c_prev += i_t * g_t
+        h_prev = np.multiply(o_t, np.tanh(c_prev), out=hidden[:, step])
+    cache = {"x": x, "acts": acts, "cells": cells, "hidden": hidden}
     return hidden, cache
-
-
-def lstm_forward(layer: LstmLayerParams, sequence: np.ndarray, return_sequence: bool = True) -> np.ndarray:
-    """Single-sequence LSTM pass: (T, input) to (T, hidden) or (hidden,)."""
-    seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim != 2:
-        raise ValueError(f"sequence must be 2-D (T, input), got shape {seq.shape}")
-    if seq.shape[0] < 1:
-        raise ValueError("sequence length must be at least 1")
-    hidden, _ = lstm_forward_cached(layer, seq[np.newaxis])
-    return hidden[0] if return_sequence else hidden[0, -1]
 
 
 def lstm_backward(
@@ -199,13 +163,13 @@ def lstm_backward(
     """Full BPTT given the forward cache and upstream hidden-state grads.
 
     d_out is (N, T, hidden) when return_sequence, else (N, hidden) for the
-    last state only. Returns gate/bias gradients keyed W_*/U_*/b_* and the
+    last state only. Returns the parameter gradients keyed W/U/b and the
     gradient with respect to the input sequence.
     """
     if cache is None:
         raise MissingCacheError("lstm_backward needs the cache from lstm_forward_cached")
     x = cache["x"]
-    n, t, _ = x.shape
+    n, t, d = x.shape
     h = layer.hidden_size
     d_out = np.asarray(d_out, dtype=np.float64)
     if return_sequence:
@@ -218,43 +182,45 @@ def lstm_backward(
         d_hidden = np.zeros((n, t, h))
         d_hidden[:, -1] = d_out
 
-    grads = {f"W_{g}": np.zeros_like(getattr(layer, f"W_{g}")) for g in GATE_ORDER}
-    grads.update({f"U_{g}": np.zeros_like(getattr(layer, f"U_{g}")) for g in GATE_ORDER})
-    grads.update({f"b_{g}": np.zeros_like(getattr(layer, f"b_{g}")) for g in GATE_ORDER})
-    dx = np.zeros_like(x)
-    dh_next = np.zeros((n, h))
-    dc_next = np.zeros((n, h))
-    gates, cells, tanh_c = cache["gates"], cache["cells"], cache["tanh_c"]
-    hidden = cache["hidden"]
+    acts, cells, hidden = cache["acts"], cache["cells"], cache["hidden"]
+    i, f, o, g = (acts[:, :, k] for k in range(4))
+    # Everything but the upstream dc (dh for the output gate) is known from
+    # the forward pass, so each gate's factor is formed for all steps here:
+    # dz_i = dc*i(1-i)*g, dz_f = dc*f(1-f)*c_prev, dz_o = dh*o(1-o)*tanh(c),
+    # dz_c = dc*(1-g^2)*i, and dc = dh*o*(1-tanh(c)^2) + dc_next.
+    dz = np.subtract(1.0, acts)
+    dz *= acts
+    dzi, dzf, dzo, dzg = (dz[:, :, k] for k in range(4))
+    np.multiply(g, g, out=dzg)
+    np.subtract(1.0, dzg, out=dzg)
+    dzi *= g
+    dzf[:, 0] = 0.0
+    dzf[:, 1:] *= cells[:, :-1]
+    dzg *= i
+    dc_dh = np.tanh(cells)
+    dzo *= dc_dh
+    dc_dh *= dc_dh
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+
+    dh_next = dc_next = np.zeros((n, h))
+    u_t = layer.U.T
     for step in range(t - 1, -1, -1):
-        i_t = gates["i"][:, step]
-        f_t = gates["f"][:, step]
-        o_t = gates["o"][:, step]
-        g_t = gates["c"][:, step]
-        tc = tanh_c[:, step]
-        c_prev = cells[:, step - 1] if step > 0 else np.zeros((n, h))
-        h_prev = hidden[:, step - 1] if step > 0 else np.zeros((n, h))
-
         dh = d_hidden[:, step] + dh_next
-        do = dh * tc
-        dzo = do * o_t * (1.0 - o_t)
-        dc = dh * o_t * (1.0 - tc * tc) + dc_next
-        df = dc * c_prev
-        dzf = df * f_t * (1.0 - f_t)
-        di = dc * g_t
-        dzi = di * i_t * (1.0 - i_t)
-        dg = dc * i_t
-        dzc = dg * (1.0 - g_t * g_t)
+        dc = dh * dc_dh[:, step]
+        dc += dc_next
+        dzs = dz[:, step]
+        dzs[:, :2] *= dc[:, np.newaxis]
+        dzs[:, 2] *= dh
+        dzs[:, 3] *= dc
+        dh_next = dzs.reshape(n, 4 * h) @ u_t
+        dc_next = dc * f[:, step]
 
-        xt = x[:, step]
-        for g, dz in zip(GATE_ORDER, (dzi, dzf, dzo, dzc)):
-            grads[f"W_{g}"] += xt.T @ dz
-            grads[f"U_{g}"] += h_prev.T @ dz
-            grads[f"b_{g}"] += dz.sum(axis=0)
-        dx[:, step] = dzi @ layer.W_i.T + dzf @ layer.W_f.T + dzo @ layer.W_o.T + dzc @ layer.W_c.T
-        dh_next = dzi @ layer.U_i.T + dzf @ layer.U_f.T + dzo @ layer.U_o.T + dzc @ layer.U_c.T
-        dc_next = dc * f_t
-    return grads, dx
+    dz_rows = dz.reshape(n * t, 4 * h)
+    # h_prev is zero at step 0, so per user hidden[:, :-1] meets dz[:, 1:]
+    d_u = np.matmul(hidden[:, :-1].transpose(0, 2, 1), dz[:, 1:].reshape(n, t - 1, 4 * h))
+    grads = {"W": x.reshape(n * t, d).T @ dz_rows, "U": d_u.sum(axis=0), "b": dz_rows.sum(axis=0)}
+    return grads, (dz_rows @ layer.W.T).reshape(n, t, d)
 
 
 def dense_forward_cached(layer: DenseLayerParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -324,13 +290,18 @@ class AutoencoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AutoencoderConfig":
-        return cls(**d)
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass
 class TrainReport:
+    """Per-epoch curves: MSE on both splits, and the global gradient norm
+    before clipping with whether clipping fired."""
+
     train_mse: list[float]
     holdout_mse: list[float]
+    grad_norm: list[float]
+    clipped: list[bool]
     final_epoch: int
     seed: int
     wall_time_s: float
@@ -339,6 +310,8 @@ class TrainReport:
         return {
             "train_mse": self.train_mse,
             "holdout_mse": self.holdout_mse,
+            "grad_norm": self.grad_norm,
+            "clipped": self.clipped,
             "final_epoch": self.final_epoch,
             "seed": self.seed,
             "timing": {"wall_time_s": self.wall_time_s},
@@ -462,7 +435,8 @@ def mse_loss(reconstruction: np.ndarray, target: np.ndarray) -> float:
     if reconstruction.shape != target.shape:
         raise ValueError(f"shape mismatch: {reconstruction.shape} vs {target.shape}")
     diff = reconstruction - target
-    return float(np.mean(diff * diff))
+    diff *= diff
+    return float(np.mean(diff))
 
 
 def train(
@@ -473,8 +447,9 @@ def train(
     """Train on a normalized tensor: seeded split, full-batch RMSProp.
 
     Runs exactly config.epochs optimizer steps on the training split and
-    records training and holdout MSE (both measured before each step).
-    The holdout curve is monitored only; there is no early stopping.
+    records training and holdout MSE (both measured before each step),
+    the gradient norm before clipping and whether clipping fired. The
+    holdout curve is monitored only; there is no early stopping.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized tensor; run minmax_normalize first")
@@ -500,6 +475,8 @@ def train(
     opt = RmspropState(learning_rate=config.resolved_lr())
     train_curve: list[float] = []
     hold_curve: list[float] = []
+    norms: list[float] = []
+    clipped: list[bool] = []
     started = time.perf_counter()
     for epoch in range(config.epochs):
         model.set_params(params)
@@ -511,14 +488,19 @@ def train(
         hold_loss = mse_loss(hold_recon, x_hold)
         train_curve.append(loss)
         hold_curve.append(hold_loss)
-        d_recon = (2.0 / recon.size) * (recon - x_train)
+        d_recon = recon - x_train
+        d_recon *= 2.0 / recon.size
         grads = _backward(model, caches, d_recon)
-        grads = clip_global_norm(grads, config.clip_norm)
-        params = rmsprop_step(params, grads, opt)
+        norms.append(global_norm(grads))
+        step_grads = clip_global_norm(grads, config.clip_norm)
+        clipped.append(step_grads is not grads)
+        params = rmsprop_step(params, step_grads, opt)
     model.set_params(params)
     report = TrainReport(
         train_mse=train_curve,
         holdout_mse=hold_curve,
+        grad_norm=norms,
+        clipped=clipped,
         final_epoch=config.epochs,
         seed=config.seed,
         wall_time_s=time.perf_counter() - started,
@@ -552,7 +534,7 @@ def save_model(model: AutoencoderModel, path) -> None:
     blocks = model.params_dict()
     names = sorted(blocks)
     header = {
-        "version": 1,
+        "version": _CKPT_VERSION,
         "config": model.config.to_dict(),
         "seq_len": model.seq_len,
         "input_dim": model.input_dim,
@@ -562,42 +544,31 @@ def save_model(model: AutoencoderModel, path) -> None:
     write_container(path, _CKPT_MAGIC, header, [blocks[n] for n in names])
 
 
-def _checkpoint_size(header: dict) -> int:
-    if header["version"] != 1:
-        raise ValueError(f"unsupported checkpoint version {header['version']}")
+def _checkpoint_size(path, header: dict) -> int:
+    version = header["version"]
+    if version == 1:
+        raise ValueError(f"{path}: checkpoint version 1 is no longer supported; retrain")
+    if version != _CKPT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     return sum(int(np.prod(entry["shape"])) for entry in header["blocks"])
 
 
 def load_model(path) -> AutoencoderModel:
-    header, body = read_container(path, _CKPT_MAGIC, "model checkpoint", _checkpoint_size)
+    header, body = read_container(path, _CKPT_MAGIC, "model checkpoint",
+                                  lambda h: _checkpoint_size(path, h))
+    config = AutoencoderConfig.from_dict(header["config"])
+    norm = NormalizationParams.from_dict(header["norm_params"]) if header["norm_params"] else None
+    model = init_model(config, seq_len=header["seq_len"], input_dim=header["input_dim"],
+                       rng=seeded_rng(0), norm_params=norm)
+    layout = {name: list(block.shape) for name, block in model.params_dict().items()}
+    if {entry["name"]: entry["shape"] for entry in header["blocks"]} != layout:
+        raise ValueError(f"{path}: checkpoint blocks do not match a {config.variant} model "
+                         f"with T={model.seq_len}, D={model.input_dim}")
     blocks = {}
     offset = 0
     for entry in header["blocks"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        blocks[entry["name"]] = body[offset:offset + count].reshape(shape)
+        count = int(np.prod(entry["shape"]))
+        blocks[entry["name"]] = body[offset:offset + count].reshape(entry["shape"])
         offset += count
-    config = AutoencoderConfig.from_dict(header["config"])
-    norm = NormalizationParams.from_dict(header["norm_params"]) if header["norm_params"] else None
-    rng = seeded_rng(0)
-    model = init_model(config, seq_len=header["seq_len"], input_dim=header["input_dim"],
-                       rng=rng, norm_params=norm)
     model.set_params(blocks)
     return model
-
-
-def flatten_blocks(blocks: dict[str, np.ndarray]) -> tuple[np.ndarray, list[tuple[str, tuple]]]:
-    """Pack named blocks into one vector (sorted by name) plus a layout."""
-    layout = [(name, blocks[name].shape) for name in sorted(blocks)]
-    vec = np.concatenate([blocks[name].ravel() for name, _ in layout]) if layout else np.zeros(0)
-    return vec, layout
-
-
-def unflatten_blocks(vec: np.ndarray, layout: list[tuple[str, tuple]]) -> dict[str, np.ndarray]:
-    out = {}
-    offset = 0
-    for name, shape in layout:
-        size = int(np.prod(shape))
-        out[name] = vec[offset:offset + size].reshape(shape).copy()
-        offset += size
-    return out

@@ -294,6 +294,9 @@ def cmd_encode(args) -> int:
 
 def cmd_features(args) -> int:
     paths, config = _merged(args)
+    if config.representation == "vec":
+        raise ConfigError("the features step serves the glob and glob_vec representations; "
+                          "vec clusters its latent directly, so run `botclust cluster`")
     out = _outdir(paths)
     variants = ("uts", "vec") if config.representation == "glob_vec" else ("uts",)
     latents, user_ids = _load_latents(out, variants)

@@ -91,9 +91,6 @@ class LabelTable:
             out[cid] = out.get(cid, 0) + 1
         return dict(sorted(out.items()))
 
-    def class_users(self, class_id: int) -> list[str]:
-        return sorted(u for u, c in self.labels.items() if c == class_id)
-
 
 @dataclass
 class DatasetManifest:

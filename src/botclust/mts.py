@@ -228,11 +228,23 @@ def write_container(path: str | Path, magic: bytes, header: dict, arrays) -> Non
             fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
+class _Header(dict):
+    """A decoded container header (or an object nested in it) that names
+    its file when a key is read that it lacks."""
+
+    def __init__(self, where: str, items: dict):
+        super().__init__(items)
+        self.where = where
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.where} has no {key!r} key")
+
+
 def read_container(path: str | Path, magic: bytes, what: str, body_size) -> tuple[dict, np.ndarray]:
     """Read a write_container file as (header, flat float64 body);
     body_size(header) is the number of values the body must hold. A file
-    that is not a `what`, or is cut short anywhere, raises ValueError
-    naming the path."""
+    that is not a `what`, is cut short anywhere, or whose header lacks a
+    key that is read raises ValueError naming the path."""
 
     def take(fh, n: int, part: str) -> bytes:
         data = fh.read(n)
@@ -245,7 +257,8 @@ def read_container(path: str | Path, magic: bytes, what: str, body_size) -> tupl
         if head != magic:
             raise ValueError(f"{path}: not a {what} (bad magic {head!r})")
         (header_len,) = struct.unpack("<I", take(fh, 4, "header length"))
-        header = json.loads(take(fh, header_len, "header").decode("utf-8"))
+        header = json.loads(take(fh, header_len, "header").decode("utf-8"),
+                            object_hook=lambda items: _Header(f"{path}: {what} header", items))
         count = body_size(header)
         body = take(fh, count * 8, "body")
     return header, np.frombuffer(body, dtype="<f8").copy()

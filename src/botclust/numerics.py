@@ -99,14 +99,21 @@ def finite_diff_grad(
     return grad.reshape(np.shape(params))
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all blocks so the joint L2 norm is at most ``max_norm``."""
-    if max_norm <= 0.0:
-        return grads
+def global_norm(grads: dict[str, np.ndarray]) -> float:
+    """Joint L2 norm of all blocks."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
-    norm = np.sqrt(total)
+    return float(np.sqrt(total))
+
+
+def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
+    """Scale all blocks so the joint L2 norm is at most ``max_norm``.
+    Returns ``grads`` itself when nothing is scaled (``max_norm <= 0``
+    turns clipping off)."""
+    if max_norm <= 0.0:
+        return grads
+    norm = global_norm(grads)
     if norm <= max_norm:
         return grads
     scale = max_norm / norm

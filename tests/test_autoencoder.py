@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from botclust.autoencoder import (
+    GATE_ORDER,
     AutoencoderConfig,
     DenseLayerParams,
     LstmLayerParams,
@@ -9,16 +10,13 @@ from botclust.autoencoder import (
     dense_backward,
     dense_forward_cached,
     encode,
-    flatten_blocks,
     forward_autoencoder,
     load_model,
     lstm_backward,
-    lstm_forward,
     lstm_forward_cached,
     mse_loss,
     save_model,
     train,
-    unflatten_blocks,
 )
 from botclust.mts import SENTINEL, MtsTensor
 from botclust.numerics import finite_diff_grad, seeded_rng
@@ -26,10 +24,47 @@ from botclust.numerics import finite_diff_grad, seeded_rng
 from oracles import oracle_lstm_forward
 
 
+def flatten_blocks(blocks: dict[str, np.ndarray]) -> tuple[np.ndarray, list[tuple[str, tuple]]]:
+    """Pack named blocks into one vector (sorted by name) plus a layout."""
+    layout = [(name, blocks[name].shape) for name in sorted(blocks)]
+    vec = np.concatenate([blocks[name].ravel() for name, _ in layout]) if layout else np.zeros(0)
+    return vec, layout
+
+
+def unflatten_blocks(vec: np.ndarray, layout: list[tuple[str, tuple]]) -> dict[str, np.ndarray]:
+    out = {}
+    offset = 0
+    for name, shape in layout:
+        size = int(np.prod(shape))
+        out[name] = vec[offset:offset + size].reshape(shape).copy()
+        offset += size
+    return out
+
+
+def lstm_forward(layer, sequence, return_sequence=True):
+    """Single-sequence LSTM pass: (T, input) to (T, hidden) or (hidden,)."""
+    hidden, _ = lstm_forward_cached(layer, np.asarray(sequence)[np.newaxis])
+    return hidden[0] if return_sequence else hidden[0, -1]
+
+
+def split_gates(fused: dict[str, np.ndarray], hidden_size: int) -> dict[str, np.ndarray]:
+    """Fused W/U/b (weights or gradients) as the per-gate blocks W_i..b_c."""
+    out = {}
+    for k, g in enumerate(GATE_ORDER):
+        cols = slice(k * hidden_size, (k + 1) * hidden_size)
+        for name in ("W", "U", "b"):
+            out[f"{name}_{g}"] = fused[name][..., cols]
+    return out
+
+
 def _weights_dict(layer):
-    return {
-        key.split(".", 1)[1]: val for key, val in layer.blocks("l").items()
-    }
+    return split_gates({"W": layer.W, "U": layer.U, "b": layer.b}, layer.hidden_size)
+
+
+def max_rel_err(numeric, analytic):
+    scale = np.maximum(np.abs(numeric), np.abs(analytic))
+    scale[scale < 1e-8] = 1e-8
+    return float(np.max(np.abs(numeric - analytic) / scale))
 
 
 def lstm_grad_max_rel_err(rng, input_size, hidden_size, t_len, n_seq=2,
@@ -59,10 +94,7 @@ def lstm_grad_max_rel_err(rng, input_size, hidden_size, t_len, n_seq=2,
     _, cache = lstm_forward_cached(layer, x)
     grads, _ = lstm_backward(layer, cache, probe, return_sequence=return_sequence)
     analytic, _ = flatten_blocks({f"l.{k}": v for k, v in grads.items()})
-
-    scale = np.maximum(np.abs(numeric), np.abs(analytic))
-    scale[scale < 1e-8] = 1e-8
-    return float(np.max(np.abs(numeric - analytic) / scale))
+    return max_rel_err(numeric, analytic)
 
 
 def dense_grad_max_rel_err(rng, input_size, output_size, n=3):
@@ -81,9 +113,7 @@ def dense_grad_max_rel_err(rng, input_size, output_size, n=3):
     _, cache = dense_forward_cached(layer, x)
     grads, _ = dense_backward(layer, cache, probe)
     analytic, _ = flatten_blocks({f"d.{k}": v for k, v in grads.items()})
-    scale = np.maximum(np.abs(numeric), np.abs(analytic))
-    scale[scale < 1e-8] = 1e-8
-    return float(np.max(np.abs(numeric - analytic) / scale))
+    return max_rel_err(numeric, analytic)
 
 
 def _toy_tensor(rng, n=6, t=8, d=3, inactive_prob=0.3):
@@ -133,6 +163,39 @@ def test_lstm_gradient_last_state_only():
     rng = seeded_rng(22)
     err = lstm_grad_max_rel_err(rng, 3, 2, t_len=5, return_sequence=False)
     assert err < 1e-4
+
+
+def test_lstm_gradient_matches_per_gate_oracle():
+    """Fused gradients, split by gate, against central differences of the
+    per-gate scalar oracle: checks the gate order along the 4H axis too."""
+    rng = seeded_rng(26)
+    layer = LstmLayerParams.init(3, 2, rng)
+    x = rng.normal(size=(2, 5, 3))
+    probe = rng.normal(size=(2, 5, 2))
+    vec0, layout = flatten_blocks(_weights_dict(layer))
+
+    def loss(vec):
+        weights = unflatten_blocks(vec, layout)
+        return float(sum(np.sum(oracle_lstm_forward(weights, seq) * p) for seq, p in zip(x, probe)))
+
+    numeric = finite_diff_grad(loss, vec0)
+    _, cache = lstm_forward_cached(layer, x)
+    grads, _ = lstm_backward(layer, cache, probe)
+    analytic, _ = flatten_blocks(split_gates(grads, 2))
+    assert max_rel_err(numeric, analytic) < 1e-4
+
+
+def test_lstm_init_draws_gates_in_order():
+    """A seed pins the same weights as drawing each gate's block in turn."""
+    layer = LstmLayerParams.init(3, 2, seeded_rng(27))
+    rng = seeded_rng(27)
+    limit_w, limit_u = np.sqrt(6.0 / 5), np.sqrt(6.0 / 4)
+    gates = _weights_dict(layer)
+    for g in GATE_ORDER:
+        assert np.array_equal(gates[f"W_{g}"], rng.uniform(-limit_w, limit_w, size=(3, 2)))
+    for g in GATE_ORDER:
+        assert np.array_equal(gates[f"U_{g}"], rng.uniform(-limit_u, limit_u, size=(2, 2)))
+    assert np.array_equal(layer.b, [0, 0, 1, 1, 0, 0, 0, 0])
 
 
 def test_lstm_input_gradient():
@@ -187,6 +250,19 @@ def test_train_uts_report_and_shapes():
     assert recon.shape == data.values.shape
     enc = encode(model, data)
     assert np.array_equal(enc, latent)
+
+
+def test_train_reports_grad_norm_and_clipping():
+    data = _toy_tensor(seeded_rng(39))
+    _, tight = train(AutoencoderConfig(variant="uts", epochs=3, seed=1, clip_norm=1e-6), data)
+    _, off = train(AutoencoderConfig(variant="uts", epochs=3, seed=1, clip_norm=0.0), data)
+    assert tight.clipped == [True] * 3
+    assert off.clipped == [False] * 3
+    # the norm is taken before clipping, so the first epochs agree
+    assert tight.grad_norm[0] == off.grad_norm[0] > 1e-6
+    doc = tight.to_dict()
+    assert doc["grad_norm"] == tight.grad_norm and doc["clipped"] == tight.clipped
+    assert "grad_norm" not in doc["timing"]
 
 
 def test_train_deterministic_per_seed():

@@ -189,7 +189,8 @@ def test_cli_step_flow_and_exit_codes(cli_workspace, tmp_path):
         "train", "--outdir", out, "--epochs", 6, "--seed", 1
     ) == 0
     assert (out / "model_uts.ckpt").exists()
-    assert (out / "train_report_uts.json").exists()
+    train_doc = json.loads((out / "train_report_uts.json").read_text())
+    assert len(train_doc["train"]["grad_norm"]) == len(train_doc["train"]["clipped"]) == 6
 
     assert _cli("encode", "--outdir", out) == 0
     assert (out / "latent_uts.tensor").exists()
@@ -348,3 +349,40 @@ def test_cli_truncated_container_is_data_error(trained_workspace, tmp_path, capl
     (out / artifact).write_bytes(data[:cut])
     assert _cli(command, "--outdir", out, "--epochs", 2) == 4
     assert artifact in caplog.text
+
+
+def _rewrite_header(path, key, value):
+    """Drop a container header key (value None) or set it to value."""
+    data = path.read_bytes()
+    header_end = 12 + int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12:header_end])
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[header_end:])
+
+
+@pytest.mark.parametrize("artifact, command, key, value, message", [
+    ("mts_raw.tensor", "train", "n", None, "has no 'n' key"),
+    ("model_uts.ckpt", "encode", "version", None, "has no 'version' key"),
+    ("model_uts.ckpt", "encode", "version", 1, "checkpoint version 1 is no longer supported; retrain"),
+    ("model_uts.ckpt", "encode", "config", {"variant": "uts"}, "has no 'input_dim' key"),
+    ("model_uts.ckpt", "encode", "input_dim", 5, "checkpoint blocks do not match"),
+])
+def test_cli_damaged_header_is_data_error(trained_workspace, tmp_path, caplog,
+                                          artifact, command, key, value, message):
+    out = tmp_path / "edited"
+    out.mkdir()
+    for name in ("mts_raw.tensor", "model_uts.ckpt"):
+        (out / name).write_bytes((trained_workspace / name).read_bytes())
+    _rewrite_header(out / artifact, key, value)
+    assert _cli(command, "--outdir", out, "--epochs", 2) == 4
+    assert artifact in caplog.text
+    assert message in caplog.text
+
+
+def test_cli_features_rejects_vec_representation(tmp_path, caplog):
+    assert _cli("features", "--outdir", tmp_path / "o", "--variant-preset", "Vec_Hier") == 2
+    assert "glob and glob_vec" in caplog.text
