@@ -90,6 +90,13 @@ def distance_matrix(points: np.ndarray) -> np.ndarray:
     return dist
 
 
+def kth_neighbor_distances(dist: np.ndarray, k: int) -> np.ndarray:
+    """Each row's distance to its k-th nearest other point. A row's zero
+    self-distance sorts first, so that is column k of the row
+    partitioned at k."""
+    return np.partition(dist, k, axis=1)[:, k]
+
+
 def kdist_knee_eps(dist: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     """Pick DBSCAN eps from the sorted k-distance curve.
 
@@ -105,11 +112,7 @@ def kdist_knee_eps(dist: np.ndarray, k: int) -> tuple[float, np.ndarray]:
         raise ValueError(f"distance matrix must be square, got {dist.shape}")
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
-    kdist = np.empty(n)
-    for i in range(n):
-        others = np.delete(dist[i], i)
-        kdist[i] = np.sort(others)[k - 1]
-    curve = np.sort(kdist)[::-1]
+    curve = np.sort(kth_neighbor_distances(dist, k))[::-1]
     if curve[0] == 0.0:
         log.warning("all k-distances are zero; using smallest positive eps")
         return float(np.finfo(np.float64).tiny), curve
@@ -192,34 +195,31 @@ def ward_agglomerative(dist: np.ndarray) -> Dendrogram:
         raise ValueError(f"distance matrix must be square, got {dist.shape}")
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    d2 = dist.astype(np.float64) ** 2
+    d2 = dist**2
+    # Merged-away slots get inf like the diagonal, so argmin never picks them.
+    np.fill_diagonal(d2, np.inf)
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
     ids = np.arange(n, dtype=np.int64)  # current cluster id occupying each slot
     merges: list[tuple[int, int, float, int]] = []
     for step in range(n - 1):
-        best = np.inf
-        bi = bj = -1
-        live = np.flatnonzero(active)
-        for ii, i in enumerate(live[:-1]):
-            for j in live[ii + 1 :]:
-                if d2[i, j] < best:
-                    best = d2[i, j]
-                    bi, bj = i, j
+        # d2 is symmetric, so its first minimum in row-major order is the
+        # lexicographically smallest slot pair, with bi < bj.
+        bi, bj = divmod(int(np.argmin(d2)), n)
+        best = d2[bi, bj]
         ni, nj = sizes[bi], sizes[bj]
         merged_size = ni + nj
-        for k in live:
-            if k == bi or k == bj:
-                continue
-            nk = sizes[k]
-            d2_new = (
-                (ni + nk) * d2[k, bi] + (nj + nk) * d2[k, bj] - nk * best
-            ) / (merged_size + nk)
-            d2[k, bi] = d2[bi, k] = d2_new
+        active[bj] = False
+        others = np.flatnonzero(active)
+        others = others[others != bi]
+        nk = sizes[others]
+        d2[others, bi] = d2[bi, others] = (
+            (ni + nk) * d2[others, bi] + (nj + nk) * d2[others, bj] - nk * best
+        ) / (merged_size + nk)
+        d2[bj, :] = d2[:, bj] = np.inf
         merges.append((int(ids[bi]), int(ids[bj]), float(np.sqrt(best)), int(merged_size)))
         ids[bi] = n + step
         sizes[bi] = merged_size
-        active[bj] = False
     return Dendrogram(n_leaves=n, merges=merges)
 
 

@@ -15,122 +15,56 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _mean(x):
-    return float(np.mean(x))
+CATALOG = (
+    "mean", "std", "variance", "skewness", "kurtosis", "min", "max", "median",
+    "abs_energy", "mean_abs_change", "mean_change", "count_above_mean",
+    "count_below_mean", "mean_crossings", "longest_strike_above_mean",
+    "longest_strike_below_mean", "autocorr_lag1", "autocorr_lag7", "autocorr_lag30",
+)
 
 
-def _std(x):
-    return float(np.std(x))
+def _longest_strike(mask: np.ndarray) -> np.ndarray:
+    """Longest run of True in each row of a 2-D boolean mask."""
+    run_ends = np.cumsum(mask, axis=1)
+    # A run's length is the running count minus its value at the last False.
+    resets = np.maximum.accumulate(np.where(mask, 0, run_ends), axis=1)
+    return (run_ends - resets).max(axis=1)
 
 
-def _variance(x):
-    return float(np.var(x))
+def _series_stats(x: np.ndarray) -> np.ndarray:
+    """Every CATALOG statistic of each row of x (N, T), in CATALOG order.
 
-
-def _skewness(x):
-    mu = np.mean(x)
-    sigma = np.std(x)
-    if sigma == 0.0:
-        return 0.0
-    return float(np.mean((x - mu) ** 3) / sigma**3)
-
-
-def _kurtosis(x):
-    """Excess kurtosis (population moments), 0 for constant series."""
-    mu = np.mean(x)
-    sigma = np.std(x)
-    if sigma == 0.0:
-        return 0.0
-    return float(np.mean((x - mu) ** 4) / sigma**4 - 3.0)
-
-
-def _minimum(x):
-    return float(np.min(x))
-
-
-def _maximum(x):
-    return float(np.max(x))
-
-
-def _median(x):
-    return float(np.median(x))
-
-
-def _abs_energy(x):
-    return float(np.sum(x * x))
-
-
-def _mean_abs_change(x):
-    return float(np.mean(np.abs(np.diff(x))))
-
-
-def _mean_change(x):
-    return float(np.mean(np.diff(x)))
-
-
-def _count_above_mean(x):
-    return float(np.sum(x > np.mean(x)))
-
-
-def _count_below_mean(x):
-    return float(np.sum(x < np.mean(x)))
-
-
-def _mean_crossings(x):
-    centered = x - np.mean(x)
-    return float(np.sum(centered[:-1] * centered[1:] < 0.0))
-
-
-def _longest_strike(mask: np.ndarray) -> float:
-    best = run = 0
-    for hit in mask:
-        run = run + 1 if hit else 0
-        best = max(best, run)
-    return float(best)
-
-
-def _longest_strike_above_mean(x):
-    return _longest_strike(x > np.mean(x))
-
-
-def _longest_strike_below_mean(x):
-    return _longest_strike(x < np.mean(x))
-
-
-def _autocorrelation(x, lag):
-    t = len(x)
-    if lag >= t:
-        return 0.0
-    mu = np.mean(x)
-    var = np.var(x)
-    if var == 0.0:
-        return 0.0
-    return float(np.sum((x[: t - lag] - mu) * (x[lag:] - mu)) / ((t - lag) * var))
-
-
-_CATALOG = {
-    "mean": _mean,
-    "std": _std,
-    "variance": _variance,
-    "skewness": _skewness,
-    "kurtosis": _kurtosis,
-    "min": _minimum,
-    "max": _maximum,
-    "median": _median,
-    "abs_energy": _abs_energy,
-    "mean_abs_change": _mean_abs_change,
-    "mean_change": _mean_change,
-    "count_above_mean": _count_above_mean,
-    "count_below_mean": _count_below_mean,
-    "mean_crossings": _mean_crossings,
-    "longest_strike_above_mean": _longest_strike_above_mean,
-    "longest_strike_below_mean": _longest_strike_below_mean,
-    "autocorr_lag1": lambda x: _autocorrelation(x, 1),
-    "autocorr_lag7": lambda x: _autocorrelation(x, 7),
-    "autocorr_lag30": lambda x: _autocorrelation(x, 30),
-}
-
-DEFAULT_CATALOG = tuple(_CATALOG)
+    Skewness, kurtosis and autocorrelations of a constant row are 0; an
+    autocorrelation whose lag reaches T is 0.
+    """
+    n, t = x.shape
+    mu = x.mean(axis=1)
+    var = x.var(axis=1)
+    sigma = np.sqrt(var)
+    centered = x - mu[:, None]
+    flat = sigma == 0.0
+    zeros = np.zeros(n)
+    # float_power is the scalar pow(); ** on an array rounds differently.
+    skew = np.divide(np.mean(centered**3, axis=1), np.float_power(sigma, 3),
+                     out=zeros.copy(), where=~flat)
+    kurt = np.divide(np.mean(centered**4, axis=1), np.float_power(sigma, 4),
+                     out=np.full(n, 3.0), where=~flat) - 3.0
+    steps = np.diff(x, axis=1)
+    above, below = x > mu[:, None], x < mu[:, None]
+    autocorr = [
+        zeros if lag >= t else np.divide(
+            np.sum(centered[:, : t - lag] * centered[:, lag:], axis=1),
+            (t - lag) * var, out=zeros.copy(), where=~flat)
+        for lag in (1, 7, 30)
+    ]
+    return np.column_stack([
+        mu, sigma, var, skew, kurt, x.min(axis=1), x.max(axis=1),
+        np.median(x, axis=1), np.sum(x * x, axis=1),
+        np.mean(np.abs(steps), axis=1), np.mean(steps, axis=1),
+        above.sum(axis=1), below.sum(axis=1),
+        np.sum(centered[:, :-1] * centered[:, 1:] < 0.0, axis=1),
+        _longest_strike(above), _longest_strike(below), *autocorr,
+    ])
 
 
 @dataclass
@@ -159,13 +93,12 @@ class GlobalFeatureVector:
 def extract_global_features(
     latent: np.ndarray,
     user_ids: tuple[str, ...] | None = None,
-    catalog: tuple[str, ...] = DEFAULT_CATALOG,
 ) -> GlobalFeatureVector:
     """Apply every catalog statistic to each user's latent series.
 
     latent is the width-1 encoder output, shaped (N, T, 1) or (N, T).
     Needs T >= 2 so changes and autocorrelations are defined. Columns
-    follow catalog order.
+    follow CATALOG order.
     """
     series = np.asarray(latent, dtype=np.float64)
     if series.ndim == 3:
@@ -179,22 +112,12 @@ def extract_global_features(
     n, t = series.shape
     if t < 2:
         raise ValueError(f"global features need at least 2 time steps, got {t}")
-    if not catalog:
-        raise ValueError("catalog must not be empty")
-    unknown = [name for name in catalog if name not in _CATALOG]
-    if unknown:
-        raise ValueError(f"unknown statistics: {unknown}")
     if user_ids is None:
         user_ids = tuple(str(i) for i in range(n))
     if len(user_ids) != n:
         raise ValueError(f"user_ids length {len(user_ids)} != {n} rows")
-    funcs = [_CATALOG[name] for name in catalog]
-    out = np.empty((n, len(funcs)))
-    for u in range(n):
-        row = series[u]
-        for col, fn in enumerate(funcs):
-            out[u, col] = fn(row)
-    return GlobalFeatureVector(values=out, user_ids=tuple(user_ids), column_names=tuple(catalog))
+    return GlobalFeatureVector(values=_series_stats(series), user_ids=tuple(user_ids),
+                               column_names=CATALOG)
 
 
 def zscore_standardize(features: GlobalFeatureVector) -> GlobalFeatureVector:

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clustering import NOISE, ClusterAssignment
+from .clustering import NOISE, ClusterAssignment, kth_neighbor_distances
 from .ingest import GENUINE_CLASS
 
 
@@ -54,8 +54,7 @@ def assign_labels_binary(
             )
         if dist is None:
             raise ValueError("polarity rule needs the distance matrix")
-        scales = [_kth_neighbor_scale(dist, assignment.members(cid), min_pts)
-                  for cid in (1, 2)]
+        scales = local_density_scores(assignment, dist, min_pts)
         genuine_cluster = 1 if scales[0] >= scales[1] else 2
     if not 1 <= genuine_cluster <= assignment.n_clusters:
         raise ValueError(f"genuine_cluster {genuine_cluster} out of range")
@@ -63,15 +62,18 @@ def assign_labels_binary(
     return out
 
 
-def _kth_neighbor_scale(dist: np.ndarray, members: np.ndarray, min_pts: int) -> float:
-    """Mean distance from each member to its k-th nearest other member,
-    k = min(min_pts, size - 1); 0.0 for fewer than 2 members."""
-    if members.size < 2:
-        return 0.0
-    k = min(min_pts, members.size - 1)
-    sub = dist[np.ix_(members, members)]
-    # Sorted, each row starts with the member's zero distance to itself.
-    return float(np.partition(sub, k, axis=1)[:, k].mean())
+def local_density_scores(assignment: ClusterAssignment, dist: np.ndarray,
+                         min_pts: int) -> list[float]:
+    """Per cluster, in id order: the mean distance from each member to its
+    k-th nearest other member, k = min(min_pts, size - 1); 0.0 for fewer
+    than 2 members."""
+    scores = []
+    for cid in range(1, assignment.n_clusters + 1):
+        members = assignment.members(cid)
+        k = min(min_pts, members.size - 1)
+        sub = dist[np.ix_(members, members)]
+        scores.append(float(kth_neighbor_distances(sub, k).mean()) if k > 0 else 0.0)
+    return scores
 
 
 def assign_labels_multiclass(

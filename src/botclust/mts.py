@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -134,27 +134,35 @@ def extract_mts(
     bad = [f for f in features if f not in FEATURE_NAMES]
     if bad:
         raise ValueError(f"unknown features {bad}; valid: {list(FEATURE_NAMES)}")
+    if len(set(features)) != len(features):
+        raise ValueError(f"features must not repeat a name, got {list(features)}")
     by_user = {tl.user_id: tl for tl in timelines}
     missing = [u for u in manifest.user_ids if u not in by_user]
     if missing:
         raise ValueError(f"manifest users without timelines: {missing[:5]}")
     n, t, d = len(manifest.user_ids), manifest.num_days, len(features)
-    values = np.full((n, t, d), SENTINEL, dtype=np.float64)
-    col = {name: j for j, name in enumerate(features)}
-    for i, uid in enumerate(manifest.user_ids):
-        for rec in by_user[uid].tweets:
-            day_idx = (rec.day() - manifest.day_min).days
-            if day_idx < 0 or day_idx >= t:
-                raise ValueError(
-                    f"tweet of user {uid} on {rec.day()} outside manifest range "
-                    f"[{manifest.day_min}, {manifest.day_max}]"
-                )
-            row = values[i, day_idx]
-            if row[0] == SENTINEL and np.all(row == SENTINEL):
-                row[:] = 0.0
-            for name, count in zip(FEATURE_NAMES, rec.counts()):
-                if name in col:
-                    row[col[name]] += count
+    per_user = [by_user[uid].tweets for uid in manifest.user_ids]
+    lengths = [len(tweets) for tweets in per_user]
+    m = sum(lengths)
+    rows = np.repeat(np.arange(n), lengths)
+    days = np.fromiter(((rec.day() - manifest.day_min).days for tweets in per_user for rec in tweets),
+                       dtype=np.int64, count=m)
+    counts = np.fromiter((c for tweets in per_user for rec in tweets for c in rec.counts()),
+                         dtype=np.float64, count=m * len(FEATURE_NAMES))
+    outside = np.flatnonzero((days < 0) | (days >= t))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"tweet of user {manifest.user_ids[rows[i]]} on "
+            f"{manifest.day_min + timedelta(days=int(days[i]))} outside manifest range "
+            f"[{manifest.day_min}, {manifest.day_max}]"
+        )
+    cols = [FEATURE_NAMES.index(name) for name in features]
+    values = np.zeros((n, t, d))
+    np.add.at(values, (rows, days), counts.reshape(m, len(FEATURE_NAMES))[:, cols])
+    active = np.zeros((n, t), dtype=bool)
+    active[rows, days] = True
+    values[~active] = SENTINEL
     return MtsTensor(
         values=values,
         user_ids=list(manifest.user_ids),

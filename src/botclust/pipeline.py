@@ -42,7 +42,6 @@ from .clustering import (
     ward_agglomerative,
 )
 from .globalfeats import (
-    DEFAULT_CATALOG,
     GlobalFeatureVector,
     concat_features,
     extract_global_features,
@@ -53,6 +52,7 @@ from .labeling import (
     MetricsReport,
     assign_labels_binary,
     assign_labels_multiclass,
+    local_density_scores,
     prf_metrics,
 )
 from .mts import MtsTensor, apply_normalization, extract_mts, minmax_normalize
@@ -76,7 +76,6 @@ class PipelineConfig:
     cluster_method: str = "ward"
     task: str = "binary"
     features: Optional[tuple[str, ...]] = None   # None -> all tensor features
-    stats_catalog: tuple[str, ...] = DEFAULT_CATALOG
     epochs: int = 250
     learning_rate: Optional[float] = None        # None -> per-variant default
     latent_dim: int = 300
@@ -99,7 +98,8 @@ class PipelineConfig:
             raise ValueError(f"min_pts must be >= 2 so the knee heuristic has k >= 1")
         if self.features is not None:
             self.features = tuple(self.features)
-        self.stats_catalog = tuple(self.stats_catalog)
+            if len(set(self.features)) != len(self.features):
+                raise ValueError(f"features must not repeat a name, got {list(self.features)}")
 
     def to_dict(self) -> dict:
         return {
@@ -107,7 +107,6 @@ class PipelineConfig:
             "cluster_method": self.cluster_method,
             "task": self.task,
             "features": list(self.features) if self.features else None,
-            "stats_catalog": list(self.stats_catalog),
             "epochs": self.epochs,
             "learning_rate": self.learning_rate,
             "latent_dim": self.latent_dim,
@@ -125,8 +124,6 @@ class PipelineConfig:
         d = dict(d)
         if d.get("features"):
             d["features"] = tuple(d["features"])
-        if d.get("stats_catalog"):
-            d["stats_catalog"] = tuple(d["stats_catalog"])
         return cls(**d)
 
 
@@ -172,6 +169,11 @@ class Clustering:
             doc.update(eps=self.eps, min_pts=config.min_pts)
         else:
             doc["cut_k"] = self.cut_k
+            if config.task == "binary" and self.cut_k == 2:
+                # The polarity rule's margin: genuine is the larger score.
+                scores = local_density_scores(self.assignment, self.dist, config.min_pts)
+                doc["polarity"] = {"local_density": scores,
+                                   "ratio": max(scores) / min(scores) if min(scores) > 0 else None}
         return doc
 
 
@@ -274,7 +276,7 @@ def global_features(
 ) -> tuple[GlobalFeatureVector, GlobalFeatureVector]:
     """Summary statistics of the uts latent, raw and as the clustering
     table: z-scored, with the vec latent appended for glob_vec."""
-    raw = extract_global_features(latents["uts"], user_ids=user_ids, catalog=config.stats_catalog)
+    raw = extract_global_features(latents["uts"], user_ids=user_ids)
     table = zscore_standardize(raw)
     if config.representation == "glob_vec":
         table = concat_features(table, latents["vec"])

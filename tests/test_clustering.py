@@ -177,6 +177,28 @@ def test_ward_matches_naive_reference_small_random():
             assert fh == pytest.approx(rh, rel=1e-9, abs=1e-12)
 
 
+def test_ward_ties_merge_lexicographically_smallest_pair():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    merges = ward_agglomerative(distance_matrix(pts)).merges
+    assert [(a, b, s) for a, b, _h, s in merges] == [(0, 1, 2), (2, 3, 2), (4, 5, 4)]
+    heights = [h for _a, _b, h, _s in merges]
+    assert heights == pytest.approx([1.0, 1.0, np.sqrt(2.0)], rel=1e-12)
+
+
+def test_ward_matches_scipy_linkage_n500():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    pts = seeded_rng(9).normal(size=(500, 4))
+    ours = _members_by_merge(ward_agglomerative(distance_matrix(pts)))
+    z = hierarchy.linkage(pts, method="ward")
+    members = {i: frozenset([i]) for i in range(len(pts))}
+    for step, (a, b, height, size) in enumerate(z):
+        merged = members[int(a)] | members[int(b)]
+        members[len(pts) + step] = merged
+        oa, ob, oh, osize = ours[step]
+        assert oa | ob == merged and osize == size, step
+        assert oh == pytest.approx(height, rel=1e-9), step
+
+
 def test_cut_dendrogram_labels_by_smallest_member():
     pts = np.array([[0.0], [0.1], [5.0], [5.1], [10.0]])
     dend = ward_agglomerative(distance_matrix(pts))

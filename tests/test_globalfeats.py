@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from botclust.globalfeats import (
-    DEFAULT_CATALOG,
+    CATALOG,
     GlobalFeatureVector,
     concat_features,
     extract_global_features,
@@ -16,8 +16,8 @@ from oracles import oracle_series_stats
 
 
 def test_catalog_has_19_unique_columns():
-    assert len(DEFAULT_CATALOG) == 19
-    assert len(set(DEFAULT_CATALOG)) == 19
+    assert len(CATALOG) == 19
+    assert len(set(CATALOG)) == 19
 
 
 def test_stats_match_direct_formulas():
@@ -26,11 +26,27 @@ def test_stats_match_direct_formulas():
         series = rng.normal(size=t_len)
         feats = extract_global_features(series[np.newaxis, :, np.newaxis])
         ref = oracle_series_stats(series)
-        for j, name in enumerate(DEFAULT_CATALOG):
+        for j, name in enumerate(CATALOG):
             assert feats.values[0, j] == pytest.approx(ref[name], rel=1e-9, abs=1e-9), (
                 name,
                 t_len,
             )
+
+
+def test_stats_over_many_rows_match_oracle_and_row_calls():
+    rng = seeded_rng(8)
+    for t_len in (2, 7, 31, 365):
+        walks = np.tanh(np.cumsum(rng.normal(scale=0.3, size=(6, t_len)), axis=1))
+        plateaus = walks[:3].copy()
+        plateaus[:, t_len // 3 : 2 * t_len // 3 + 1] = -1.0
+        constants = np.array([[0.0], [-1.0], [0.75]]) * np.ones(t_len)
+        series = np.vstack([walks, constants, plateaus])
+        feats = extract_global_features(series)
+        for row, values in zip(series, feats.values):
+            ref = oracle_series_stats(row)
+            for name, value in zip(CATALOG, values):
+                assert value == pytest.approx(ref[name], rel=1e-9, abs=1e-9), (name, t_len)
+            assert np.array_equal(extract_global_features(row[np.newaxis]).values[0], values)
 
 
 def test_constant_series_degenerate_stats_are_zero():

@@ -1,4 +1,5 @@
-from datetime import datetime, timezone
+from dataclasses import replace
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ def test_extract_mts_rejects_unknown_feature():
     timelines, manifest = build_timelines(records)
     with pytest.raises(ValueError):
         extract_mts(timelines, manifest, features=("num_urls", "bogus"))
+
+
+def test_extract_mts_rejects_duplicate_feature():
+    timelines, manifest = build_timelines(_hand_fixture())
+    with pytest.raises(ValueError, match="repeat"):
+        extract_mts(timelines, manifest, features=("num_urls", "num_urls"))
+
+
+def test_extract_mts_rejects_tweet_outside_manifest_range():
+    timelines, manifest = build_timelines(_hand_fixture())
+    short = replace(manifest, day_max=date(2023, 3, 3))
+    with pytest.raises(ValueError, match="user carol on 2023-03-04 outside manifest range"):
+        extract_mts(timelines, short)
 
 
 def test_minmax_normalize_hand_values():

@@ -76,6 +76,21 @@ def test_run_pipeline_binary_ward(small_dataset):
     assert "uts" in res.models
 
 
+def test_cluster_report_polarity_scores_name_genuine(small_dataset):
+    records, labels = small_dataset
+    cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
+    res = run_pipeline(records, labels, cfg)
+    polarity = res.clustering.report(cfg)["polarity"]
+    scores = polarity["local_density"]
+    assert len(scores) == 2 and min(scores) > 0
+    assert polarity["ratio"] == max(scores) / min(scores)
+    genuine = 1 + int(np.argmax(scores))
+    assert np.all(res.pred_labels[res.assignment.members(genuine)] == 0)
+    assert np.all(res.pred_labels[res.assignment.members(3 - genuine)] == 1)
+    multiclass = replace(cfg, task="multiclass")
+    assert "polarity" not in res.clustering.report(multiclass)
+
+
 def test_run_pipeline_multiclass_dbscan(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="multiclass", seed=0, **FAST), "UTS_DBSCAN")
@@ -292,6 +307,14 @@ def test_cli_ward_multiclass_needs_explicit_k(cli_workspace, tmp_path):
         "--cluster-method", "ward", "--task", "multiclass",
     )
     assert rc == 2
+
+
+def test_cli_duplicate_features_is_usage_error(cli_workspace, tmp_path, caplog):
+    root, tweets, labels_csv = cli_workspace
+    rc = _cli("run-all", "--outdir", tmp_path / "dup", "--tweets", tweets, "--labels", labels_csv,
+              "--features", "num_urls,num_urls", "--epochs", 2)
+    assert rc == 2
+    assert "repeat" in caplog.text
 
 
 def test_cli_unreadable_tweets_is_data_error(tmp_path):
