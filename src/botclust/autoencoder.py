@@ -8,10 +8,19 @@ width-1 hidden sequence):
        (tanh) -> reshape -> LSTM(1->D) reconstruction.
 
 Each LSTM layer stores its four gates fused: W (input, 4H), U (H, 4H)
-and b (4H,), gate blocks in GATE_ORDER. A forward pass projects the
-input of all T steps with one matrix product before the recurrence, and
-the backward pass forms the weight gradients with one product after its
-reverse loop, so each time step costs one product with U either way.
+and b (4H,), gate blocks in GATE_ORDER. The recurrence runs time-major
+and batch-minor: gate activations are kept as (T, 4H, N) and cells as
+(T, H, N), so every step reads and writes contiguous (4H, N) and (H, N)
+blocks. The forward pass projects the input before the recurrence, one
+matrix product per chunk of about 8 steps over rows in (user, step)
+order, written straight into the time-major buffer; the hidden sequence
+is kept once, as (N, T, H). The backward pass writes the gate gradients
+in (user, step) order into the spent activation buffer after its
+reverse loop and forms the weight gradients with one product each, so
+each time step costs one product with U either way. A backward pass
+consumes its cache (a second one raises MissingCacheError). Every sum
+runs in the same order as in a batch-major layout, so outputs and
+gradients do not depend on the layout to the last bit.
 
 All gradients are hand-derived backpropagation through time; the test
 suite checks every layer against central finite differences.
@@ -116,40 +125,52 @@ class MissingCacheError(RuntimeError):
     pass
 
 
+# Steps whose input projection one GEMM computes in lstm_forward_cached.
+_PROJECTION_STEPS = 8
+
+
 def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Batched LSTM pass over x of shape (N, T, input) with h0 = c0 = 0.
 
     Returns the full hidden sequence (N, T, hidden) and the cache needed
     for backpropagation through time: the input, the gate activations
-    (N, T, 4, hidden) in GATE_ORDER, the cell states and the hidden states.
+    (T, 4*hidden, N) with gate blocks in GATE_ORDER, the cell states
+    (T, hidden, N) and the hidden sequence that is also returned.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != layer.input_size:
         raise ValueError(f"expected (N, T, {layer.input_size}) input, got {x.shape}")
     n, t, d = x.shape
     h = layer.hidden_size
-    # The input projection of every step in one GEMM; each step adds its
-    # recurrent term and overwrites its own slice with the activations.
-    acts = x.reshape(n * t, d) @ layer.W
-    acts += layer.b
-    acts = acts.reshape(n, t, 4, h)
-    cells = np.empty((n, t, h))
+    # Time-major, batch-minor: each step's gates are one contiguous (4H, N)
+    # block. The input projection runs a chunk of steps per GEMM over rows
+    # in (user, step) order and lands transposed in that chunk's blocks.
+    # Chunks split T evenly, so none is a single row (a gemv, which sums in
+    # another order) unless the whole input is.
+    acts = np.empty((t, 4 * h, n))
+    chunks = -(-t // _PROJECTION_STEPS)
+    bounds = [t * k // chunks for k in range(chunks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        proj = x[:, lo:hi].reshape(n * (hi - lo), d) @ layer.W
+        proj += layer.b
+        acts[lo:hi] = proj.reshape(n, hi - lo, 4 * h).transpose(1, 2, 0)
+    cells = np.empty((t, h, n))
     hidden = np.empty((n, t, h))
     h_prev = np.zeros((n, h))
-    c_prev = np.zeros((n, h))
+    c_prev = np.zeros((h, n))
     for step in range(t):
-        z = acts[:, step]
-        z += (h_prev @ layer.U).reshape(n, 4, h)
+        z = acts[step]
+        z += (h_prev @ layer.U).T
         # sigmoid of the i, f, o rows: 1/(1+e) for z >= 0, e/(1+e) below,
         # with e = exp(-|z|) so that neither side overflows
-        s = z[:, :3]
+        s = z[:3 * h]
         e = np.exp(-np.abs(s))
         np.divide(np.where(s >= 0, 1.0, e), 1.0 + e, out=s)
-        i_t, f_t, o_t, g_t = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
+        i_t, f_t, o_t, g_t = z.reshape(4, h, n)
         np.tanh(g_t, out=g_t)
-        c_prev = np.multiply(f_t, c_prev, out=cells[:, step])
+        c_prev = np.multiply(f_t, c_prev, out=cells[step])
         c_prev += i_t * g_t
-        h_prev = np.multiply(o_t, np.tanh(c_prev), out=hidden[:, step])
+        h_prev = np.multiply(o_t, np.tanh(c_prev), out=hidden[:, step].T).T
     cache = {"x": x, "acts": acts, "cells": cells, "hidden": hidden}
     return hidden, cache
 
@@ -164,10 +185,12 @@ def lstm_backward(
 
     d_out is (N, T, hidden) when return_sequence, else (N, hidden) for the
     last state only. Returns the parameter gradients keyed W/U/b and the
-    gradient with respect to the input sequence.
+    gradient with respect to the input sequence. The gate activations in
+    the cache hold the gate gradients afterwards, so a cache serves one
+    backward pass; a second raises MissingCacheError.
     """
-    if cache is None:
-        raise MissingCacheError("lstm_backward needs the cache from lstm_forward_cached")
+    if cache is None or "acts" not in cache:
+        raise MissingCacheError("lstm_backward needs a fresh cache from lstm_forward_cached")
     x = cache["x"]
     n, t, d = x.shape
     h = layer.hidden_size
@@ -182,20 +205,21 @@ def lstm_backward(
         d_hidden = np.zeros((n, t, h))
         d_hidden[:, -1] = d_out
 
-    acts, cells, hidden = cache["acts"], cache["cells"], cache["hidden"]
-    i, f, o, g = (acts[:, :, k] for k in range(4))
+    acts, cells, hidden = cache.pop("acts"), cache["cells"], cache["hidden"]
+    i, f, o, g = acts.reshape(t, 4, h, n).transpose(1, 0, 2, 3)
     # Everything but the upstream dc (dh for the output gate) is known from
     # the forward pass, so each gate's factor is formed for all steps here:
     # dz_i = dc*i(1-i)*g, dz_f = dc*f(1-f)*c_prev, dz_o = dh*o(1-o)*tanh(c),
     # dz_c = dc*(1-g^2)*i, and dc = dh*o*(1-tanh(c)^2) + dc_next.
     dz = np.subtract(1.0, acts)
     dz *= acts
-    dzi, dzf, dzo, dzg = (dz[:, :, k] for k in range(4))
+    dz_gates = dz.reshape(t, 4, h, n)
+    dzi, dzf, dzo, dzg = dz_gates.transpose(1, 0, 2, 3)
     np.multiply(g, g, out=dzg)
     np.subtract(1.0, dzg, out=dzg)
     dzi *= g
-    dzf[:, 0] = 0.0
-    dzf[:, 1:] *= cells[:, :-1]
+    dzf[0] = 0.0
+    dzf[1:] *= cells[:-1]
     dzg *= i
     dc_dh = np.tanh(cells)
     dzo *= dc_dh
@@ -203,22 +227,29 @@ def lstm_backward(
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
 
-    dh_next = dc_next = np.zeros((n, h))
+    dh_next = dc_next = np.zeros((h, n))
     u_t = layer.U.T
     for step in range(t - 1, -1, -1):
-        dh = d_hidden[:, step] + dh_next
-        dc = dh * dc_dh[:, step]
+        dh = d_hidden[:, step].T + dh_next
+        dc = dh * dc_dh[step]
         dc += dc_next
-        dzs = dz[:, step]
-        dzs[:, :2] *= dc[:, np.newaxis]
-        dzs[:, 2] *= dh
-        dzs[:, 3] *= dc
-        dh_next = dzs.reshape(n, 4 * h) @ u_t
-        dc_next = dc * f[:, step]
+        dzs = dz_gates[step]
+        dzs[:2] *= dc
+        dzs[2] *= dh
+        dzs[3] *= dc
+        # A C-contiguous (N, 4H) operand, as in a batch-major layout: with
+        # H = 1 the product is a gemv, and the transposed one would sum the
+        # four gate terms in another order.
+        dh_next = (np.ascontiguousarray(dz[step].T) @ u_t).T
+        dc_next = dc * f[step]
 
-    dz_rows = dz.reshape(n * t, 4 * h)
+    # The activations are spent: their buffer takes the gate gradients in
+    # (user, step) row order, the order every sum below runs over.
+    dz_seq = acts.reshape(n, t, 4 * h)
+    np.copyto(dz_seq, dz.transpose(2, 0, 1))
+    dz_rows = dz_seq.reshape(n * t, 4 * h)
     # h_prev is zero at step 0, so per user hidden[:, :-1] meets dz[:, 1:]
-    d_u = np.matmul(hidden[:, :-1].transpose(0, 2, 1), dz[:, 1:].reshape(n, t - 1, 4 * h))
+    d_u = np.matmul(hidden[:, :-1].transpose(0, 2, 1), dz_seq[:, 1:])
     grads = {"W": x.reshape(n * t, d).T @ dz_rows, "U": d_u.sum(axis=0), "b": dz_rows.sum(axis=0)}
     return grads, (dz_rows @ layer.W.T).reshape(n, t, d)
 
@@ -296,12 +327,18 @@ class AutoencoderConfig:
 @dataclass
 class TrainReport:
     """Per-epoch curves: MSE on both splits, and the global gradient norm
-    before clipping with whether clipping fired."""
+    before clipping with whether clipping fired. Two label-free health
+    checks of the last epoch (None without epochs): latent_saturation,
+    the share of training-latent entries with |value| > 0.99, and
+    stall_ratio, the last training MSE over the MSE of predicting every
+    entry by its feature's mean over the training split."""
 
     train_mse: list[float]
     holdout_mse: list[float]
     grad_norm: list[float]
     clipped: list[bool]
+    latent_saturation: Optional[float]
+    stall_ratio: Optional[float]
     final_epoch: int
     seed: int
     wall_time_s: float
@@ -312,6 +349,8 @@ class TrainReport:
             "holdout_mse": self.holdout_mse,
             "grad_norm": self.grad_norm,
             "clipped": self.clipped,
+            "latent_saturation": self.latent_saturation,
+            "stall_ratio": self.stall_ratio,
             "final_epoch": self.final_epoch,
             "seed": self.seed,
             "timing": {"wall_time_s": self.wall_time_s},
@@ -448,8 +487,9 @@ def train(
 
     Runs exactly config.epochs optimizer steps on the training split and
     records training and holdout MSE (both measured before each step),
-    the gradient norm before clipping and whether clipping fired. The
-    holdout curve is monitored only; there is no early stopping.
+    the gradient norm before clipping and whether clipping fired, then
+    the last epoch's latent saturation and stall ratio. The holdout curve
+    is monitored only; there is no early stopping.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized tensor; run minmax_normalize first")
@@ -495,12 +535,19 @@ def train(
         step_grads = clip_global_norm(grads, config.clip_norm)
         clipped.append(step_grads is not grads)
         params = rmsprop_step(params, step_grads, opt)
+    saturation = stall = None
+    if config.epochs:
+        saturation = float(np.mean(np.abs(latent) > 0.99))
+        baseline = mse_loss(np.broadcast_to(x_train.mean(axis=(0, 1)), x_train.shape), x_train)
+        stall = loss / baseline if baseline > 0.0 else None
     model.set_params(params)
     report = TrainReport(
         train_mse=train_curve,
         holdout_mse=hold_curve,
         grad_norm=norms,
         clipped=clipped,
+        latent_saturation=saturation,
+        stall_ratio=stall,
         final_epoch=config.epochs,
         seed=config.seed,
         wall_time_s=time.perf_counter() - started,

@@ -294,8 +294,3 @@ def save_dendrogram_json(dendrogram: Dendrogram, path) -> None:
     with open(path, "w") as fh:
         json.dump(dendrogram.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def load_dendrogram_json(path) -> Dendrogram:
-    with open(path) as fh:
-        return Dendrogram.from_dict(json.load(fh))

@@ -8,7 +8,6 @@ stream on every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -70,33 +69,6 @@ def rmsprop_step(
         state.v[name] = v
         out[name] = params[name] - state.learning_rate * g / (np.sqrt(v) + state.epsilon)
     return out
-
-
-def finite_diff_grad(
-    loss_fn: Callable[[np.ndarray], float],
-    params: np.ndarray,
-    h: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference gradient estimate, one coordinate at a time.
-
-    The workhorse oracle for checking hand-derived backpropagation; it is
-    O(h^2) accurate and deliberately knows nothing about the analytic path.
-    """
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
-    theta = np.asarray(params, dtype=np.float64).ravel().copy()
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + h
-        up = loss_fn(theta.reshape(np.shape(params)))
-        theta[i] = orig - h
-        down = loss_fn(theta.reshape(np.shape(params)))
-        theta[i] = orig
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise FloatingPointError(f"non-finite loss at coordinate {i}")
-        grad[i] = (up - down) / (2.0 * h)
-    return grad.reshape(np.shape(params))
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:

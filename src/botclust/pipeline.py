@@ -197,10 +197,6 @@ class PipelineResult:
         return self.clustering.assignment
 
     @property
-    def eps_used(self) -> Optional[float]:
-        return self.clustering.eps
-
-    @property
     def dendrogram(self) -> Optional[Dendrogram]:
         return self.clustering.dendrogram
 

@@ -37,6 +37,107 @@ def oracle_lstm_forward(weights, x):
     return out
 
 
+def finite_diff_grad(loss_fn, params, h=1e-5):
+    """Central-difference gradient estimate, one coordinate at a time.
+
+    The workhorse oracle for checking hand-derived backpropagation; it is
+    O(h^2) accurate and deliberately knows nothing about the analytic path.
+    """
+    if h <= 0.0:
+        raise ValueError(f"step h must be positive, got {h}")
+    theta = np.asarray(params, dtype=np.float64).ravel().copy()
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        up = loss_fn(theta.reshape(np.shape(params)))
+        theta[i] = orig - h
+        down = loss_fn(theta.reshape(np.shape(params)))
+        theta[i] = orig
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise FloatingPointError(f"non-finite loss at coordinate {i}")
+        grad[i] = (up - down) / (2.0 * h)
+    return grad.reshape(np.shape(params))
+
+
+# The batch-major fused LSTM the package ran before its recurrence went
+# time-major, frozen as it was. Unlike the other oracles it shares the
+# package's operation order on purpose: the time-major code must
+# reproduce its outputs and gradients bit for bit.
+
+
+def batch_major_lstm_forward(layer, x):
+    """Hidden sequence (N, T, hidden) of x (N, T, input), with its cache."""
+    x = np.asarray(x, dtype=np.float64)
+    n, t, d = x.shape
+    h = layer.hidden_size
+    acts = x.reshape(n * t, d) @ layer.W
+    acts += layer.b
+    acts = acts.reshape(n, t, 4, h)
+    cells = np.empty((n, t, h))
+    hidden = np.empty((n, t, h))
+    h_prev = np.zeros((n, h))
+    c_prev = np.zeros((n, h))
+    for step in range(t):
+        z = acts[:, step]
+        z += (h_prev @ layer.U).reshape(n, 4, h)
+        s = z[:, :3]
+        e = np.exp(-np.abs(s))
+        np.divide(np.where(s >= 0, 1.0, e), 1.0 + e, out=s)
+        i_t, f_t, o_t, g_t = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
+        np.tanh(g_t, out=g_t)
+        c_prev = np.multiply(f_t, c_prev, out=cells[:, step])
+        c_prev += i_t * g_t
+        h_prev = np.multiply(o_t, np.tanh(c_prev), out=hidden[:, step])
+    cache = {"x": x, "acts": acts, "cells": cells, "hidden": hidden}
+    return hidden, cache
+
+
+def batch_major_lstm_backward(layer, cache, d_out, return_sequence=True):
+    """Gradients keyed W/U/b and dx, from batch_major_lstm_forward's cache."""
+    x = cache["x"]
+    n, t, d = x.shape
+    h = layer.hidden_size
+    d_out = np.asarray(d_out, dtype=np.float64)
+    if return_sequence:
+        d_hidden = d_out
+    else:
+        d_hidden = np.zeros((n, t, h))
+        d_hidden[:, -1] = d_out
+    acts, cells, hidden = cache["acts"], cache["cells"], cache["hidden"]
+    i, f, o, g = (acts[:, :, k] for k in range(4))
+    dz = np.subtract(1.0, acts)
+    dz *= acts
+    dzi, dzf, dzo, dzg = (dz[:, :, k] for k in range(4))
+    np.multiply(g, g, out=dzg)
+    np.subtract(1.0, dzg, out=dzg)
+    dzi *= g
+    dzf[:, 0] = 0.0
+    dzf[:, 1:] *= cells[:, :-1]
+    dzg *= i
+    dc_dh = np.tanh(cells)
+    dzo *= dc_dh
+    dc_dh *= dc_dh
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dh_next = dc_next = np.zeros((n, h))
+    u_t = layer.U.T
+    for step in range(t - 1, -1, -1):
+        dh = d_hidden[:, step] + dh_next
+        dc = dh * dc_dh[:, step]
+        dc += dc_next
+        dzs = dz[:, step]
+        dzs[:, :2] *= dc[:, np.newaxis]
+        dzs[:, 2] *= dh
+        dzs[:, 3] *= dc
+        dh_next = dzs.reshape(n, 4 * h) @ u_t
+        dc_next = dc * f[:, step]
+    dz_rows = dz.reshape(n * t, 4 * h)
+    d_u = np.matmul(hidden[:, :-1].transpose(0, 2, 1), dz[:, 1:].reshape(n, t - 1, 4 * h))
+    grads = {"W": x.reshape(n * t, d).T @ dz_rows, "U": d_u.sum(axis=0), "b": dz_rows.sum(axis=0)}
+    return grads, (dz_rows @ layer.W.T).reshape(n, t, d)
+
+
 def oracle_dbscan(dist, eps, min_pts):
     """Brute-force density-based clustering on a distance matrix.
 

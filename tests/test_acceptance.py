@@ -172,6 +172,7 @@ def test_criterion_4_daily_tensor_semantics():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_separation(frozen_synth):
     records, labels = frozen_synth
     start = time.time()
@@ -198,6 +199,7 @@ def test_criterion_5_synthetic_separation(frozen_synth):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_leave_one_botnet_out(frozen_synth):
     records, labels = frozen_synth
     cfg = apply_preset(PipelineConfig(task="binary", seed=0), "Glob_Hier")
@@ -212,6 +214,7 @@ def test_criterion_6_leave_one_botnet_out(frozen_synth):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_constant_feature_importance(frozen_synth):
     records, labels = frozen_synth
     timelines, manifest = build_timelines(records)
@@ -241,6 +244,7 @@ def test_criterion_7_constant_feature_importance(frozen_synth):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_run_all_determinism(frozen_synth, tmp_path):
     records, labels = frozen_synth
     tweets = tmp_path / "tweets.jsonl"

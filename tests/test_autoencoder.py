@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,14 @@ from botclust.autoencoder import (
     train,
 )
 from botclust.mts import SENTINEL, MtsTensor
-from botclust.numerics import finite_diff_grad, seeded_rng
+from botclust.numerics import seeded_rng
 
-from oracles import oracle_lstm_forward
+from oracles import (
+    batch_major_lstm_backward,
+    batch_major_lstm_forward,
+    finite_diff_grad,
+    oracle_lstm_forward,
+)
 
 
 def flatten_blocks(blocks: dict[str, np.ndarray]) -> tuple[np.ndarray, list[tuple[str, tuple]]]:
@@ -185,6 +192,52 @@ def test_lstm_gradient_matches_per_gate_oracle():
     assert max_rel_err(numeric, analytic) < 1e-4
 
 
+@pytest.mark.parametrize("input_size, hidden_size", [(6, 1), (1, 6)])
+@pytest.mark.parametrize("n, t", [(n, t) for n in (1, 3, 64) for t in (1, 2, 365)])
+@pytest.mark.parametrize("return_sequence", [True, False])
+def test_lstm_time_major_matches_batch_major_bitwise(input_size, hidden_size, n, t, return_sequence):
+    rng = seeded_rng(1000 * n + t)
+    layer = LstmLayerParams.init(input_size, hidden_size, rng)
+    layer.b = rng.normal(size=layer.b.shape)
+    x = rng.uniform(size=(n, t, input_size))
+    x[rng.uniform(size=(n, t)) < 0.3] = SENTINEL
+    probe = rng.normal(size=(n, t, hidden_size) if return_sequence else (n, hidden_size))
+    hidden, cache = lstm_forward_cached(layer, x)
+    ref_hidden, ref_cache = batch_major_lstm_forward(layer, x)
+    assert np.array_equal(hidden, ref_hidden)
+    grads, dx = lstm_backward(layer, cache, probe, return_sequence=return_sequence)
+    ref_grads, ref_dx = batch_major_lstm_backward(layer, ref_cache, probe, return_sequence)
+    for name in ("W", "U", "b"):
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert np.array_equal(dx, ref_dx)
+
+
+def test_lstm_input_projection_has_no_one_row_chunk():
+    # One user and T = 33: fixed 8-step chunks would leave a one-row
+    # product for the last step, a gemv that sums in another order.
+    for seed in range(10):
+        rng = seeded_rng(seed)
+        layer = LstmLayerParams.init(6, 1, rng)
+        layer.b = rng.normal(size=layer.b.shape)
+        x = rng.uniform(size=(1, 33, 6))
+        x[rng.uniform(size=(1, 33)) < 0.3] = SENTINEL
+        hidden, _ = lstm_forward_cached(layer, x)
+        assert np.array_equal(hidden, batch_major_lstm_forward(layer, x)[0]), seed
+
+
+def test_lstm_backward_consumes_its_cache():
+    rng = seeded_rng(26)
+    layer = LstmLayerParams.init(3, 2, rng)
+    x = rng.normal(size=(2, 4, 3))
+    probe = rng.normal(size=(2, 4, 2))
+    _, cache = lstm_forward_cached(layer, x)
+    lstm_backward(layer, cache, probe)
+    with pytest.raises(MissingCacheError):
+        lstm_backward(layer, cache, probe)
+    # the input stays, so a caller can still read the batch shape
+    assert cache["x"].shape == (2, 4, 3)
+
+
 def test_lstm_init_draws_gates_in_order():
     """A seed pins the same weights as drawing each gate's block in turn."""
     layer = LstmLayerParams.init(3, 2, seeded_rng(27))
@@ -263,6 +316,26 @@ def test_train_reports_grad_norm_and_clipping():
     doc = tight.to_dict()
     assert doc["grad_norm"] == tight.grad_norm and doc["clipped"] == tight.clipped
     assert "grad_norm" not in doc["timing"]
+
+
+def test_train_reports_saturation_and_stall_ratio():
+    # identical users, so every training split holds the same rows
+    one = _toy_tensor(seeded_rng(40), n=1, t=30)
+    data = replace(one, values=np.repeat(one.values, 5, axis=0), user_ids=[f"u{i}" for i in range(5)])
+    # a step this large drives part of the latent into saturation
+    cfg = AutoencoderConfig(variant="uts", epochs=3, seed=2, learning_rate=50.0)
+    _, report = train(cfg, data)
+    # the last epoch's forward pass runs on the parameters after two steps
+    before, _ = train(replace(cfg, epochs=2), data)
+    latent, recon = forward_autoencoder(before, one.values)
+    assert 0.0 < report.latent_saturation == float(np.mean(np.abs(latent) > 0.99))
+    baseline = np.mean((one.values - one.values.mean(axis=(0, 1))) ** 2)
+    assert report.stall_ratio == pytest.approx(mse_loss(recon, one.values) / baseline, rel=1e-12)
+    doc = report.to_dict()
+    assert (doc["latent_saturation"], doc["stall_ratio"]) == (report.latent_saturation, report.stall_ratio)
+    assert "stall_ratio" not in doc["timing"]
+    _, idle = train(replace(cfg, epochs=0), data)
+    assert idle.latent_saturation is None and idle.stall_ratio is None
 
 
 def test_train_deterministic_per_seed():

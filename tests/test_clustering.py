@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -12,7 +13,6 @@ from botclust.clustering import (
     distance_matrix,
     kdist_knee_eps,
     load_assignment_csv,
-    load_dendrogram_json,
     save_assignment_csv,
     save_dendrogram_json,
     ward_agglomerative,
@@ -262,6 +262,6 @@ def test_dendrogram_json_roundtrip(tmp_path):
     dend = ward_agglomerative(distance_matrix(rng.normal(size=(6, 2))))
     p = tmp_path / "dend.json"
     save_dendrogram_json(dend, p)
-    back = load_dendrogram_json(p)
+    back = Dendrogram.from_dict(json.loads(p.read_text()))
     assert back.n_leaves == dend.n_leaves
     assert back.merges == dend.merges

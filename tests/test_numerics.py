@@ -4,10 +4,11 @@ import pytest
 from botclust.numerics import (
     RmspropState,
     clip_global_norm,
-    finite_diff_grad,
     rmsprop_step,
     seeded_rng,
 )
+
+from oracles import finite_diff_grad
 
 
 def test_seeded_rng_reproducible():

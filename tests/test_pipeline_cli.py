@@ -95,7 +95,7 @@ def test_run_pipeline_multiclass_dbscan(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="multiclass", seed=0, **FAST), "UTS_DBSCAN")
     res = run_pipeline(records, labels, cfg)
-    assert res.eps_used is not None and res.eps_used > 0
+    assert res.clustering.eps is not None and res.clustering.eps > 0
     assert res.metrics.confusion.shape == (3, 3)
     assert set(np.unique(res.pred_labels)) <= {0, 1, 2}
 
