@@ -282,8 +282,6 @@ class AutoencoderConfig:
     """
 
     variant: str = "uts"
-    input_dim: Optional[int] = None      # data-driven when None
-    seq_len: Optional[int] = None        # data-driven when None
     latent_dim: int = 300
     learning_rate: Optional[float] = None
     epochs: int = 250
@@ -309,8 +307,6 @@ class AutoencoderConfig:
     def to_dict(self) -> dict:
         return {
             "variant": self.variant,
-            "input_dim": self.input_dim,
-            "seq_len": self.seq_len,
             "latent_dim": self.latent_dim,
             "learning_rate": self.learning_rate,
             "epochs": self.epochs,
@@ -497,10 +493,6 @@ def train(
     if n < 2:
         raise ValueError("training needs at least 2 users for a holdout split")
     t, d = data.n_days, data.n_features
-    if config.seq_len is not None and config.seq_len != t:
-        raise ValueError(f"config.seq_len {config.seq_len} != data T {t}")
-    if config.input_dim is not None and config.input_dim != d:
-        raise ValueError(f"config.input_dim {config.input_dim} != data D {d}")
 
     rng = seeded_rng(config.seed)
     model = init_model(config, seq_len=t, input_dim=d, rng=rng, norm_params=norm_params)

@@ -298,8 +298,7 @@ def cmd_features(args) -> int:
         raise ConfigError("the features step serves the glob and glob_vec representations; "
                           "vec clusters its latent directly, so run `botclust cluster`")
     out = _outdir(paths)
-    variants = ("uts", "vec") if config.representation == "glob_vec" else ("uts",)
-    latents, user_ids = _load_latents(out, variants)
+    latents, user_ids = _load_latents(out, ENCODERS[config.representation])
     tables = global_features(config, latents, user_ids)
     _save_features(out, tables)
     print(

@@ -1,4 +1,4 @@
-"""Tweet-activity ingestion: file parsing, per-user timelines, balancing.
+"""Tweet-activity ingestion: tweet and label parsing, the tweet table.
 
 Input rows are pre-extracted per-tweet entity counts, not raw tweet text.
 Timestamps are normalized to UTC; the day boundary sits at 00:00:00 UTC.
@@ -9,11 +9,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from .numerics import seeded_rng
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -64,10 +64,23 @@ class TweetRecord:
         return self.timestamp.astimezone(timezone.utc).date()
 
 
-@dataclass
-class UserTimeline:
-    user_id: str
-    tweets: list[TweetRecord]
+@dataclass(frozen=True)
+class TweetTable:
+    """Every record of one data set as row-aligned columns.
+
+    ``user_ids`` is sorted lexicographically, which fixes the row order of
+    every downstream tensor. Record ``i`` belongs to user
+    ``user_ids[rows[i]]``, falls ``days[i]`` UTC days after ``day_min``,
+    and carries the six counts ``counts[i]`` (float64, FEATURE_NAMES
+    order).
+    """
+
+    user_ids: list[str]
+    day_min: date
+    num_days: int
+    rows: np.ndarray      # (M,) int64
+    days: np.ndarray      # (M,) int64, in [0, num_days)
+    counts: np.ndarray    # (M, 6) float64
 
 
 @dataclass
@@ -90,28 +103,6 @@ class LabelTable:
         for cid in self.labels.values():
             out[cid] = out.get(cid, 0) + 1
         return dict(sorted(out.items()))
-
-
-@dataclass
-class DatasetManifest:
-    """Canonical user order, global day range and per-user record counts.
-
-    ``supports`` maps each user id to how many records it contributed;
-    class-level supports live on LabelTable.
-    """
-
-    user_ids: list[str]
-    day_min: date
-    day_max: date
-    supports: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.day_min > self.day_max:
-            raise ValueError(f"day_min {self.day_min} exceeds day_max {self.day_max}")
-
-    @property
-    def num_days(self) -> int:
-        return (self.day_max - self.day_min).days + 1
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -138,9 +129,9 @@ def _record_from_fields(fields: dict, line_no: int) -> TweetRecord | None:
         raw = fields[name]
         try:
             value = int(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(line_no, f"count '{name}' is not an integer: {raw!r}") from exc
-        if isinstance(raw, float) and raw != value:
+        if isinstance(raw, bool) or (isinstance(raw, float) and raw != value):
             raise ParseError(line_no, f"count '{name}' is not an integer: {raw!r}")
         counts[name] = value
     negatives = [n for n in FEATURE_NAMES if counts[n] < 0]
@@ -205,30 +196,32 @@ def write_tweets_jsonl(records: list[TweetRecord], path: str | Path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-def build_timelines(records: list[TweetRecord]) -> tuple[list[UserTimeline], DatasetManifest]:
-    """Group records into per-user, time-sorted timelines.
+def build_timelines(records: list[TweetRecord]) -> TweetTable:
+    """Index the records into one TweetTable.
 
-    User order in the manifest is lexicographic by user id, which fixes
-    the row order of every downstream tensor.
+    Records may come in any order. Each is bucketed on its UTC date.
     """
     if not records:
         raise ValueError("build_timelines requires at least one record")
-    by_user: dict[str, list[TweetRecord]] = {}
-    for rec in records:
-        by_user.setdefault(rec.user_id, []).append(rec)
-    user_ids = sorted(by_user)
-    timelines = []
-    for uid in user_ids:
-        tweets = sorted(by_user[uid], key=lambda r: r.timestamp)
-        timelines.append(UserTimeline(user_id=uid, tweets=tweets))
-    days = [rec.day() for rec in records]
-    manifest = DatasetManifest(
+    m = len(records)
+    seen: dict[str, int] = {}
+    first_rows = np.fromiter((seen.setdefault(rec.user_id, len(seen)) for rec in records),
+                             dtype=np.int64, count=m)
+    ordinals = np.fromiter((rec.day().toordinal() for rec in records), dtype=np.int64, count=m)
+    counts = np.fromiter((c for rec in records for c in rec.counts()),
+                         dtype=np.float64, count=m * len(FEATURE_NAMES))
+    user_ids = sorted(seen)
+    rank = np.empty(len(seen), dtype=np.int64)
+    rank[[seen[uid] for uid in user_ids]] = np.arange(len(user_ids))
+    first = int(ordinals.min())
+    return TweetTable(
         user_ids=user_ids,
-        day_min=min(days),
-        day_max=max(days),
-        supports={uid: len(by_user[uid]) for uid in user_ids},
+        day_min=date.fromordinal(first),
+        num_days=int(ordinals.max()) - first + 1,
+        rows=rank[first_rows],
+        days=ordinals - first,
+        counts=counts.reshape(m, len(FEATURE_NAMES)),
     )
-    return timelines, manifest
 
 
 def load_labels(path: str | Path) -> LabelTable:
@@ -257,43 +250,3 @@ def load_labels(path: str | Path) -> LabelTable:
                 raise ParseError(line_no, f"duplicate user_id {uid!r}")
             labels[uid] = cid
     return LabelTable(labels=labels)
-
-
-def downsample_balanced(
-    users: list[str],
-    labels: LabelTable,
-    keep_classes: set[int],
-    seed: int,
-) -> list[str]:
-    """Balance classes by seeded downsampling to the minority support.
-
-    All users of the smallest kept class are retained; every other kept
-    class is sampled uniformly without replacement down to that support.
-    Users outside ``keep_classes`` are dropped. The result is sorted by
-    user id, so it is a pure function of (input, seed).
-    """
-    known = {labels.labels[u] for u in users if u in labels.labels}
-    unknown = [u for u in users if u not in labels.labels]
-    if unknown:
-        raise ValueError(f"users without labels: {unknown[:5]}")
-    if not keep_classes.issubset(known):
-        raise ValueError(f"keep_classes {sorted(keep_classes - known)} absent from data")
-    per_class: dict[int, list[str]] = {c: [] for c in sorted(keep_classes)}
-    for uid in sorted(users):
-        cid = labels.labels[uid]
-        if cid in per_class:
-            per_class[cid].append(uid)
-    for cid, members in per_class.items():
-        if not members:
-            raise ValueError(f"class {cid} has no users to keep")
-    minority = min(len(m) for m in per_class.values())
-    rng = seeded_rng(seed)
-    kept: list[str] = []
-    for cid in sorted(per_class):
-        members = per_class[cid]
-        if len(members) == minority:
-            kept.extend(members)
-        else:
-            picked = rng.choice(len(members), size=minority, replace=False)
-            kept.extend(members[i] for i in sorted(picked))
-    return sorted(kept)

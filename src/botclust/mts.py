@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import FEATURE_NAMES, DatasetManifest, UserTimeline
+from .ingest import FEATURE_NAMES, TweetTable
 
 SENTINEL = -1.0
 
@@ -118,16 +118,12 @@ class NormalizationParams:
         )
 
 
-def extract_mts(
-    timelines: list[UserTimeline],
-    manifest: DatasetManifest,
-    features: tuple[str, ...] = FEATURE_NAMES,
-) -> MtsTensor:
+def extract_mts(table: TweetTable, features: tuple[str, ...] = FEATURE_NAMES) -> MtsTensor:
     """Aggregate per-tweet counts into the daily N x T x D tensor.
 
     For each user and day, the tensor holds the sum of the chosen counts
     over that day's tweets; days without tweets get the -1 sentinel in
-    every feature. Rows follow the manifest's user order.
+    every feature. Rows follow the table's user order.
     """
     if not features:
         raise ValueError("features must be a non-empty subset of the six count features")
@@ -136,38 +132,18 @@ def extract_mts(
         raise ValueError(f"unknown features {bad}; valid: {list(FEATURE_NAMES)}")
     if len(set(features)) != len(features):
         raise ValueError(f"features must not repeat a name, got {list(features)}")
-    by_user = {tl.user_id: tl for tl in timelines}
-    missing = [u for u in manifest.user_ids if u not in by_user]
-    if missing:
-        raise ValueError(f"manifest users without timelines: {missing[:5]}")
-    n, t, d = len(manifest.user_ids), manifest.num_days, len(features)
-    per_user = [by_user[uid].tweets for uid in manifest.user_ids]
-    lengths = [len(tweets) for tweets in per_user]
-    m = sum(lengths)
-    rows = np.repeat(np.arange(n), lengths)
-    days = np.fromiter(((rec.day() - manifest.day_min).days for tweets in per_user for rec in tweets),
-                       dtype=np.int64, count=m)
-    counts = np.fromiter((c for tweets in per_user for rec in tweets for c in rec.counts()),
-                         dtype=np.float64, count=m * len(FEATURE_NAMES))
-    outside = np.flatnonzero((days < 0) | (days >= t))
-    if outside.size:
-        i = outside[0]
-        raise ValueError(
-            f"tweet of user {manifest.user_ids[rows[i]]} on "
-            f"{manifest.day_min + timedelta(days=int(days[i]))} outside manifest range "
-            f"[{manifest.day_min}, {manifest.day_max}]"
-        )
+    n, t = len(table.user_ids), table.num_days
     cols = [FEATURE_NAMES.index(name) for name in features]
-    values = np.zeros((n, t, d))
-    np.add.at(values, (rows, days), counts.reshape(m, len(FEATURE_NAMES))[:, cols])
+    values = np.zeros((n, t, len(features)))
+    np.add.at(values, (table.rows, table.days), table.counts[:, cols])
     active = np.zeros((n, t), dtype=bool)
-    active[rows, days] = True
+    active[table.rows, table.days] = True
     values[~active] = SENTINEL
     return MtsTensor(
         values=values,
-        user_ids=list(manifest.user_ids),
+        user_ids=list(table.user_ids),
         feature_names=tuple(features),
-        day_min=manifest.day_min,
+        day_min=table.day_min,
     )
 
 

@@ -1,4 +1,4 @@
-"""Float64 kernels: seeded RNG, RMSProp, gradient clipping, finite differences.
+"""Float64 kernels: seeded RNG, RMSProp, gradient clipping.
 
 The PRNG is numpy's PCG64 (O'Neill's permuted congruential generator,
 128-bit state, as shipped by numpy) so that a given seed yields the same

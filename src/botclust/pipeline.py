@@ -214,11 +214,10 @@ def prepare(
     labels: Optional[LabelTable],
     config: PipelineConfig,
 ) -> tuple[MtsTensor, Optional[np.ndarray]]:
-    """Timelines -> raw daily tensor of the configured features, plus the
+    """Records -> raw daily tensor of the configured features, plus the
     truth vector in tensor row order when labels are given."""
-    timelines, manifest = build_timelines(records)
-    true = None if labels is None else truth_vector(labels, manifest.user_ids)
-    mts = extract_mts(timelines, manifest, features=config.features or FEATURE_NAMES)
+    mts = extract_mts(build_timelines(records), features=config.features or FEATURE_NAMES)
+    true = None if labels is None else truth_vector(labels, mts.user_ids)
     return mts, true
 
 

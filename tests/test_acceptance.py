@@ -148,8 +148,7 @@ def test_criterion_3_metrics_fixtures():
 
 def test_criterion_4_daily_tensor_semantics():
     records = _hand_fixture()
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
+    mts = extract_mts(build_timelines(records))
     s = SENTINEL
     expected = np.array(
         [
@@ -217,9 +216,8 @@ def test_criterion_6_leave_one_botnet_out(frozen_synth):
 @pytest.mark.slow
 def test_criterion_7_constant_feature_importance(frozen_synth):
     records, labels = frozen_synth
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
-    true = np.array([labels.labels[u] for u in manifest.user_ids])
+    mts = extract_mts(build_timelines(records))
+    true = np.array([labels.labels[u] for u in mts.user_ids])
 
     const_col = np.where(mts.sentinel_mask()[:, :, None], SENTINEL, 3.0)
     mts7 = MtsTensor(

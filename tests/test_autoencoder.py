@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +405,25 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.config.variant == "vec"
     assert back.seq_len == model.seq_len
     assert back.input_dim == model.input_dim
+
+
+def test_checkpoint_with_retired_config_keys_loads(tmp_path):
+    """v2 checkpoints written while the config still had input_dim and
+    seq_len hold both keys as null; loading ignores them."""
+    rng = seeded_rng(38)
+    data = _toy_tensor(rng, n=4, t=5, d=2)
+    model, _ = train(AutoencoderConfig(variant="uts", epochs=2, seed=0), data)
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    raw = path.read_bytes()
+    header_end = 12 + int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:header_end])
+    header["config"].update(input_dim=None, seq_len=None)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[header_end:])
+    back = load_model(path)
+    assert back.config == model.config
+    assert np.array_equal(encode(back, data), encode(model, data))
 
 
 def test_encode_rejects_mismatched_width():

@@ -1,19 +1,21 @@
 import json
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
+from botclust.cli import main
 from botclust.ingest import (
     FEATURE_NAMES,
     LabelTable,
     ParseError,
     TweetRecord,
     build_timelines,
-    downsample_balanced,
     load_labels,
     parse_tweets,
     write_tweets_jsonl,
 )
+from botclust.mts import load_tensor
 
 
 def _row(user="u1", ts="2023-01-05T10:00:00Z", **over):
@@ -122,24 +124,57 @@ def test_write_tweets_jsonl_roundtrip(tmp_path):
     assert parse_tweets(p) == recs
 
 
-def test_build_timelines_manifest_and_order(tmp_path):
+@pytest.mark.parametrize("raw", [float("inf"), float("-inf"), float("nan"), True])
+def test_damaged_count_is_parse_error_and_exit_4(tmp_path, caplog, raw):
+    p = tmp_path / "t.jsonl"
+    _write_jsonl(p, [_row(), _row(retweet_count=raw)])
+    with pytest.raises(ParseError, match="line 2: count 'retweet_count'") as err:
+        parse_tweets(p)
+    assert err.value.line_no == 2
+    assert main(["extract", "--outdir", str(tmp_path / "out"), "--tweets", str(p)]) == 4
+    assert "line 2" in caplog.text
+
+
+def test_count_beyond_int64_extracts(tmp_path):
+    p = tmp_path / "t.jsonl"
+    _write_jsonl(p, [_row(favorite_count=10**20)])
+    out = tmp_path / "out"
+    assert main(["extract", "--outdir", str(out), "--tweets", str(p)]) == 0
+    assert load_tensor(out / "mts_raw.tensor").values[0, 0, 5] == 1e20
+
+
+def test_build_timelines_table_columns(tmp_path):
     p = tmp_path / "t.jsonl"
     _write_jsonl(
         p,
         [
-            _row(user="b", ts="2023-01-07T10:00:00Z"),
+            _row(user="b", ts="2023-01-07T10:00:00Z", num_urls=2),
             _row(user="a", ts="2023-01-03T10:00:00Z"),
-            _row(user="a", ts="2023-01-05T10:00:00Z"),
+            _row(user="a", ts="2023-01-05T10:00:00Z", favorite_count=9),
         ],
     )
-    timelines, manifest = build_timelines(parse_tweets(p))
-    assert manifest.user_ids == ["a", "b"]
-    assert manifest.day_min.isoformat() == "2023-01-03"
-    assert manifest.day_max.isoformat() == "2023-01-07"
-    assert manifest.num_days == 5
-    assert manifest.supports == {"a": 2, "b": 1}
-    by_user = {tl.user_id: tl for tl in timelines}
-    assert [r.timestamp.day for r in by_user["a"].tweets] == [3, 5]
+    table = build_timelines(parse_tweets(p))
+    assert table.user_ids == ["a", "b"]
+    assert table.day_min == date(2023, 1, 3)
+    assert table.num_days == 5
+    assert table.rows.tolist() == [1, 0, 0]
+    assert table.days.tolist() == [4, 0, 2]
+    assert table.counts.dtype == np.float64
+    assert table.counts.tolist() == [[2, 0, 0, 0, 0, 0], [0] * 6, [0, 0, 0, 0, 0, 9]]
+
+
+def test_build_timelines_buckets_on_utc_date():
+    def rec(user, ts):
+        return TweetRecord(user, ts, 0, 0, 0, 0, 0, 0)
+
+    # 01:00 on Mar 2 at +05:00 is 20:00 UTC on Mar 1.
+    table = build_timelines([
+        rec("a", datetime(2023, 3, 2, 1, 0, tzinfo=timezone(timedelta(hours=5)))),
+        rec("b", datetime(2023, 3, 1, 12, 0, tzinfo=timezone.utc)),
+    ])
+    assert table.day_min == date(2023, 3, 1)
+    assert table.num_days == 1
+    assert table.days.tolist() == [0, 0]
 
 
 def test_build_timelines_rejects_empty():
@@ -172,18 +207,3 @@ def test_load_labels_rejects_duplicate(tmp_path):
     p.write_text("user_id,class_id\na,0\na,1\n")
     with pytest.raises(ParseError):
         load_labels(p)
-
-
-def test_downsample_balanced_deterministic_and_balanced():
-    users = [f"g{i}" for i in range(10)] + [f"b{i}" for i in range(4)]
-    labels = LabelTable(labels={**{f"g{i}": 0 for i in range(10)}, **{f"b{i}": 1 for i in range(4)}})
-    kept1 = downsample_balanced(users, labels, {0, 1}, seed=3)
-    kept2 = downsample_balanced(users, labels, {0, 1}, seed=3)
-    kept3 = downsample_balanced(users, labels, {0, 1}, seed=4)
-    assert kept1 == kept2
-    assert kept1 != kept3
-    counts = {0: 0, 1: 0}
-    for u in kept1:
-        counts[labels.labels[u]] += 1
-    assert counts == {0: 4, 1: 4}
-    assert kept1 == sorted(kept1)

@@ -1,5 +1,4 @@
-from dataclasses import replace
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -53,8 +52,7 @@ def _hand_fixture():
 
 def test_extract_mts_hand_tensor_exact():
     records = _hand_fixture()
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
+    mts = extract_mts(build_timelines(records))
 
     s = SENTINEL
     expected = np.array(
@@ -78,8 +76,7 @@ def test_extract_mts_hand_tensor_exact():
 
 def test_extract_mts_feature_subset():
     records = _hand_fixture()
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest, features=("retweet_count", "num_urls"))
+    mts = extract_mts(build_timelines(records), features=("retweet_count", "num_urls"))
     assert mts.feature_names == ("retweet_count", "num_urls")
     assert np.array_equal(mts.values[0, 0], np.array([1.0, 3.0]))
     assert np.array_equal(mts.values[2, 3], np.array([6.0, 0.0]))
@@ -88,29 +85,27 @@ def test_extract_mts_feature_subset():
 
 
 def test_extract_mts_rejects_unknown_feature():
-    records = _hand_fixture()
-    timelines, manifest = build_timelines(records)
     with pytest.raises(ValueError):
-        extract_mts(timelines, manifest, features=("num_urls", "bogus"))
+        extract_mts(build_timelines(_hand_fixture()), features=("num_urls", "bogus"))
 
 
 def test_extract_mts_rejects_duplicate_feature():
-    timelines, manifest = build_timelines(_hand_fixture())
     with pytest.raises(ValueError, match="repeat"):
-        extract_mts(timelines, manifest, features=("num_urls", "num_urls"))
+        extract_mts(build_timelines(_hand_fixture()), features=("num_urls", "num_urls"))
 
 
-def test_extract_mts_rejects_tweet_outside_manifest_range():
-    timelines, manifest = build_timelines(_hand_fixture())
-    short = replace(manifest, day_max=date(2023, 3, 3))
-    with pytest.raises(ValueError, match="user carol on 2023-03-04 outside manifest range"):
-        extract_mts(timelines, short)
+def test_extract_mts_ignores_record_order():
+    records = _hand_fixture()
+    reference = extract_mts(build_timelines(records)).values
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        shuffled = [records[i] for i in rng.permutation(len(records))]
+        assert extract_mts(build_timelines(shuffled)).values.tobytes() == reference.tobytes()
 
 
 def test_minmax_normalize_hand_values():
     records = _hand_fixture()
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
+    mts = extract_mts(build_timelines(records))
     norm, params = minmax_normalize(mts)
 
     assert norm.normalized
@@ -143,8 +138,7 @@ def test_minmax_constant_feature_maps_to_zero():
 
 def test_apply_normalization_uses_external_stats():
     records = _hand_fixture()
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
+    mts = extract_mts(build_timelines(records))
     _, params = minmax_normalize(mts)
     again = apply_normalization(mts, params)
     reference, _ = minmax_normalize(mts)
@@ -172,8 +166,7 @@ def test_apply_normalization_uses_external_stats():
 
 def test_normalize_twice_rejected():
     records = _hand_fixture()
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
+    mts = extract_mts(build_timelines(records))
     norm, params = minmax_normalize(mts)
     with pytest.raises(ValueError):
         minmax_normalize(norm)
@@ -183,8 +176,7 @@ def test_normalize_twice_rejected():
 
 def test_tensor_save_load_roundtrip(tmp_path):
     records = _hand_fixture()
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
+    mts = extract_mts(build_timelines(records))
     norm, _ = minmax_normalize(mts)
     p = tmp_path / "x.tensor"
     save_tensor(norm, p)
@@ -199,8 +191,7 @@ def test_tensor_save_load_roundtrip(tmp_path):
 
 def test_select_users_preserves_rows():
     records = _hand_fixture()
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
+    mts = extract_mts(build_timelines(records))
     sub = mts.select_users([2, 0])
     assert sub.user_ids == ["carol", "alice"]
     assert np.array_equal(sub.values[0], mts.values[2])

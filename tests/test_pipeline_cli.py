@@ -125,9 +125,8 @@ def test_pipeline_deterministic_per_seed(small_dataset):
 
 def test_run_pipeline_from_mts_feature_subset(small_dataset):
     records, labels = small_dataset
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
-    true = np.array([labels.labels[u] for u in manifest.user_ids])
+    mts = extract_mts(build_timelines(records))
+    true = np.array([labels.labels[u] for u in mts.user_ids])
     cfg = replace(
         apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier"),
         features=("num_urls", "retweet_count"),
@@ -391,7 +390,7 @@ def _rewrite_header(path, key, value):
     ("mts_raw.tensor", "train", "n", None, "has no 'n' key"),
     ("model_uts.ckpt", "encode", "version", None, "has no 'version' key"),
     ("model_uts.ckpt", "encode", "version", 1, "checkpoint version 1 is no longer supported; retrain"),
-    ("model_uts.ckpt", "encode", "config", {"variant": "uts"}, "has no 'input_dim' key"),
+    ("model_uts.ckpt", "encode", "config", {"variant": "uts"}, "has no 'latent_dim' key"),
     ("model_uts.ckpt", "encode", "input_dim", 5, "checkpoint blocks do not match"),
 ])
 def test_cli_damaged_header_is_data_error(trained_workspace, tmp_path, caplog,

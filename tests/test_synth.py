@@ -16,9 +16,9 @@ def test_default_config_population_shape():
     assert supports[2] == 20
     user_ids = {r.user_id for r in records}
     assert user_ids == set(labels.labels)
-    timelines, manifest = build_timelines(records)
-    assert len(manifest.user_ids) == 80
-    assert manifest.num_days <= 64
+    table = build_timelines(records)
+    assert len(table.user_ids) == 80
+    assert table.num_days <= 64
 
 
 def test_generation_is_deterministic():
@@ -102,9 +102,8 @@ def test_botnets_tighter_than_genuine_in_raw_series_space():
     """Each botnet's mean within-class distance over the raw daily tensor
     must stay below the genuine crowd's; coordination means similarity."""
     records, labels = generate_dataset(SynthConfig())
-    timelines, manifest = build_timelines(records)
-    mts = extract_mts(timelines, manifest)
-    true = np.array([labels.labels[u] for u in manifest.user_ids])
+    mts = extract_mts(build_timelines(records))
+    true = np.array([labels.labels[u] for u in mts.user_ids])
     dist = distance_matrix(mts.values)
 
     def mean_within(class_id):
