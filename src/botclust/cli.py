@@ -35,7 +35,7 @@ from .clustering import (
     save_dendrogram_json,
 )
 from .globalfeats import load_features_csv, save_features_csv
-from .ingest import LabelTable, ParseError, load_labels, parse_tweets, write_tweets_jsonl
+from .ingest import LabelTable, ParseError, TweetTable, load_labels, parse_tweets, write_tweets_jsonl
 from .labeling import feature_importance
 from .mts import MtsTensor, load_tensor, save_tensor
 from .pipeline import (
@@ -178,7 +178,8 @@ def _input(paths: dict, key: str) -> str:
     return paths[key]
 
 
-def _read_inputs(paths: dict) -> tuple[list, LabelTable]:
+def _read_inputs(paths: dict) -> tuple[TweetTable, LabelTable]:
+    """The tweets file parsed into its table, and the labels."""
     tweets, labels = _input(paths, "tweets"), _input(paths, "labels")
     return parse_tweets(tweets, format=paths["format"]), load_labels(labels)
 
@@ -349,8 +350,8 @@ def cmd_evaluate(args) -> int:
 def cmd_importance(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    records, labels = _read_inputs(paths)
-    mts, true = prepare(records, labels, config)
+    tweets, labels = _read_inputs(paths)
+    mts, true = prepare(tweets, labels, config)
     started = time.perf_counter()
 
     def runner(feats: tuple[str, ...]) -> float:
@@ -378,12 +379,12 @@ def cmd_importance(args) -> int:
 def cmd_lobo(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    records, labels = _read_inputs(paths)
+    tweets, labels = _read_inputs(paths)
     bot_classes = None
     if args.bot_classes:
         bot_classes = [int(c) for c in args.bot_classes.split(",")]
     started = time.perf_counter()
-    report = lobo_run(records, labels, config, bot_classes=bot_classes)
+    report = lobo_run(tweets, labels, config, bot_classes=bot_classes)
     _write_report(
         out / A_LOBO,
         report.to_dict(),
@@ -427,9 +428,9 @@ def cmd_synth(args) -> int:
 def cmd_run_all(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    records, labels = _read_inputs(paths)
+    tweets, labels = _read_inputs(paths)
     started = time.perf_counter()
-    mts, true = prepare(records, labels, config)
+    mts, true = prepare(tweets, labels, config)
     save_tensor(mts, out / A_MTS)
     result = run_pipeline_from_mts(mts, true, labels.num_classes, config)
     _save_models(out, config, result.models, result.train_reports)

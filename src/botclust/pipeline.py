@@ -47,7 +47,7 @@ from .globalfeats import (
     extract_global_features,
     zscore_standardize,
 )
-from .ingest import FEATURE_NAMES, GENUINE_CLASS, LabelTable, TweetRecord, build_timelines
+from .ingest import FEATURE_NAMES, GENUINE_CLASS, LabelTable, TweetTable
 from .labeling import (
     MetricsReport,
     assign_labels_binary,
@@ -210,13 +210,13 @@ def truth_vector(labels: LabelTable, user_ids) -> np.ndarray:
 
 
 def prepare(
-    records: list[TweetRecord],
+    tweets: TweetTable,
     labels: Optional[LabelTable],
     config: PipelineConfig,
 ) -> tuple[MtsTensor, Optional[np.ndarray]]:
-    """Records -> raw daily tensor of the configured features, plus the
-    truth vector in tensor row order when labels are given."""
-    mts = extract_mts(build_timelines(records), features=config.features or FEATURE_NAMES)
+    """Tweet table -> raw daily tensor of the configured features, plus
+    the truth vector in tensor row order when labels are given."""
+    mts = extract_mts(tweets, features=config.features or FEATURE_NAMES)
     true = None if labels is None else truth_vector(labels, mts.user_ids)
     return mts, true
 
@@ -376,12 +376,12 @@ def run_pipeline_from_mts(
 
 
 def run_pipeline(
-    records: list[TweetRecord],
+    tweets: TweetTable,
     labels: LabelTable,
     config: PipelineConfig,
 ) -> PipelineResult:
-    """Full run from raw tweet records plus ground-truth labels."""
-    mts_raw, true = prepare(records, labels, config)
+    """Full run from a tweet table plus ground-truth labels."""
+    mts_raw, true = prepare(tweets, labels, config)
     return run_pipeline_from_mts(mts_raw, true, labels.num_classes, config)
 
 
@@ -408,7 +408,7 @@ class LoboReport:
 
 
 def lobo_run(
-    records: list[TweetRecord],
+    tweets: TweetTable,
     labels: LabelTable,
     config: PipelineConfig,
     bot_classes: Optional[list[int]] = None,
@@ -428,7 +428,7 @@ def lobo_run(
     if any(c == GENUINE_CLASS for c in bot_classes):
         raise ValueError("cannot exclude the genuine class")
 
-    mts_raw, true = prepare(records, labels, config)
+    mts_raw, true = prepare(tweets, labels, config)
     user_ids = tuple(mts_raw.user_ids)
     n_classes = labels.num_classes
 

@@ -6,9 +6,15 @@ these oracles and the production code is meaningful evidence of
 correctness rather than a tautology.
 """
 
+import csv
+import json
+import logging
 import math
+from datetime import date, datetime, timezone
 
 import numpy as np
+
+from botclust.ingest import FEATURE_NAMES, ParseError, TweetRecord, TweetTable
 
 
 def oracle_lstm_forward(weights, x):
@@ -282,3 +288,120 @@ def oracle_series_stats(series):
     out["autocorr_lag7"] = autocorr(7)
     out["autocorr_lag30"] = autocorr(30)
     return out
+
+
+# The row-wise tweet parse the package ran before it parsed into columns,
+# frozen as it was: one validated TweetRecord per row, then the table
+# indexed from the records. The columnar parse must give an equal table,
+# or raise the same ParseError, on every input.
+
+_oracle_log = logging.getLogger("botclust.ingest")
+
+
+def _rowwise_parse_timestamp(raw):
+    text = raw.strip()
+    if text.endswith("Z"):
+        text = text[:-1] + "+00:00"
+    ts = datetime.fromisoformat(text)
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc).replace(microsecond=0)
+
+
+def _rowwise_record(fields, line_no):
+    for key in ("user_id", "timestamp", *FEATURE_NAMES):
+        if key not in fields or fields[key] is None or fields[key] == "":
+            raise ParseError(line_no, f"missing field '{key}'")
+    try:
+        ts = _rowwise_parse_timestamp(str(fields["timestamp"]))
+    except ValueError as exc:
+        raise ParseError(line_no, f"bad timestamp {fields['timestamp']!r}: {exc}") from exc
+    counts = {}
+    for name in FEATURE_NAMES:
+        raw = fields[name]
+        try:
+            value = int(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(line_no, f"count '{name}' is not an integer: {raw!r}") from exc
+        if isinstance(raw, bool) or (isinstance(raw, float) and raw != value):
+            raise ParseError(line_no, f"count '{name}' is not an integer: {raw!r}")
+        counts[name] = value
+    negatives = [n for n in FEATURE_NAMES if counts[n] < 0]
+    if negatives:
+        _oracle_log.warning("line %d: rejected row for user %s, negative count in %s",
+                            line_no, fields["user_id"], negatives)
+        return None
+    return TweetRecord(user_id=str(fields["user_id"]), timestamp=ts, **counts)
+
+
+def rowwise_parse_tweets(path, format="jsonl"):
+    """The validated records of a JSONL or CSV tweets file, in file order."""
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        if format == "jsonl":
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    fields = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(line_no, f"invalid JSON: {exc}") from exc
+                if not isinstance(fields, dict):
+                    raise ParseError(line_no, "row is not a JSON object")
+                rec = _rowwise_record(fields, line_no)
+                if rec is not None:
+                    records.append(rec)
+        else:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                return []
+            expected = {"user_id", "timestamp", *FEATURE_NAMES}
+            if not expected.issubset(set(reader.fieldnames)):
+                raise ParseError(1, f"CSV header missing columns {sorted(expected - set(reader.fieldnames))}")
+            for line_no, row in enumerate(reader, start=2):
+                if None in row.values() or None in row:
+                    raise ParseError(line_no, "wrong number of columns")
+                rec = _rowwise_record(row, line_no)
+                if rec is not None:
+                    records.append(rec)
+    return records
+
+
+def rowwise_table(records):
+    """The tweet table indexed from records, three passes over them."""
+    if not records:
+        raise ValueError("build_timelines requires at least one record")
+    m = len(records)
+    seen = {}
+    first_rows = np.fromiter((seen.setdefault(rec.user_id, len(seen)) for rec in records),
+                             dtype=np.int64, count=m)
+    ordinals = np.fromiter((rec.day().toordinal() for rec in records), dtype=np.int64, count=m)
+    counts = np.fromiter((c for rec in records for c in rec.counts()),
+                         dtype=np.float64, count=m * len(FEATURE_NAMES))
+    user_ids = sorted(seen)
+    rank = np.empty(len(seen), dtype=np.int64)
+    rank[[seen[uid] for uid in user_ids]] = np.arange(len(user_ids))
+    first = int(ordinals.min())
+    return TweetTable(
+        user_ids=user_ids,
+        day_min=date.fromordinal(first),
+        num_days=int(ordinals.max()) - first + 1,
+        rows=rank[first_rows],
+        days=ordinals - first,
+        counts=counts.reshape(m, len(FEATURE_NAMES)),
+    )
+
+
+def tables_equal(a, b):
+    """Two tweet tables hold the same ids, day range and columns, bit for
+    bit and with the same dtypes (the generated __eq__ cannot compare
+    arrays)."""
+    return (
+        a.user_ids == b.user_ids
+        and a.day_min == b.day_min
+        and a.num_days == b.num_days
+        and all(
+            x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            for x, y in ((a.rows, b.rows), (a.days, b.days), (a.counts, b.counts))
+        )
+    )

@@ -177,10 +177,10 @@ def test_criterion_5_synthetic_separation(frozen_synth):
     start = time.time()
 
     glob_cfg = apply_preset(PipelineConfig(task="binary", seed=0), "Glob_Hier")
-    glob_res = run_pipeline(records, labels, glob_cfg)
+    glob_res = run_pipeline(build_timelines(records), labels, glob_cfg)
 
     dbscan_cfg = apply_preset(PipelineConfig(task="multiclass", seed=0), "UTS_DBSCAN")
-    dbscan_res = run_pipeline(records, labels, dbscan_cfg)
+    dbscan_res = run_pipeline(build_timelines(records), labels, dbscan_cfg)
 
     elapsed = time.time() - start
     ok = (
@@ -202,7 +202,7 @@ def test_criterion_5_synthetic_separation(frozen_synth):
 def test_criterion_6_leave_one_botnet_out(frozen_synth):
     records, labels = frozen_synth
     cfg = apply_preset(PipelineConfig(task="binary", seed=0), "Glob_Hier")
-    report = lobo_run(records, labels, cfg)
+    report = lobo_run(build_timelines(records), labels, cfg)
     changes = {cid: entry["pct_change"] for cid, entry in report.entries.items()}
     ok = all(abs(v) <= 5.0 for v in changes.values())
     _verdict(

@@ -67,7 +67,7 @@ def test_derive_seed_is_stable():
 def test_run_pipeline_binary_ward(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
-    res = run_pipeline(records, labels, cfg)
+    res = run_pipeline(build_timelines(records), labels, cfg)
     assert res.pred_labels.shape == res.true_labels.shape
     assert set(np.unique(res.pred_labels)) <= {0, 1}
     assert res.assignment.n_clusters == 2
@@ -79,7 +79,7 @@ def test_run_pipeline_binary_ward(small_dataset):
 def test_cluster_report_polarity_scores_name_genuine(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
-    res = run_pipeline(records, labels, cfg)
+    res = run_pipeline(build_timelines(records), labels, cfg)
     polarity = res.clustering.report(cfg)["polarity"]
     scores = polarity["local_density"]
     assert len(scores) == 2 and min(scores) > 0
@@ -94,7 +94,7 @@ def test_cluster_report_polarity_scores_name_genuine(small_dataset):
 def test_run_pipeline_multiclass_dbscan(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="multiclass", seed=0, **FAST), "UTS_DBSCAN")
-    res = run_pipeline(records, labels, cfg)
+    res = run_pipeline(build_timelines(records), labels, cfg)
     assert res.clustering.eps is not None and res.clustering.eps > 0
     assert res.metrics.confusion.shape == (3, 3)
     assert set(np.unique(res.pred_labels)) <= {0, 1, 2}
@@ -103,11 +103,11 @@ def test_run_pipeline_multiclass_dbscan(small_dataset):
 def test_run_pipeline_vec_and_glob_vec(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Vec_Hier")
-    res = run_pipeline(records, labels, cfg)
+    res = run_pipeline(build_timelines(records), labels, cfg)
     assert res.latents["vec"].shape == (32, FAST["latent_dim"])
 
     cfg2 = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Vec_Hier")
-    res2 = run_pipeline(records, labels, cfg2)
+    res2 = run_pipeline(build_timelines(records), labels, cfg2)
     # z-scored stats (19) concatenated with the vector latent
     assert res2.points.shape == (32, 19 + FAST["latent_dim"])
     assert "uts" in res2.models and "vec" in res2.models
@@ -116,8 +116,8 @@ def test_run_pipeline_vec_and_glob_vec(small_dataset):
 def test_pipeline_deterministic_per_seed(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=5, **FAST), "Glob_Hier")
-    r1 = run_pipeline(records, labels, cfg)
-    r2 = run_pipeline(records, labels, cfg)
+    r1 = run_pipeline(build_timelines(records), labels, cfg)
+    r2 = run_pipeline(build_timelines(records), labels, cfg)
     assert np.array_equal(r1.pred_labels, r2.pred_labels)
     assert np.array_equal(r1.points, r2.points)
     assert r1.metrics.weighted_f1 == r2.metrics.weighted_f1
@@ -139,7 +139,7 @@ def test_run_pipeline_from_mts_feature_subset(small_dataset):
 def test_lobo_run_small(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
-    rep = lobo_run(records, labels, cfg)
+    rep = lobo_run(build_timelines(records), labels, cfg)
     assert set(rep.entries) == {1, 2}
     for entry in rep.entries.values():
         assert "weighted_f1" in entry and "pct_change" in entry
@@ -151,9 +151,9 @@ def test_lobo_guards(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
     with pytest.raises(ValueError):
-        lobo_run(records, labels, cfg, bot_classes=[1])
+        lobo_run(build_timelines(records), labels, cfg, bot_classes=[1])
     with pytest.raises(ValueError):
-        lobo_run(records, labels, cfg, bot_classes=[0, 1])
+        lobo_run(build_timelines(records), labels, cfg, bot_classes=[0, 1])
 
 
 # ----------------------------------------------------------------- CLI
