@@ -4,12 +4,16 @@ Input rows are pre-extracted per-tweet entity counts, not raw tweet text.
 Timestamps are normalized to UTC; the day boundary sits at 00:00:00 UTC.
 
 ``parse_tweets`` reads a file straight into a ``TweetTable`` without a
-per-tweet object: it decodes the rows one line at a time and turns each
-chunk of CHUNK_ROWS decoded rows into columns. Canonical rows (a
-non-empty string user id, a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp and
-non-negative integer counts) are converted for the whole chunk at once;
-every other row goes through the row validator in line order, so errors,
-negative-row warnings and UTC days are those of a row-by-row parse.
+per-tweet object, CHUNK_ROWS lines at a time, along two paths:
+
+- the pattern path: a JSONL chunk whose lines all hold the keys, key
+  order and value types ``write_tweets_jsonl`` writes, with or without a
+  space after each ':' and ',' (``_CANONICAL_LINES``), is read into
+  columns by one regular-expression scan, with no row decoded;
+- the row validator: any other chunk, and every CSV file, is decoded and
+  checked row by row in line order, so errors, negative-row warnings and
+  UTC days are those of a row-by-row parse.
+
 ``build_timelines`` indexes in-memory ``TweetRecord`` lists (from
 ``synth`` and the tests) into the same table.
 """
@@ -19,10 +23,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from collections.abc import Iterator
+import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import compress
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +45,41 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 GENUINE_CLASS = 0
 
-# Rows decoded before a chunk is turned into columns: large enough that
-# the per-chunk numpy calls cost little per row, small enough that the
-# decoded dicts of one chunk stay a few MiB.
+# Lines read before a chunk is turned into columns: large enough that
+# the per-chunk numpy calls cost little per row, small enough that one
+# chunk's text and columns stay a few MiB.
 CHUNK_ROWS = 4096
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
-_NAT = np.datetime64("NaT", "s")
+
+
+def _line_pattern(space: str) -> re.Pattern:
+    r"""One line with the keys, key order and value types
+    ``write_tweets_jsonl`` writes and ``space`` after each ':' and ','; a
+    CRLF ending leaves a '\r' before the '\n'.
+
+    Whatever it matches decodes to the same values as ``json.loads``: the
+    id holds no quote, backslash or control character, so it is the text
+    itself; digits are ASCII ([0-9], not \d, which also matches other
+    scripts' digits); and a count has at most 15 digits, so ``float()``
+    of the text is exact. The timestamp's 19 characters before the 'Z'
+    are captured for ``datetime64[s]``, which rejects a date or time
+    that does not exist (month 13, hour 24, second 60).
+    """
+    count = r"(0|[1-9][0-9]{0,14})"
+    fields = (("user_id", r'"([^"\\\x00-\x1f]+)"'),
+              ("timestamp", r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})Z"'),
+              *((name, count) for name in FEATURE_NAMES))
+    return re.compile(
+        r"^\{" + f",{space}".join(f'"{name}":{space}{value}' for name, value in fields)
+        + r"\}\r?$",
+        re.M,
+    )
+
+
+# ``json.dumps``'s default separators, and the compact ones that pandas,
+# JavaScript's JSON.stringify and ``jq -c`` write.
+_CANONICAL_LINES = (_line_pattern(" "), _line_pattern(""))
 
 
 class ParseError(ValueError):
@@ -147,7 +180,7 @@ def _row_from_fields(fields: dict, line_no: int) -> tuple[str, int, list[float]]
             raise ParseError(line_no, f"missing field '{key}'")
     try:
         ts = _parse_timestamp(str(fields["timestamp"]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an offset can move a stamp past year 1 or 9999
         raise ParseError(line_no, f"bad timestamp {fields['timestamp']!r}: {exc}") from exc
     counts = []
     for name in FEATURE_NAMES:
@@ -181,7 +214,7 @@ class _TableBuilder:
         self.seen: dict[str, int] = {}
         self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def add(self, user_ids: list[str], ordinals: np.ndarray, counts: np.ndarray) -> None:
+    def add(self, user_ids: Sequence[str], ordinals: np.ndarray, counts: np.ndarray) -> None:
         """Append records: their user ids, UTC day ordinals and (M, 6) float64 counts."""
         seen = self.seen
         first_seen = np.fromiter((seen.setdefault(uid, len(seen)) for uid in user_ids),
@@ -206,76 +239,62 @@ class _TableBuilder:
         )
 
 
-def _seconds_or_nat(text: str) -> np.datetime64:
+def _add_canonical_lines(builder: _TableBuilder, lines: list[str]) -> bool:
+    """Add a chunk of lines by one scan with the ``_CANONICAL_LINES``
+    pattern its first line matches, if every line matches and every
+    timestamp is a real UTC second from year 1 on; otherwise add nothing
+    and return False, and the row validator takes the chunk."""
+    # The first line picks the pattern; a chunk in another layout is not
+    # scanned at all.
+    pattern = next((p for p in _CANONICAL_LINES if p.match(lines[0])), None)
+    if pattern is None:
+        return False
+    matches = pattern.findall("".join(lines))
+    if len(matches) != len(lines):
+        return False
+    user_ids, stamps, *columns = zip(*matches)
     try:
-        return np.datetime64(text, "s")
-    except ValueError:
-        return _NAT
+        seconds = np.array(stamps).astype("datetime64[s]")
+    except ValueError:  # a date or time that does not exist
+        return False
+    if (seconds < _YEAR_ONE).any():  # year 0, which numpy reads but datetime does not
+        return False
+    counts = np.empty((len(lines), len(FEATURE_NAMES)))
+    for j, column in enumerate(columns):
+        counts[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=len(lines))
+    builder.add(user_ids, seconds.astype("datetime64[D]").astype(np.int64) + _EPOCH_ORDINAL,
+                counts)
+    return True
 
 
-def _canonical_ordinals(stamps: list) -> tuple[np.ndarray, np.ndarray]:
-    """UTC day ordinals of the canonical ``YYYY-MM-DDTHH:MM:SSZ`` stamps
-    from year 1 on, and the mask of the stamps that are canonical."""
-    canonical = np.array([type(s) is str and len(s) == 20 and s[19] == "Z" for s in stamps])
-    # U19 drops the 'Z'; numpy reads the empty string as NaT.
-    text = np.array([s if ok else "" for s, ok in zip(stamps, canonical)], dtype="U19")
-    try:
-        seconds = text.astype("datetime64[s]")
-    except ValueError:  # a value out of range somewhere in the chunk
-        seconds = np.array([_seconds_or_nat(t) for t in text], dtype="datetime64[s]")
-    canonical &= (np.datetime_as_string(seconds, unit="s") == text) & (seconds >= _YEAR_ONE)
-    return seconds.astype("datetime64[D]").astype(np.int64) + _EPOCH_ORDINAL, canonical
-
-
-def _add_chunk(builder: _TableBuilder, chunk: list[tuple[int, dict]]) -> None:
-    """Turn one chunk of (line number, decoded row) pairs into columns.
-
-    Rows with a non-empty string user id, a canonical timestamp and
-    non-negative integer counts that fit a float64 are converted for the
-    whole chunk at once. Every other row goes through ``_row_from_fields``
-    in line order, so the first bad row raises and negative rows are
-    dropped exactly as a row-by-row parse would. CSV fields are strings,
-    so CSV rows always take that path.
-    """
-    if not chunk:
-        return
-    rows = [fields for _, fields in chunk]
-    user_ids = [row.get("user_id") for row in rows]
-    fast = np.array([type(uid) is str and uid != "" for uid in user_ids])
-    ordinals, canonical = _canonical_ordinals([row.get("timestamp") for row in rows])
-    fast &= canonical
-    counts = np.zeros((len(rows), len(FEATURE_NAMES)))
-    for j, name in enumerate(FEATURE_NAMES):
-        column = [row.get(name) for row in rows]
-        is_int = np.array([type(value) is int for value in column])
-        if not is_int.all():
-            column = [value if ok else 0 for value, ok in zip(column, is_int)]
+def _line_chunks(fh) -> Iterator[tuple[int, list[str]]]:
+    """The file's lines CHUNK_ROWS at a time, each chunk with the number of
+    its first line. The lines read before an undecodable byte are yielded
+    before the error is raised, so a bad line among them is still the one
+    reported, as in a line-by-line read."""
+    line_no = 1
+    while True:
+        lines: list[str] = []
         try:
-            counts[:, j] = np.array(column, dtype=np.float64)
-        except OverflowError:  # the row validator names the row and count
-            is_int[:] = False
-        fast &= is_int & (counts[:, j] >= 0)
-    keep = np.ones(len(rows), dtype=bool)
-    for i in np.flatnonzero(~fast):
-        line_no, fields = chunk[i]
-        row = _row_from_fields(fields, line_no)
-        if row is None:
-            keep[i] = False
-        else:
-            user_ids[i], ordinals[i], counts[i] = row
-    if not keep.all():
-        user_ids = list(compress(user_ids, keep))
-        ordinals, counts = ordinals[keep], counts[keep]
-    builder.add(user_ids, ordinals, counts)
+            for line in islice(fh, CHUNK_ROWS):
+                lines.append(line)
+        except UnicodeDecodeError:
+            if lines:
+                yield line_no, lines
+            raise
+        if not lines:
+            return
+        yield line_no, lines
+        line_no += len(lines)
 
 
-def _jsonl_rows(fh) -> Iterator[tuple[int, dict]]:
-    for line_no, line in enumerate(fh, start=1):
+def _jsonl_rows(lines: list[str], first_line_no: int) -> Iterator[tuple[int, dict]]:
+    for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
         try:
             fields = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
             raise ParseError(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(fields, dict):
             raise ParseError(line_no, "row is not a JSON object")
@@ -295,11 +314,24 @@ def _csv_rows(fh) -> Iterator[tuple[int, dict]]:
         yield line_no, row
 
 
+def _add_rows(builder: _TableBuilder, rows: Iterator[tuple[int, dict]]) -> None:
+    """Check decoded (line number, row) pairs with the row validator in
+    line order and add the kept rows, CHUNK_ROWS at a time."""
+    kept = (row for row in (_row_from_fields(fields, line_no) for line_no, fields in rows)
+            if row is not None)
+    while chunk := list(islice(kept, CHUNK_ROWS)):
+        user_ids, ordinals, counts = zip(*chunk)
+        builder.add(user_ids, np.array(ordinals, dtype=np.int64),
+                    np.array(counts, dtype=np.float64))
+
+
 def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
     """Parse tweet activity rows from a JSONL or CSV file into one TweetTable.
 
-    Rows are read in chunks of CHUNK_ROWS and each chunk becomes columns;
-    no per-tweet object is built. Structurally malformed rows
+    Lines are read in chunks of CHUNK_ROWS and each chunk becomes columns;
+    no per-tweet object is built. A JSONL chunk in ``write_tweets_jsonl``'s
+    layout, compact or not, is read by one pattern scan; any other chunk
+    is decoded row by row, with the same result. Structurally malformed rows
     (undecodable, missing fields, bad timestamps, counts that are not
     integers or do not fit a float64) raise ParseError with the offending
     line number; the first such line in the file is the one reported.
@@ -311,28 +343,29 @@ def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
         raise ValueError(f"unknown format {format!r}, expected 'jsonl' or 'csv'")
     builder = _TableBuilder()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = _jsonl_rows(fh) if format == "jsonl" else _csv_rows(fh)
-        chunk: list[tuple[int, dict]] = []
-        try:
-            for row in rows:
-                chunk.append(row)
-                if len(chunk) == CHUNK_ROWS:
-                    full, chunk = chunk, []
-                    _add_chunk(builder, full)
-        except ParseError:
-            _add_chunk(builder, chunk)  # a bad row earlier in the chunk is reported first
-            raise
-        _add_chunk(builder, chunk)
+        if format == "csv":
+            _add_rows(builder, _csv_rows(fh))
+        else:
+            for line_no, lines in _line_chunks(fh):
+                if not _add_canonical_lines(builder, lines):
+                    _add_rows(builder, _jsonl_rows(lines, line_no))
     return builder.table()
 
 
 def write_tweets_jsonl(records: list[TweetRecord], path: str | Path) -> None:
-    """Serialize records to the JSONL interchange format (UTC, 'Z' suffix)."""
+    """Serialize records to the JSONL interchange format (UTC, 'Z' suffix).
+
+    An aware timestamp is converted to UTC; a naive one is written as it stands."""
     with open(Path(path), "w", encoding="utf-8") as fh:
         for rec in records:
+            ts = rec.timestamp
+            # UTC (synth's zone, tested first as it is cheap), naive and
+            # zero offsets need no conversion.
+            if ts.tzinfo is not timezone.utc and ts.utcoffset():
+                ts = ts.astimezone(timezone.utc)
             row = {
                 "user_id": rec.user_id,
-                "timestamp": rec.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                "timestamp": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
             }
             row.update({name: count for name, count in zip(FEATURE_NAMES, rec.counts())})
             fh.write(json.dumps(row) + "\n")

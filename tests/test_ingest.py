@@ -1,10 +1,12 @@
 import json
 import logging
 from datetime import date, datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from botclust import ingest
 from botclust.cli import main
 from botclust.ingest import (
     CHUNK_ROWS,
@@ -27,6 +29,25 @@ def _row(user="u1", ts="2023-01-05T10:00:00Z", **over):
     for name in FEATURE_NAMES:
         row[name] = over.get(name, 0)
     return row
+
+
+def _line(**over):
+    return json.dumps(_row(**over))
+
+
+def _compact_line(**over):
+    """``_line`` with json.dumps's compact separators."""
+    return json.dumps(_row(**over), separators=(",", ":"))
+
+
+def _raw_line(**over):
+    """``_line`` with non-ASCII and DEL characters written raw, not escaped."""
+    return json.dumps(_row(**over), ensure_ascii=False)
+
+
+def _with_count(text):
+    """A canonical line whose retweet_count is the raw JSON ``text``."""
+    return _line().replace('"retweet_count": 0', f'"retweet_count": {text}')
 
 
 def _write_jsonl(path, rows):
@@ -130,6 +151,31 @@ def test_write_tweets_jsonl_roundtrip(tmp_path):
     assert tables_equal(parse_tweets(p), build_timelines(recs))
 
 
+def test_write_converts_aware_timestamp_to_utc(tmp_path):
+    # 01:00 on Mar 2 at +05:00 is 20:00 UTC on Mar 1.
+    rec = TweetRecord("a", datetime(2023, 3, 2, 1, 0, tzinfo=timezone(timedelta(hours=5))),
+                      0, 0, 0, 0, 0, 0)
+    p = tmp_path / "out.jsonl"
+    write_tweets_jsonl([rec], p)
+    assert json.loads(p.read_text())["timestamp"] == "2023-03-01T20:00:00Z"
+    assert tables_equal(parse_tweets(p), build_timelines([rec]))
+
+
+@pytest.mark.parametrize("line, message", [
+    pytest.param(_line(ts="0001-01-01T00:30:00+01:00"), "bad timestamp", id="offset_before_year_1"),
+    pytest.param(_line(ts="9999-12-31T23:30:00-01:00"), "bad timestamp", id="offset_past_year_9999"),
+    pytest.param(_with_count("9" * 4301), "invalid JSON", id="count_4301_digits"),
+])
+def test_undecodable_row_is_line_numbered_and_exit_4(tmp_path, caplog, line, message):
+    p = tmp_path / "t.jsonl"
+    p.write_text(_line() + "\n" + line + "\n")
+    with pytest.raises(ParseError, match=f"line 2: {message}") as err:
+        parse_tweets(p)
+    assert err.value.line_no == 2
+    assert main(["extract", "--outdir", str(tmp_path / "out"), "--tweets", str(p)]) == 4
+    assert "line 2" in caplog.text
+
+
 @pytest.mark.parametrize(
     "raw", [float("inf"), float("-inf"), float("nan"), True, pytest.param(10**400, id="1e400")]
 )
@@ -198,12 +244,12 @@ def test_build_timelines_rejects_empty(tmp_path):
 
 
 def _outcome(parse, path, format, caplog):
-    """The table or ParseError a parse gives, with the warnings it logged."""
+    """The table or input error a parse gives, with the warnings it logged."""
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="botclust.ingest"):
         try:
             result = parse(path, format)
-        except ParseError as exc:
+        except (ParseError, UnicodeDecodeError) as exc:
             result = exc
     return result, list(caplog.messages)
 
@@ -215,14 +261,13 @@ def _assert_matches_rowwise(path, caplog, format="jsonl"):
     if isinstance(expected, ParseError):
         assert isinstance(got, ParseError), got
         assert (got.line_no, str(got)) == (expected.line_no, str(expected))
+    elif isinstance(expected, UnicodeDecodeError):
+        assert isinstance(got, UnicodeDecodeError), got
+        assert str(got) == str(expected)
     else:
         assert isinstance(got, TweetTable), got
         assert tables_equal(got, expected)
     assert got_log == expected_log
-
-
-def _line(**over):
-    return json.dumps(_row(**over))
 
 
 # One middle row per case, between two canonical rows. Each must parse to
@@ -237,11 +282,8 @@ ROWWISE_CASES = {
     "fraction": _line(ts="2023-01-05T10:00:00.750Z"),
     "whitespace": _line(ts="  2023-01-05T10:00:00Z "),
     "space_separator": _line(ts="2023-01-05 10:00:00Z"),
-    # numpy reads the offset inside the first 19 characters (and warns);
-    # only the round trip keeps the row off the fast path.
-    "offset_before_z": pytest.param(
-        _line(ts="2023-01-05T10:00+01Z"),
-        marks=pytest.mark.filterwarnings("ignore:no explicit representation of timezones")),
+    # numpy would read the offset inside the first 19 characters.
+    "offset_before_z": _line(ts="2023-01-05T10:00+01Z"),
     "letter_separator": _line(ts="2023-01-05X10:00:00Z"),
     "year_0": _line(ts="0000-01-01T00:00:00Z"),
     "year_1": _line(ts="0001-01-01T00:00:00Z"),
@@ -272,14 +314,66 @@ ROWWISE_CASES = {
     "blank_lines": "\n   \n" + _line(user="u3"),
     "not_an_object": "[1, 2]",
     "bad_json": "{not json",
+    # Near misses of write_tweets_jsonl's layout: the pattern path must
+    # either leave them to the row validator or read what json.loads reads.
+    "user_escaped_quote": _line(user='a"b'),
+    "user_escaped_e_acute": _line(user="é"),
+    "user_raw_e_acute": _raw_line(user="é"),
+    "user_raw_tab": _line(user="a\tb").replace("\\t", "\t"),
+    "user_raw_del": _raw_line(user="a\x7fb"),
+    "user_raw_line_separator": _raw_line(user="a\u2028b"),
+    "arabic_indic_timestamp": _line(ts="٢٠٢٣-٠١-٠٥T10:00:00Z"),
+    "arabic_indic_count": _with_count("1٣"),
+    "count_leading_zero": _with_count("01"),
+    "count_minus_zero": _with_count("-0"),
+    "count_15_digits": _line(favorite_count=10**15 - 1),
+    "count_16_digits": _line(favorite_count=10**16 - 1),
+    "crlf": _line() + "\r",
+    "trailing_space": _line() + " ",
+    "compact_separators": _compact_line(),
+    "tab_separators": json.dumps(_row(), separators=(",\t", ":\t")),
+    "two_spaces": json.dumps(_row(), separators=(",  ", ":  ")),
+    "lone_cr_between_rows": _line(user="m") + "\r" + _line(user="n"),
+    "reordered_keys": json.dumps(_row(), sort_keys=True),
+    "duplicate_count": _line()[:-1] + ', "favorite_count": 5}',
 }
+
+
+# Near misses of the compact layout, between two compact rows.
+COMPACT_CASES = {
+    "canonical": _compact_line(user="m"),
+    "crlf": _compact_line() + "\r",
+    "user_escaped_quote": _compact_line(user='a"b'),
+    "user_raw_tab": _compact_line(user="a\tb").replace("\\t", "\t"),
+    "arabic_indic_count": _compact_line().replace('"retweet_count":0', '"retweet_count":1٣'),
+    "count_leading_zero": _compact_line().replace('"retweet_count":0', '"retweet_count":01'),
+    "count_16_digits": _compact_line(favorite_count=10**16 - 1),
+    "month_13": _compact_line(ts="2023-13-01T00:00:00Z"),
+    "offset": _compact_line(ts="2023-01-05T23:30:00+02:00"),
+    "negative": _compact_line(num_mentions=-2),
+    "space_after_colon_only": json.dumps(_row(), separators=(",", ": ")),
+    "default_separators": _line(),
+    "trailing_space": _compact_line() + " ",
+}
+
+
+def _three_line_file(path, middle, line):
+    path.write_text("\n".join([line(user="a", ts="2023-01-04T08:00:00Z", num_urls=1), middle,
+                               line(user="z", ts="2023-01-09T23:59:59Z", reply_count=4)]) + "\n",
+                    encoding="utf-8")
 
 
 @pytest.mark.parametrize("middle", ROWWISE_CASES.values(), ids=ROWWISE_CASES.keys())
 def test_parse_matches_rowwise_oracle(tmp_path, caplog, middle):
     p = tmp_path / "t.jsonl"
-    p.write_text("\n".join([_line(user="a", ts="2023-01-04T08:00:00Z", num_urls=1), middle,
-                            _line(user="z", ts="2023-01-09T23:59:59Z", reply_count=4)]) + "\n")
+    _three_line_file(p, middle, _line)
+    _assert_matches_rowwise(p, caplog)
+
+
+@pytest.mark.parametrize("middle", COMPACT_CASES.values(), ids=COMPACT_CASES.keys())
+def test_compact_parse_matches_rowwise_oracle(tmp_path, caplog, middle):
+    p = tmp_path / "t.jsonl"
+    _three_line_file(p, middle, _compact_line)
     _assert_matches_rowwise(p, caplog)
 
 
@@ -296,17 +390,17 @@ def test_parse_csv_matches_rowwise_oracle(tmp_path, caplog, counts):
     _assert_matches_rowwise(p, caplog, format="csv")
 
 
-def _two_chunk_file(path, special):
+def _two_chunk_file(path, special, line=_line, newline="\n"):
     """2 * CHUNK_ROWS + 5 canonical rows over 9 users and 40 days, with
     the lines named in ``special`` (1-based line number -> text) replaced."""
     lines = [
-        _line(user=f"u{i % 9}", ts=f"2023-02-{1 + i % 28:02d}T{i % 24:02d}:00:00Z",
-              num_urls=i % 3, favorite_count=i % 11)
+        line(user=f"u{i % 9}", ts=f"2023-02-{1 + i % 28:02d}T{i % 24:02d}:00:00Z",
+             num_urls=i % 3, favorite_count=i % 11)
         for i in range(2 * CHUNK_ROWS + 5)
     ]
     for line_no, text in special.items():
         lines[line_no - 1] = text
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes((newline.join(lines) + newline).encode())
 
 
 CHUNK_CASES = {
@@ -337,6 +431,58 @@ def test_parse_matches_rowwise_oracle_across_chunks(tmp_path, caplog, special):
     p = tmp_path / "t.jsonl"
     _two_chunk_file(p, special)
     _assert_matches_rowwise(p, caplog)
+
+
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+@pytest.mark.parametrize("early", ["negative", "string_count", "missing_count"])
+def test_rows_before_undecodable_byte_match_rowwise_oracle(tmp_path, caplog, format, early):
+    # The 0xff byte sits far past the first 8 KiB the reader decodes at once.
+    header = ["user_id", "timestamp", *FEATURE_NAMES]
+    rows = [_row(user=f"u{i}") for i in range(300)]
+    rows[1] = {"negative": _row(num_urls=-1), "string_count": _row(retweet_count="x"),
+               "missing_count": {k: v for k, v in _row().items() if k != "reply_count"}}[early]
+    if format == "jsonl":
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+    else:
+        text = ",".join(header) + "\n" + "".join(
+            ",".join(str(row.get(h, "")) for h in header) + "\n" for row in rows)
+    p = tmp_path / "t.jsonl"
+    p.write_bytes(text.encode() + b"\xff\n")
+    _assert_matches_rowwise(p, caplog, format=format)
+
+
+def _record_decoded(monkeypatch):
+    """The lines ``parse_tweets`` decodes with json.loads, as it decodes them."""
+    decoded = []
+
+    def loads(line):
+        decoded.append(line)
+        return json.loads(line)
+
+    monkeypatch.setattr(ingest, "json", SimpleNamespace(loads=loads))
+    return decoded
+
+
+@pytest.mark.parametrize("line", [_line, _compact_line], ids=["default", "compact"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final_newline", "no_final_newline"])
+def test_canonical_file_decodes_no_line(tmp_path, caplog, monkeypatch, line, newline,
+                                        final_newline):
+    p = tmp_path / "t.jsonl"
+    _two_chunk_file(p, {}, line, newline)
+    if not final_newline:
+        p.write_bytes(p.read_bytes()[:-len(newline)])
+    decoded = _record_decoded(monkeypatch)
+    _assert_matches_rowwise(p, caplog)
+    assert decoded == []
+
+
+def test_odd_line_decodes_only_its_chunk(tmp_path, caplog, monkeypatch):
+    p = tmp_path / "t.jsonl"
+    _two_chunk_file(p, {CHUNK_ROWS + 3: json.dumps(_row(user="odd"), separators=(",", ":"))})
+    decoded = _record_decoded(monkeypatch)
+    _assert_matches_rowwise(p, caplog)
+    assert decoded == p.read_text().splitlines(keepends=True)[CHUNK_ROWS:2 * CHUNK_ROWS]
 
 
 def test_canonical_parse_builds_no_tweet_record(tmp_path, monkeypatch):
