@@ -51,6 +51,8 @@ GENUINE_CLASS = 0
 CHUNK_ROWS = 4096
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
+# A byte that is not UTF-8, as ``errors="surrogateescape"`` decodes it.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _line_pattern(space: str) -> re.Pattern:
@@ -80,6 +82,14 @@ def _line_pattern(space: str) -> re.Pattern:
 # ``json.dumps``'s default separators, and the compact ones that pandas,
 # JavaScript's JSON.stringify and ``jq -c`` write.
 _CANONICAL_LINES = (_line_pattern(" "), _line_pattern(""))
+
+# ``write_tweets_jsonl``'s line, with ``json.dumps``'s default separators,
+# for an id that ``json.dumps`` writes as it stands (printable ASCII other
+# than a quote or a backslash) and six plain ints.
+_LINE = ('{"user_id": "%s", "timestamp": "%s", '
+         + ", ".join(f'"{name}": %d' for name in FEATURE_NAMES) + "}\n")
+_PLAIN_ID = re.compile(r'[ !#-\[\]-~]*')
+_INT_COUNTS = (int,) * len(FEATURE_NAMES)
 
 
 class ParseError(ValueError):
@@ -114,7 +124,9 @@ class TweetRecord:
         )
 
     def day(self) -> date:
-        return self.timestamp.astimezone(timezone.utc).date()
+        """The UTC date; a naive timestamp is read as UTC, as the
+        interchange format reads it."""
+        return _as_utc(self.timestamp).date()
 
 
 @dataclass(frozen=True)
@@ -160,6 +172,15 @@ class LabelTable:
         for cid in self.labels.values():
             out[cid] = out.get(cid, 0) + 1
         return dict(sorted(out.items()))
+
+
+def _as_utc(ts: datetime) -> datetime:
+    """``ts`` on the UTC clock; a naive timestamp is taken to be UTC already."""
+    # UTC (synth's zone, tested first as it is cheap), naive and zero
+    # offsets need no conversion.
+    if ts.tzinfo is not timezone.utc and ts.utcoffset():
+        return ts.astimezone(timezone.utc)
+    return ts
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -267,18 +288,37 @@ def _add_canonical_lines(builder: _TableBuilder, lines: list[str]) -> bool:
     return True
 
 
-def _line_chunks(fh) -> Iterator[tuple[int, list[str]]]:
+def _utf8_lines(path: Path) -> Iterator[str]:
+    """The file's lines, split as a strict UTF-8 read splits them, up to the
+    first line holding a byte that is not UTF-8, which raises ParseError
+    with that line's number.
+
+    Only the error path reads a file this way, after a strict read raised
+    UnicodeDecodeError: each undecodable byte is kept as a lone surrogate,
+    which UTF-8 text never decodes to.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if bad := _ESCAPED_BYTE.search(line):
+                raise ParseError(line_no, f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
+            yield line
+
+
+def _line_chunks(fh, path: Path) -> Iterator[tuple[int, list[str]]]:
     """The file's lines CHUNK_ROWS at a time, each chunk with the number of
-    its first line. The lines read before an undecodable byte are yielded
-    before the error is raised, so a bad line among them is still the one
-    reported, as in a line-by-line read."""
-    line_no = 1
+    its first line. At an undecodable byte the read goes on from the last
+    line read through ``_utf8_lines``, so every line before the bad one is
+    still yielded, and a bad row among them still reported first, as in a
+    line-by-line read."""
+    line_no, lines, source = 1, [], fh
     while True:
-        lines: list[str] = []
         try:
-            for line in islice(fh, CHUNK_ROWS):
+            for line in islice(source, CHUNK_ROWS - len(lines)):
                 lines.append(line)
         except UnicodeDecodeError:
+            source = islice(_utf8_lines(path), line_no - 1 + len(lines), None)
+            continue
+        except ParseError:  # the undecodable line
             if lines:
                 yield line_no, lines
             raise
@@ -286,6 +326,7 @@ def _line_chunks(fh) -> Iterator[tuple[int, list[str]]]:
             return
         yield line_no, lines
         line_no += len(lines)
+        lines = []
 
 
 def _jsonl_rows(lines: list[str], first_line_no: int) -> Iterator[tuple[int, dict]]:
@@ -301,17 +342,23 @@ def _jsonl_rows(lines: list[str], first_line_no: int) -> Iterator[tuple[int, dic
         yield line_no, fields
 
 
-def _csv_rows(fh) -> Iterator[tuple[int, dict]]:
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
-        return
-    expected = {"user_id", "timestamp", *FEATURE_NAMES}
-    if not expected.issubset(set(reader.fieldnames)):
-        raise ParseError(1, f"CSV header missing columns {sorted(expected - set(reader.fieldnames))}")
-    for line_no, row in enumerate(reader, start=2):
-        if None in row.values() or None in row:
-            raise ParseError(line_no, "wrong number of columns")
-        yield line_no, row
+def _csv_rows(fh, path: Path) -> Iterator[tuple[int, dict]]:
+    line_no = 1
+    try:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            return
+        expected = {"user_id", "timestamp", *FEATURE_NAMES}
+        if not expected.issubset(set(reader.fieldnames)):
+            raise ParseError(1, f"CSV header missing columns {sorted(expected - set(reader.fieldnames))}")
+        for line_no, row in enumerate(reader, start=2):
+            if None in row.values() or None in row:
+                raise ParseError(line_no, "wrong number of columns")
+            yield line_no, row
+    except UnicodeDecodeError:
+        # Read the file again through ``_utf8_lines`` and go on past the
+        # rows already yielded, so every row before the bad line is checked.
+        yield from islice(_csv_rows(_utf8_lines(path), path), line_no - 1, None)
 
 
 def _add_rows(builder: _TableBuilder, rows: Iterator[tuple[int, dict]]) -> None:
@@ -344,31 +391,59 @@ def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
     builder = _TableBuilder()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if format == "csv":
-            _add_rows(builder, _csv_rows(fh))
+            _add_rows(builder, _csv_rows(fh, path))
         else:
-            for line_no, lines in _line_chunks(fh):
+            for line_no, lines in _line_chunks(fh, path):
                 if not _add_canonical_lines(builder, lines):
                     _add_rows(builder, _jsonl_rows(lines, line_no))
     return builder.table()
 
 
-def write_tweets_jsonl(records: list[TweetRecord], path: str | Path) -> None:
-    """Serialize records to the JSONL interchange format (UTC, 'Z' suffix).
+def _utc_stamp(ts: datetime) -> str:
+    """The interchange timestamp: UTC to the second, four-digit year, 'Z'."""
+    ts = _as_utc(ts)
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (ts.year, ts.month, ts.day,
+                                               ts.hour, ts.minute, ts.second)
 
-    An aware timestamp is converted to UTC; a naive one is written as it stands."""
+
+def _json_line(user_id, stamp: str, counts: tuple) -> str:
+    row = {"user_id": user_id, "timestamp": stamp}
+    row.update(zip(FEATURE_NAMES, counts))
+    return json.dumps(row) + "\n"
+
+
+def write_tweets_jsonl(records: list[TweetRecord], path: str | Path) -> None:
+    """Serialize records to the JSONL interchange format: per record the
+    line ``json.dumps`` writes with its default separators, keys in
+    ``_LINE``'s order, and the timestamp in UTC with a four-digit year and
+    a 'Z'.
+
+    An aware timestamp is converted to UTC; a naive one is written as it
+    stands. Most records fill ``_LINE``; one whose id ``json.dumps`` would
+    escape, or whose counts are not all plain ints (a bool is written
+    ``true``), goes through ``json.dumps`` itself, so the bytes are the
+    same either way.
+    """
+    plain_ids: dict[str, bool] = {}
+    it = iter(records)
     with open(Path(path), "w", encoding="utf-8") as fh:
-        for rec in records:
-            ts = rec.timestamp
-            # UTC (synth's zone, tested first as it is cheap), naive and
-            # zero offsets need no conversion.
-            if ts.tzinfo is not timezone.utc and ts.utcoffset():
-                ts = ts.astimezone(timezone.utc)
-            row = {
-                "user_id": rec.user_id,
-                "timestamp": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
-            }
-            row.update({name: count for name, count in zip(FEATURE_NAMES, rec.counts())})
-            fh.write(json.dumps(row) + "\n")
+        while chunk := list(islice(it, CHUNK_ROWS)):
+            # Per chunk, so a file of distinct stamps holds few at a time.
+            stamps: dict[datetime, str] = {}
+            lines = []
+            for rec in chunk:
+                user_id, ts, counts = rec.user_id, rec.timestamp, rec.counts()
+                stamp = stamps.get(ts)
+                if stamp is None:
+                    stamp = stamps[ts] = _utc_stamp(ts)
+                plain = type(user_id) is str and plain_ids.get(user_id)
+                if plain is None:
+                    plain = plain_ids[user_id] = _PLAIN_ID.fullmatch(user_id) is not None
+                if plain and tuple(map(type, counts)) == _INT_COUNTS:
+                    lines.append(_LINE % (user_id, stamp, *counts))
+                else:
+                    lines.append(_json_line(user_id, stamp, counts))
+            fh.write("".join(lines))
 
 
 def build_timelines(records: list[TweetRecord]) -> TweetTable:
@@ -388,29 +463,43 @@ def build_timelines(records: list[TweetRecord]) -> TweetTable:
     return builder.table()
 
 
-def load_labels(path: str | Path) -> LabelTable:
-    """Read the `user_id,class_id` CSV into a validated LabelTable."""
+def _label_table(lines, path: Path) -> LabelTable:
     labels: dict[str, int] = {}
-    with open(Path(path), "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty label file")
-        if [h.strip() for h in header] != ["user_id", "class_id"]:
-            raise ParseError(1, f"expected header 'user_id,class_id', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(line_no, f"expected 2 columns, got {len(row)}")
-            uid, raw_class = row[0].strip(), row[1].strip()
-            try:
-                cid = int(raw_class)
-            except ValueError as exc:
-                raise ParseError(line_no, f"class id is not an integer: {raw_class!r}") from exc
-            if cid < 0:
-                raise ParseError(line_no, f"negative class id {cid}")
-            if uid in labels:
-                raise ParseError(line_no, f"duplicate user_id {uid!r}")
-            labels[uid] = cid
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty label file")
+    if [h.strip() for h in header] != ["user_id", "class_id"]:
+        raise ParseError(1, f"expected header 'user_id,class_id', got {header}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ParseError(line_no, f"expected 2 columns, got {len(row)}")
+        uid, raw_class = row[0].strip(), row[1].strip()
+        try:
+            cid = int(raw_class)
+        except ValueError as exc:
+            raise ParseError(line_no, f"class id is not an integer: {raw_class!r}") from exc
+        if cid < 0:
+            raise ParseError(line_no, f"negative class id {cid}")
+        if uid in labels:
+            raise ParseError(line_no, f"duplicate user_id {uid!r}")
+        labels[uid] = cid
     return LabelTable(labels=labels)
+
+
+def load_labels(path: str | Path) -> LabelTable:
+    """Read the `user_id,class_id` CSV into a validated LabelTable.
+
+    A byte that is not UTF-8 raises ParseError with its line number, unless
+    a bad row comes before it."""
+    path = Path(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return _label_table(fh, path)
+        except UnicodeDecodeError:
+            pass
+    # Read the file again through ``_utf8_lines``: the first error in line
+    # order, a bad row or the undecodable line, is the one raised.
+    return _label_table(_utf8_lines(path), path)

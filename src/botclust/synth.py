@@ -102,50 +102,57 @@ def _user_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
 
 
-def _genuine_tweets(user_id: str, index: int, cfg: SynthConfig) -> list[TweetRecord]:
+class _Slots(dict):
+    """(day, tweet index) -> the tweet's timestamp, built on first use and
+    shared by every record of one generated data set at that slot."""
+
+    def __missing__(self, key):
+        day, j = key
+        ts = self[key] = DAY0 + timedelta(days=day, hours=9 + j % 12, minutes=j // 12)
+        return ts
+
+
+# Each user's draws are pinned in kind and order: changing either changes
+# every population. ``random()`` gives ``uniform()``'s 0 + 1*U, and six
+# scalar ``poisson`` calls the six elementwise draws of ``poisson(means)``.
+def _genuine_tweets(user_id: str, index: int, cfg: SynthConfig,
+                    slots: _Slots) -> list[TweetRecord]:
     rng = _user_rng(cfg.seed, index)
     lo, hi = cfg.genuine_activity_range
     p_active = rng.uniform(lo, hi)
     means = rng.uniform(cfg.genuine_mean_range[0], cfg.genuine_mean_range[1],
-                        size=len(FEATURE_NAMES))
+                        size=len(FEATURE_NAMES)).tolist()
+    poisson = rng.poisson
     records: list[TweetRecord] = []
     for day in range(cfg.n_days):
-        if rng.uniform() >= p_active:
+        if rng.random() >= p_active:
             continue
-        for j in range(1 + rng.poisson(0.6)):
-            counts = rng.poisson(means)
-            records.append(_record(user_id, day, j, counts))
+        for j in range(1 + poisson(0.6)):
+            records.append(TweetRecord(user_id, slots[day, j], *map(poisson, means)))
     if not records:
         day = index % cfg.n_days
-        records.append(_record(user_id, day, 0, rng.poisson(means)))
+        records.append(TweetRecord(user_id, slots[day, 0], *map(poisson, means)))
     return records
 
 
-def _bot_tweets(user_id: str, index: int, template: BotTemplate,
-                cfg: SynthConfig) -> list[TweetRecord]:
+def _bot_tweets(user_id: str, index: int, template: BotTemplate, cfg: SynthConfig,
+                slots: _Slots) -> list[TweetRecord]:
     rng = _user_rng(cfg.seed, index)
     means = np.asarray(template.feature_means)
-    records: list[TweetRecord] = []
+    stamps, jitters = [], []
     for day in range(cfg.n_days):
         scheduled = day % template.period == 0
-        if rng.uniform() < template.flip_prob:
+        if rng.random() < template.flip_prob:
             scheduled = not scheduled
         if not scheduled:
             continue
         for j in range(template.tweets_per_active_day):
-            jitter = rng.normal(0.0, template.count_noise, size=means.size)
-            counts = np.maximum(0, np.rint(means + jitter)).astype(np.int64)
-            records.append(_record(user_id, day, j, counts))
-    if not records:
-        counts = np.maximum(0, np.rint(means)).astype(np.int64)
-        records.append(_record(user_id, 0, 0, counts))
-    return records
-
-
-def _record(user_id: str, day: int, tweet_index: int, counts) -> TweetRecord:
-    ts = DAY0 + timedelta(days=day, hours=9 + (tweet_index % 12), minutes=tweet_index // 12)
-    fields = {name: int(c) for name, c in zip(FEATURE_NAMES, counts)}
-    return TweetRecord(user_id=user_id, timestamp=ts, **fields)
+            stamps.append(slots[day, j])
+            jitters.append(rng.normal(0.0, template.count_noise, size=means.size))
+    if not stamps:
+        stamps, jitters = [slots[0, 0]], [np.zeros(means.size)]
+    counts = np.maximum(0, np.rint(means + np.array(jitters))).astype(np.int64).tolist()
+    return [TweetRecord(user_id, ts, *c) for ts, c in zip(stamps, counts)]
 
 
 def generate_dataset(cfg: SynthConfig) -> tuple[list[TweetRecord], LabelTable]:
@@ -154,16 +161,17 @@ def generate_dataset(cfg: SynthConfig) -> tuple[list[TweetRecord], LabelTable]:
     first, then each botnet)."""
     records: list[TweetRecord] = []
     labels: dict[str, int] = {}
+    slots = _Slots()
     index = 0
     for i in range(cfg.n_genuine):
         uid = f"gen_{i:04d}"
-        records.extend(_genuine_tweets(uid, index, cfg))
+        records.extend(_genuine_tweets(uid, index, cfg, slots))
         labels[uid] = GENUINE_CLASS
         index += 1
     for template in cfg.templates:
         for i in range(template.n_users):
             uid = f"bot{template.class_id}_{i:04d}"
-            records.extend(_bot_tweets(uid, index, template, cfg))
+            records.extend(_bot_tweets(uid, index, template, cfg, slots))
             labels[uid] = template.class_id
             index += 1
     return records, LabelTable(labels=labels)

@@ -10,11 +10,19 @@ import csv
 import json
 import logging
 import math
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 
-from botclust.ingest import FEATURE_NAMES, ParseError, TweetRecord, TweetTable
+from botclust.ingest import (
+    FEATURE_NAMES,
+    GENUINE_CLASS,
+    LabelTable,
+    ParseError,
+    TweetRecord,
+    TweetTable,
+)
 
 
 def oracle_lstm_forward(weights, x):
@@ -405,3 +413,100 @@ def tables_equal(a, b):
             for x, y in ((a.rows, b.rows), (a.days, b.days), (a.counts, b.counts))
         )
     )
+
+
+# The synthetic generator and the interchange writer as the package ran
+# them before their draws and lines were batched, frozen as they were:
+# one array call per tweet's draws, one record built by keyword, one
+# ``json.dumps`` per line. The package must return equal records, with
+# the same labels in the same order, and write the same bytes.
+
+
+_PERDRAW_DAY0 = datetime(2023, 1, 1, tzinfo=timezone.utc)
+
+
+def _perdraw_user_rng(seed, index):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
+
+
+def _perdraw_genuine_tweets(user_id, index, cfg):
+    rng = _perdraw_user_rng(cfg.seed, index)
+    lo, hi = cfg.genuine_activity_range
+    p_active = rng.uniform(lo, hi)
+    means = rng.uniform(cfg.genuine_mean_range[0], cfg.genuine_mean_range[1],
+                        size=len(FEATURE_NAMES))
+    records = []
+    for day in range(cfg.n_days):
+        if rng.uniform() >= p_active:
+            continue
+        for j in range(1 + rng.poisson(0.6)):
+            counts = rng.poisson(means)
+            records.append(_perdraw_record(user_id, day, j, counts))
+    if not records:
+        day = index % cfg.n_days
+        records.append(_perdraw_record(user_id, day, 0, rng.poisson(means)))
+    return records
+
+
+def _perdraw_bot_tweets(user_id, index, template, cfg):
+    rng = _perdraw_user_rng(cfg.seed, index)
+    means = np.asarray(template.feature_means)
+    records = []
+    for day in range(cfg.n_days):
+        scheduled = day % template.period == 0
+        if rng.uniform() < template.flip_prob:
+            scheduled = not scheduled
+        if not scheduled:
+            continue
+        for j in range(template.tweets_per_active_day):
+            jitter = rng.normal(0.0, template.count_noise, size=means.size)
+            counts = np.maximum(0, np.rint(means + jitter)).astype(np.int64)
+            records.append(_perdraw_record(user_id, day, j, counts))
+    if not records:
+        counts = np.maximum(0, np.rint(means)).astype(np.int64)
+        records.append(_perdraw_record(user_id, 0, 0, counts))
+    return records
+
+
+def _perdraw_record(user_id, day, tweet_index, counts):
+    ts = _PERDRAW_DAY0 + timedelta(days=day, hours=9 + (tweet_index % 12), minutes=tweet_index // 12)
+    fields = {name: int(c) for name, c in zip(FEATURE_NAMES, counts)}
+    return TweetRecord(user_id=user_id, timestamp=ts, **fields)
+
+
+def perdraw_generate_dataset(cfg):
+    """The records and labels of a SynthConfig, grouped by user in label
+    order (genuine first, then each botnet)."""
+    records = []
+    labels = {}
+    index = 0
+    for i in range(cfg.n_genuine):
+        uid = f"gen_{i:04d}"
+        records.extend(_perdraw_genuine_tweets(uid, index, cfg))
+        labels[uid] = GENUINE_CLASS
+        index += 1
+    for template in cfg.templates:
+        for i in range(template.n_users):
+            uid = f"bot{template.class_id}_{i:04d}"
+            records.extend(_perdraw_bot_tweets(uid, index, template, cfg))
+            labels[uid] = template.class_id
+            index += 1
+    return records, LabelTable(labels=labels)
+
+
+def dumps_write_tweets_jsonl(records, path):
+    """One ``json.dumps`` line per record. Its ``strftime`` writes a year
+    below 1000 with fewer than four digits, so compare only later years."""
+    with open(Path(path), "w", encoding="utf-8") as fh:
+        for rec in records:
+            ts = rec.timestamp
+            # UTC (synth's zone, tested first as it is cheap), naive and
+            # zero offsets need no conversion.
+            if ts.tzinfo is not timezone.utc and ts.utcoffset():
+                ts = ts.astimezone(timezone.utc)
+            row = {
+                "user_id": rec.user_id,
+                "timestamp": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            }
+            row.update({name: count for name, count in zip(FEATURE_NAMES, rec.counts())})
+            fh.write(json.dumps(row) + "\n")

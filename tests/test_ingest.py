@@ -1,5 +1,6 @@
 import json
 import logging
+import time
 from datetime import date, datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from botclust.ingest import (
     write_tweets_jsonl,
 )
 from botclust.mts import load_tensor
-from oracles import rowwise_parse_tweets, rowwise_table, tables_equal
+from oracles import dumps_write_tweets_jsonl, rowwise_parse_tweets, rowwise_table, tables_equal
 
 
 def _row(user="u1", ts="2023-01-05T10:00:00Z", **over):
@@ -161,6 +162,54 @@ def test_write_converts_aware_timestamp_to_utc(tmp_path):
     assert tables_equal(parse_tweets(p), build_timelines([rec]))
 
 
+@pytest.mark.parametrize("year", [1, 999, 1000, 9999])
+def test_write_roundtrip_four_digit_year(tmp_path, year):
+    rec = TweetRecord("a", datetime(year, 5, 1, tzinfo=timezone.utc), 1, 0, 0, 0, 0, 0)
+    p = tmp_path / "out.jsonl"
+    write_tweets_jsonl([rec], p)
+    assert json.loads(p.read_text())["timestamp"] == f"{year:04d}-05-01T00:00:00Z"
+    assert tables_equal(parse_tweets(p), build_timelines([rec]))
+
+
+def test_write_matches_dumps_oracle(tmp_path):
+    def rec(user_id="a", ts=datetime(2023, 2, 1, 8, 30, tzinfo=timezone.utc), count=0):
+        return TweetRecord(user_id, ts, 1, 2, 3, count, 0, 6)
+
+    # Each case between plain records, so a file mixes both kinds of line.
+    cases = [
+        rec('a"b'), rec("a\\b"), rec("\u00e9"), rec("x\ty"),
+        rec(ts=datetime(2023, 3, 2, 1, 0, tzinfo=timezone(timedelta(hours=5)))),
+        rec(ts=datetime(2023, 3, 2, 1, 0)),
+        rec(count=10**20), rec(count=True),
+    ]
+    records = [r for case in cases for r in (rec(), case)]
+    write_tweets_jsonl(records, tmp_path / "out.jsonl")
+    dumps_write_tweets_jsonl(records, tmp_path / "expected.jsonl")
+    written = (tmp_path / "out.jsonl").read_bytes()
+    assert written == (tmp_path / "expected.jsonl").read_bytes()
+    assert b'"retweet_count": true' in written
+
+
+@pytest.fixture
+def kolkata_local_time(monkeypatch):
+    """The process's local zone set to UTC+05:30 for one test."""
+    monkeypatch.setenv("TZ", "Asia/Kolkata")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+def test_naive_timestamp_is_utc_on_both_paths(tmp_path, kolkata_local_time):
+    # Read as local time, naive 01:00 on Mar 2 would be 19:30 UTC on Mar 1.
+    rec = TweetRecord("a", datetime(2023, 3, 2, 1, 0), 0, 0, 0, 0, 0, 0)
+    p = tmp_path / "out.jsonl"
+    write_tweets_jsonl([rec], p)
+    table = build_timelines([rec])
+    assert table.day_min == date(2023, 3, 2)
+    assert tables_equal(parse_tweets(p), table)
+
+
 @pytest.mark.parametrize("line, message", [
     pytest.param(_line(ts="0001-01-01T00:30:00+01:00"), "bad timestamp", id="offset_before_year_1"),
     pytest.param(_line(ts="9999-12-31T23:30:00-01:00"), "bad timestamp", id="offset_past_year_9999"),
@@ -254,6 +303,14 @@ def _outcome(parse, path, format, caplog):
     return result, list(caplog.messages)
 
 
+def _first_undecodable_line(path):
+    for line_no, line in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no
+
+
 def _assert_matches_rowwise(path, caplog, format="jsonl"):
     expected, expected_log = _outcome(
         lambda p, f: rowwise_table(rowwise_parse_tweets(p, f)), path, format, caplog)
@@ -262,8 +319,10 @@ def _assert_matches_rowwise(path, caplog, format="jsonl"):
         assert isinstance(got, ParseError), got
         assert (got.line_no, str(got)) == (expected.line_no, str(expected))
     elif isinstance(expected, UnicodeDecodeError):
-        assert isinstance(got, UnicodeDecodeError), got
-        assert str(got) == str(expected)
+        # The row-wise parse lets the decoder's error through; the parse
+        # names the line of the first byte that is not UTF-8.
+        assert isinstance(got, ParseError), got
+        assert got.line_no == _first_undecodable_line(path)
     else:
         assert isinstance(got, TweetTable), got
         assert tables_equal(got, expected)
@@ -451,6 +510,42 @@ def test_rows_before_undecodable_byte_match_rowwise_oracle(tmp_path, caplog, for
     _assert_matches_rowwise(p, caplog, format=format)
 
 
+def _undecodable_last_line_file(path, format, last_row=None):
+    """300 lines of rows (for CSV a header, then 299 rows), the last one
+    ``last_row`` if given, and then a lone 0xff byte on line 301."""
+    rows = [_row(user=f"u{i}") for i in range(300 if format == "jsonl" else 299)]
+    if last_row is not None:
+        rows[-1] = last_row
+    if format == "jsonl":
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+    else:
+        header = ["user_id", "timestamp", *FEATURE_NAMES]
+        text = ",".join(header) + "\n" + "".join(
+            ",".join(str(row[h]) for h in header) + "\n" for row in rows)
+    path.write_bytes(text.encode() + b"\xff\n")
+
+
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_undecodable_byte_is_line_numbered_and_exit_4(tmp_path, caplog, format):
+    p = tmp_path / "t.txt"
+    _undecodable_last_line_file(p, format)
+    with pytest.raises(ParseError, match="line 301: byte 0xff is not UTF-8") as err:
+        parse_tweets(p, format=format)
+    assert err.value.line_no == 301
+    assert main(["extract", "--outdir", str(tmp_path / "out"), "--tweets", str(p),
+                 "--format", format]) == 4
+    assert "line 301" in caplog.text
+
+
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_bad_row_in_undecodable_block_is_reported_first(tmp_path, format):
+    # Line 300 sits in the 8 KiB block the reader fails to decode.
+    p = tmp_path / "t.txt"
+    _undecodable_last_line_file(p, format, last_row=_row(retweet_count="x"))
+    with pytest.raises(ParseError, match="line 300: count 'retweet_count'"):
+        parse_tweets(p, format=format)
+
+
 def _record_decoded(monkeypatch):
     """The lines ``parse_tweets`` decodes with json.loads, as it decodes them."""
     decoded = []
@@ -519,4 +614,21 @@ def test_load_labels_rejects_duplicate(tmp_path):
     p = tmp_path / "labels.csv"
     p.write_text("user_id,class_id\na,0\na,1\n")
     with pytest.raises(ParseError):
+        load_labels(p)
+
+
+def test_load_labels_undecodable_byte_is_line_numbered_and_exit_4(tmp_path, caplog):
+    rows = b"".join(b"u%d,0\n" % i for i in range(298))
+    p = tmp_path / "labels.csv"
+    p.write_bytes(b"user_id,class_id\n" + rows + b"u298,0\n\xff\n")
+    with pytest.raises(ParseError, match="line 301: byte 0xff is not UTF-8"):
+        load_labels(p)
+    tweets = tmp_path / "t.jsonl"
+    tweets.write_text(_line() + "\n")
+    assert main(["run-all", "--outdir", str(tmp_path / "out"), "--tweets", str(tweets),
+                 "--labels", str(p)]) == 4
+    assert "line 301" in caplog.text
+    # A bad row before the byte, in the same decoded block, comes first.
+    p.write_bytes(b"user_id,class_id\n" + rows + b"u298,x\n\xff\n")
+    with pytest.raises(ParseError, match="line 300: class id is not an integer"):
         load_labels(p)

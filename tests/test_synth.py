@@ -5,7 +5,7 @@ from botclust.clustering import distance_matrix
 from botclust.ingest import GENUINE_CLASS, build_timelines, parse_tweets, write_tweets_jsonl
 from botclust.mts import extract_mts
 from botclust.synth import BotTemplate, DEFAULT_TEMPLATES, SynthConfig, generate_dataset
-from oracles import tables_equal
+from oracles import dumps_write_tweets_jsonl, perdraw_generate_dataset, tables_equal
 
 
 def test_default_config_population_shape():
@@ -29,6 +29,40 @@ def test_generation_is_deterministic():
     assert la.labels == lb.labels
     c, _ = generate_dataset(SynthConfig(seed=43))
     assert a != c
+
+
+_MEANS = (5.0, 2.0, 1.0, 4.0, 2.0, 5.0)
+
+# Each config below runs a different branch of the generator against the
+# per-draw oracle.
+ORACLE_CONFIGS = {
+    "default": SynthConfig(),
+    "seed_43": SynthConfig(seed=43),
+    # No genuine user is active on either day: each takes the fallback record.
+    "genuine_fallback": SynthConfig(n_days=2, genuine_activity_range=(0.0, 0.01)),
+    # Tweet indices past 11 move the slot to the next minute.
+    "fourteen_per_day": SynthConfig(n_days=30, n_genuine=5, templates=(
+        BotTemplate(class_id=1, n_users=4, period=9, feature_means=_MEANS,
+                    tweets_per_active_day=14),)),
+    # Bots that flip day 0 off and leave day 1 off (16 of these 40) take
+    # the bot fallback record.
+    "bot_fallback": SynthConfig(n_days=2, n_genuine=2, templates=(
+        BotTemplate(class_id=1, n_users=40, period=2, feature_means=_MEANS,
+                    flip_prob=0.45),)),
+    "no_botnets": SynthConfig(templates=()),
+}
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS.keys())
+def test_generation_matches_perdraw_oracle(tmp_path, cfg):
+    records, labels = generate_dataset(cfg)
+    expected_records, expected_labels = perdraw_generate_dataset(cfg)
+    assert records == expected_records
+    assert list(labels.labels.items()) == list(expected_labels.labels.items())
+    assert all(type(c) is int for rec in records for c in rec.counts())
+    write_tweets_jsonl(records, tmp_path / "tweets.jsonl")
+    dumps_write_tweets_jsonl(expected_records, tmp_path / "expected.jsonl")
+    assert (tmp_path / "tweets.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 def test_roundtrip_through_interchange_format(tmp_path):
