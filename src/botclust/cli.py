@@ -37,6 +37,7 @@ from .clustering import (
 from .globalfeats import load_features_csv, save_features_csv
 from .ingest import LabelTable, ParseError, TweetTable, load_labels, parse_tweets, write_tweets_jsonl
 from .labeling import feature_importance
+from .legs import last_workers
 from .mts import MtsTensor, load_tensor, save_tensor
 from .pipeline import (
     ENCODERS,
@@ -271,10 +272,8 @@ def cmd_train(args) -> int:
     models, reports = _train_models(config, mts, config.seed)
     _save_models(out, config, models, reports)
     for variant, report in reports.items():
-        print(
-            f"train: {variant} autoencoder, final train MSE "
-            f"{report.train_mse[-1]:.6f} -> {out / _model_name(variant)}"
-        )
+        final = f"final train MSE {report.train_mse[-1]:.6f}" if report.train_mse else "0 epochs"
+        print(f"train: {variant} autoencoder, {final} -> {out / _model_name(variant)}")
     return EXIT_OK
 
 
@@ -365,7 +364,7 @@ def cmd_importance(args) -> int:
         out / A_IMPORTANCE,
         report.to_dict(),
         config,
-        timing={"wall_time_s": time.perf_counter() - started},
+        timing={"wall_time_s": time.perf_counter() - started, "workers": last_workers()},
     )
     ranked = sorted(
         zip(report.feature_names, report.importance), key=lambda p: -p[1]
@@ -389,7 +388,7 @@ def cmd_lobo(args) -> int:
         out / A_LOBO,
         report.to_dict(),
         config,
-        timing={"wall_time_s": time.perf_counter() - started},
+        timing={"wall_time_s": time.perf_counter() - started, "workers": last_workers()},
     )
     worst = max(abs(v["pct_change"]) for v in report.entries.values())
     print(
@@ -439,7 +438,8 @@ def cmd_run_all(args) -> int:
         _save_features(out, result.features)
     _save_clustering(out, config, result.clustering)
     metrics = result.metrics
-    _save_scores(out, config, metrics, timing={"wall_time_s": time.perf_counter() - started})
+    _save_scores(out, config, metrics,
+                 timing={"wall_time_s": time.perf_counter() - started, "workers": last_workers()})
     print(
         f"run-all: task={config.task} rep={config.representation} "
         f"method={config.cluster_method} weighted_f1={metrics.weighted_f1:.4f} "

@@ -15,6 +15,7 @@ import numpy as np
 
 from .clustering import NOISE, ClusterAssignment, kth_neighbor_distances
 from .ingest import GENUINE_CLASS
+from .legs import map_legs
 
 
 def assign_labels_binary(
@@ -225,19 +226,20 @@ def feature_importance(
     """Rank features by how much weighted F1 drops when each is removed.
 
     run_with_features executes the full pipeline on a feature subset and
-    returns its weighted F1. A ratio above 1 (score improved without the
-    feature) clamps to zero importance; if no removal hurts, every
-    importance is 0.
+    returns its weighted F1. The baseline and the F reduced runs are
+    independent, so they run side by side (see legs.map_legs). A ratio
+    above 1 (score improved without the feature) clamps to zero
+    importance; if no removal hurts, every importance is 0.
     """
     if len(feature_names) < 2:
         raise ValueError("importance needs at least 2 features")
-    baseline = run_with_features(tuple(feature_names))
+    subsets = [tuple(feature_names)] + [
+        tuple(n for j, n in enumerate(feature_names) if j != i) for i in range(len(feature_names))
+    ]
+    baseline, *scores = map_legs(run_with_features, [(subset,) for subset in subsets])
     if baseline == 0.0:
         raise ValueError("baseline weighted F1 is 0; importance ratios are undefined")
-    ratios = np.empty(len(feature_names))
-    for i in range(len(feature_names)):
-        reduced = tuple(n for j, n in enumerate(feature_names) if j != i)
-        ratios[i] = run_with_features(reduced) / baseline
+    ratios = np.array(scores, dtype=np.float64) / baseline
     raw = np.maximum(0.0, 1.0 - ratios)
     total = raw.sum()
     importance = raw / total if total > 0 else np.zeros_like(raw)

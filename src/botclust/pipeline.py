@@ -14,6 +14,11 @@ by run_pipeline_from_mts and called one at a time by the CLI steps.
 The leave-one-botnet-out harness retrains on a reduced population and
 scores the full one, which is the generalization question that matters
 for detecting botnets that were never seen during training.
+
+Independent legs run side by side through legs.map_legs: glob_vec's two
+encoders in _train_models, and the base run plus one leg per bot class
+in lobo_run. Each leg is seeded on its own, so results are byte-identical
+to a one-CPU run, which runs every leg in-process.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .labeling import (
     local_density_scores,
     prf_metrics,
 )
+from .legs import map_legs
 from .mts import MtsTensor, apply_normalization, extract_mts, minmax_normalize
 
 REPRESENTATIONS = ("uts", "vec", "glob", "glob_vec")
@@ -96,6 +102,9 @@ class PipelineConfig:
             raise ValueError(f"task must be one of {TASKS}")
         if self.min_pts < 2:
             raise ValueError(f"min_pts must be >= 2 so the knee heuristic has k >= 1")
+        for variant in ENCODERS[self.representation]:
+            # epochs, holdout_fraction and latent_dim, by the encoder's own rules
+            _ae_config(self, variant, self.seed)
         if self.features is not None:
             self.features = tuple(self.features)
             if len(set(self.features)) != len(self.features):
@@ -241,16 +250,15 @@ def _train_models(
     """Min-max fit a raw tensor and train the encoder(s) a representation
     needs; each model keeps the fitted statistics. A second encoder (the
     vec one of glob_vec) trains from a derived seed so both models are
-    pinned by the one pipeline seed."""
+    pinned by the one pipeline seed. The encoders share only the input,
+    so they train side by side (see legs.map_legs)."""
     norm, params = minmax_normalize(mts_raw)
-    models: dict[str, AutoencoderModel] = {}
-    reports: dict[str, TrainReport] = {}
-    for stream, variant in enumerate(ENCODERS[config.representation]):
-        model_seed = derive_seed(seed, stream) if stream else seed
-        models[variant], reports[variant] = train(
-            _ae_config(config, variant, model_seed), norm, params
-        )
-    return models, reports
+    variants = ENCODERS[config.representation]
+    jobs = [(_ae_config(config, variant, derive_seed(seed, stream) if stream else seed), norm, params)
+            for stream, variant in enumerate(variants)]
+    trained = dict(zip(variants, map_legs(train, jobs)))
+    return ({v: model for v, (model, _) in trained.items()},
+            {v: report for v, (_, report) in trained.items()})
 
 
 def _encode(models: dict[str, AutoencoderModel], mts_raw: MtsTensor) -> dict[str, np.ndarray]:
@@ -419,7 +427,9 @@ def lobo_run(
 
     Each leg runs from a seed derived per excluded class. Excluding a
     class with no members degenerates to the base run by construction,
-    so it is reported as exactly 0 change without retraining.
+    so it is reported as exactly 0 change without retraining. The base
+    run and the retrained legs are independent, so they run side by side
+    (see legs.map_legs); the report is the same as a sequential run's.
     """
     if bot_classes is None:
         bot_classes = sorted(c for c in labels.supports() if c != GENUINE_CLASS)
@@ -432,29 +442,32 @@ def lobo_run(
     user_ids = tuple(mts_raw.user_ids)
     n_classes = labels.num_classes
 
-    base = run_pipeline_from_mts(mts_raw, true, n_classes, config)
-    base_f1 = base.metrics.weighted_f1
-    if base_f1 == 0.0:
-        raise ValueError("base weighted F1 is 0; percentage changes are undefined")
+    def leg(keep: Optional[np.ndarray], seed: int) -> float:
+        """Weighted F1 on the full population of encoders trained on the
+        users in keep (None: all of them)."""
+        train_set = mts_raw if keep is None else mts_raw.select_users(keep)
+        models, _reports = _train_models(config, train_set, seed)
+        points, _features = _make_points(config, _encode(models, mts_raw), user_ids)
+        clustering = _cluster(config, points, user_ids, n_classes)
+        _pred, metrics = _label_and_score(
+            config, clustering.assignment, clustering.dist, true, n_classes
+        )
+        return metrics.weighted_f1
 
-    entries: dict[int, dict[str, float]] = {}
+    jobs = {None: (None, config.seed)}
     for cid in bot_classes:
         keep = np.flatnonzero(true != cid)
         if keep.size == mts_raw.n_users:
-            entries[cid] = {"weighted_f1": base_f1, "pct_change": 0.0}
             continue
         if keep.size < 2:
             raise ValueError(f"excluding class {cid} leaves fewer than 2 users")
-        leg_config = replace(config, seed=derive_seed(config.seed, cid))
-        models, _reports = _train_models(config, mts_raw.select_users(keep), leg_config.seed)
-        points, _features = _make_points(config, _encode(models, mts_raw), user_ids)
-        clustering = _cluster(leg_config, points, user_ids, n_classes)
-        _pred, metrics = _label_and_score(
-            leg_config, clustering.assignment, clustering.dist, true, n_classes
-        )
-        f1 = metrics.weighted_f1
-        entries[cid] = {
-            "weighted_f1": f1,
-            "pct_change": 100.0 * (f1 - base_f1) / base_f1,
-        }
+        jobs[cid] = (keep, derive_seed(config.seed, cid))
+    retrained = dict(zip(jobs, map_legs(leg, jobs.values())))
+    base_f1 = retrained.pop(None)
+    if base_f1 == 0.0:
+        raise ValueError("base weighted F1 is 0; percentage changes are undefined")
+    entries: dict[int, dict[str, float]] = {}
+    for cid in bot_classes:
+        f1 = retrained.get(cid, base_f1)
+        entries[cid] = {"weighted_f1": f1, "pct_change": 100.0 * (f1 - base_f1) / base_f1}
     return LoboReport(base_f1=base_f1, task=config.task, entries=entries)

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -408,3 +409,40 @@ def test_cli_damaged_header_is_data_error(trained_workspace, tmp_path, caplog,
 def test_cli_features_rejects_vec_representation(tmp_path, caplog):
     assert _cli("features", "--outdir", tmp_path / "o", "--variant-preset", "Vec_Hier") == 2
     assert "glob and glob_vec" in caplog.text
+
+
+def test_cli_train_zero_epochs_exits_0(trained_workspace, tmp_path, capsys):
+    out = tmp_path / "zero"
+    out.mkdir()
+    (out / "mts_raw.tensor").write_bytes((trained_workspace / "mts_raw.tensor").read_bytes())
+    assert _cli("train", "--outdir", out, "--epochs", 0) == 0
+    assert (out / "model_uts.ckpt").exists()
+    assert "0 epochs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--epochs", -1), "epochs must be non-negative"),
+    (("--holdout-fraction", 1.5), "holdout_fraction must lie in (0, 1)"),
+    (("--variant-preset", "Vec_Hier", "--latent-dim", 0), "latent_dim must be positive"),
+])
+def test_cli_bad_encoder_setting_is_usage_error_before_parse(tmp_path, caplog, flags, message):
+    # The tweets file does not exist: the setting fails first, with exit 2, not 4.
+    rc = _cli("run-all", "--outdir", tmp_path / "o", "--tweets", tmp_path / "nope.jsonl",
+              "--labels", tmp_path / "nope.csv", *flags)
+    assert rc == 2
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize("command, preset, report, legs", [
+    ("run-all", "Glob_Vec_Hier", "metrics_report.json", 2),
+    ("run-all", "UTS_DBSCAN", "metrics_report.json", 1),
+    ("lobo", "Glob_Hier", "lobo_report.json", 3),
+    ("importance", "Glob_Hier", "importance_report.json", 7),
+])
+def test_cli_timing_records_workers(cli_workspace, tmp_path, command, preset, report, legs):
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path / "w"
+    assert _cli(command, "--outdir", out, "--tweets", tweets, "--labels", labels_csv,
+                "--variant-preset", preset, "--epochs", 2, "--latent-dim", 4) == 0
+    timing = json.loads((out / report).read_text())["timing"]
+    assert timing["workers"] == min(legs, len(os.sched_getaffinity(0)))
