@@ -298,6 +298,8 @@ class AutoencoderConfig:
             raise ValueError(f"latent_dim must be positive, got {self.latent_dim}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if self.learning_rate is not None and not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
     def resolved_lr(self) -> float:
         if self.learning_rate is not None:

@@ -326,9 +326,7 @@ def cmd_evaluate(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
     labels_path = _input(paths, "labels")
-    assignment = load_assignment_csv(
-        _require(out / A_CLUSTERS, "cluster"), method=config.cluster_method
-    )
+    assignment = load_assignment_csv(_require(out / A_CLUSTERS, "cluster"))
     labels = load_labels(labels_path)
     true = truth_vector(labels, assignment.user_ids)
     dist = None

@@ -28,7 +28,6 @@ class ClusterAssignment:
     user_ids: tuple[str, ...]
     n_clusters: int
     has_noise: bool
-    method: str
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -176,7 +175,6 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int,
         user_ids=user_ids,
         n_clusters=next_id - 1,
         has_noise=bool(np.any(labels == NOISE)),
-        method="dbscan",
     )
 
 
@@ -256,7 +254,6 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int,
         user_ids=user_ids,
         n_clusters=len(roots),
         has_noise=False,
-        method="ward",
     )
 
 
@@ -268,7 +265,7 @@ def save_assignment_csv(assignment: ClusterAssignment, path) -> None:
             writer.writerow((uid, int(label)))
 
 
-def load_assignment_csv(path, method: str = "unknown") -> ClusterAssignment:
+def load_assignment_csv(path) -> ClusterAssignment:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -276,9 +273,15 @@ def load_assignment_csv(path, method: str = "unknown") -> ClusterAssignment:
             raise ValueError(f"{path}: expected header user_id,cluster_id")
         user_ids = []
         labels = []
-        for rec in reader:
+        for line_no, rec in enumerate(reader, start=2):
+            if len(rec) != 2:
+                raise ValueError(f"{path}: line {line_no}: expected 2 columns, got {len(rec)}")
+            try:
+                labels.append(int(rec[1]))
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: cluster id is not an integer: "
+                                 f"{rec[1]!r}") from None
             user_ids.append(rec[0])
-            labels.append(int(rec[1]))
     arr = np.asarray(labels, dtype=np.int64)
     n_clusters = int(arr.max()) if arr.size and arr.max() > 0 else 0
     return ClusterAssignment(
@@ -286,7 +289,6 @@ def load_assignment_csv(path, method: str = "unknown") -> ClusterAssignment:
         user_ids=tuple(user_ids),
         n_clusters=n_clusters,
         has_noise=bool(np.any(arr == NOISE)),
-        method=method,
     )
 
 

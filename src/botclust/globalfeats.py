@@ -134,10 +134,10 @@ def zscore_standardize(features: GlobalFeatureVector) -> GlobalFeatureVector:
     )
 
 
-def concat_features(globals_: GlobalFeatureVector, vec_latent: np.ndarray,
-                    latent_prefix: str = "latent") -> GlobalFeatureVector:
+def concat_features(globals_: GlobalFeatureVector, vec_latent: np.ndarray) -> GlobalFeatureVector:
     """Column-concatenate global statistics with a latent matrix (N, L),
-    statistics first. Row counts must agree."""
+    statistics first, the latent columns named latent.0 .. latent.L-1.
+    Row counts must agree."""
     vec_latent = np.asarray(vec_latent, dtype=np.float64)
     if vec_latent.ndim != 2:
         raise ValueError(f"vec latent must be 2-D (N, L), got shape {vec_latent.shape}")
@@ -145,9 +145,7 @@ def concat_features(globals_: GlobalFeatureVector, vec_latent: np.ndarray,
         raise ValueError(
             f"row mismatch: {globals_.n_users} users vs {vec_latent.shape[0]} latent rows"
         )
-    names = globals_.column_names + tuple(
-        f"{latent_prefix}.{j}" for j in range(vec_latent.shape[1])
-    )
+    names = globals_.column_names + tuple(f"latent.{j}" for j in range(vec_latent.shape[1]))
     return GlobalFeatureVector(
         values=np.hstack([globals_.values, vec_latent]),
         user_ids=globals_.user_ids,
@@ -172,9 +170,15 @@ def load_features_csv(path) -> GlobalFeatureVector:
         columns = tuple(header[1:])
         user_ids = []
         rows = []
-        for rec in reader:
+        for line_no, rec in enumerate(reader, start=2):
+            if len(rec) != len(header):
+                raise ValueError(f"{path}: line {line_no}: expected {len(header)} columns, "
+                                 f"got {len(rec)}")
+            try:
+                rows.append([float(v) for v in rec[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
             user_ids.append(rec[0])
-            rows.append([float(v) for v in rec[1:]])
     return GlobalFeatureVector(
         values=np.asarray(rows, dtype=np.float64).reshape(len(user_ids), len(columns)),
         user_ids=tuple(user_ids),

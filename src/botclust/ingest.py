@@ -3,6 +3,11 @@
 Input rows are pre-extracted per-tweet entity counts, not raw tweet text.
 Timestamps are normalized to UTC; the day boundary sits at 00:00:00 UTC.
 
+Each tweets or labels file is read once, with ``errors="surrogateescape"``:
+a byte that is not UTF-8 becomes a lone surrogate, which valid UTF-8
+never decodes to, and raises ParseError when its line is reached in line
+order, so a bad row before it is still the error reported.
+
 ``parse_tweets`` reads a file straight into a ``TweetTable`` without a
 per-tweet object, CHUNK_ROWS lines at a time, along two paths:
 
@@ -10,9 +15,10 @@ per-tweet object, CHUNK_ROWS lines at a time, along two paths:
   order and value types ``write_tweets_jsonl`` writes, with or without a
   space after each ':' and ',' (``_CANONICAL_LINES``), is read into
   columns by one regular-expression scan, with no row decoded;
-- the row validator: any other chunk, and every CSV file, is decoded and
-  checked row by row in line order, so errors, negative-row warnings and
-  UTC days are those of a row-by-row parse.
+- the row validator: any other chunk, such as one holding an undecodable
+  byte, and every CSV file, is checked line by line and row by row in
+  line order, so errors, negative-row warnings and UTC days are those
+  of a row-by-row parse.
 
 ``build_timelines`` indexes in-memory ``TweetRecord`` lists (from
 ``synth`` and the tests) into the same table.
@@ -61,15 +67,16 @@ def _line_pattern(space: str) -> re.Pattern:
     CRLF ending leaves a '\r' before the '\n'.
 
     Whatever it matches decodes to the same values as ``json.loads``: the
-    id holds no quote, backslash or control character, so it is the text
-    itself; digits are ASCII ([0-9], not \d, which also matches other
-    scripts' digits); and a count has at most 15 digits, so ``float()``
-    of the text is exact. The timestamp's 19 characters before the 'Z'
-    are captured for ``datetime64[s]``, which rejects a date or time
-    that does not exist (month 13, hour 24, second 60).
+    id holds no quote, backslash, control character or undecodable byte
+    (``_ESCAPED_BYTE``), so it is the text itself; digits are ASCII
+    ([0-9], not \d, which also matches other scripts' digits); and a
+    count has at most 15 digits, so ``float()`` of the text is exact. The
+    timestamp's 19 characters before the 'Z' are captured for
+    ``datetime64[s]``, which rejects a date or time that does not exist
+    (month 13, hour 24, second 60).
     """
     count = r"(0|[1-9][0-9]{0,14})"
-    fields = (("user_id", r'"([^"\\\x00-\x1f]+)"'),
+    fields = (("user_id", r'"([^"\\\x00-\x1f\udc80-\udcff]+)"'),
               ("timestamp", r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})Z"'),
               *((name, count) for name in FEATURE_NAMES))
     return re.compile(
@@ -288,49 +295,37 @@ def _add_canonical_lines(builder: _TableBuilder, lines: list[str]) -> bool:
     return True
 
 
-def _utf8_lines(path: Path) -> Iterator[str]:
-    """The file's lines, split as a strict UTF-8 read splits them, up to the
-    first line holding a byte that is not UTF-8, which raises ParseError
-    with that line's number.
-
-    Only the error path reads a file this way, after a strict read raised
-    UnicodeDecodeError: each undecodable byte is kept as a lone surrogate,
-    which UTF-8 text never decodes to.
-    """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if bad := _ESCAPED_BYTE.search(line):
-                raise ParseError(line_no, f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
-            yield line
+def _open_text(path: Path):
+    """``path`` for one read as UTF-8, each byte that is not UTF-8 kept as
+    a lone surrogate for ``_check_utf8`` to report."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
 
 
-def _line_chunks(fh, path: Path) -> Iterator[tuple[int, list[str]]]:
+def _check_utf8(line: str, line_no: int) -> None:
+    if bad := _ESCAPED_BYTE.search(line):
+        raise ParseError(line_no, f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
+
+
+def _utf8_lines(fh) -> Iterator[str]:
+    """The file's lines, each checked by ``_check_utf8`` as a reader pulls it."""
+    for line_no, line in enumerate(fh, start=1):
+        _check_utf8(line, line_no)
+        yield line
+
+
+def _line_chunks(fh) -> Iterator[tuple[int, list[str]]]:
     """The file's lines CHUNK_ROWS at a time, each chunk with the number of
-    its first line. At an undecodable byte the read goes on from the last
-    line read through ``_utf8_lines``, so every line before the bad one is
-    still yielded, and a bad row among them still reported first, as in a
-    line-by-line read."""
-    line_no, lines, source = 1, [], fh
-    while True:
-        try:
-            for line in islice(source, CHUNK_ROWS - len(lines)):
-                lines.append(line)
-        except UnicodeDecodeError:
-            source = islice(_utf8_lines(path), line_no - 1 + len(lines), None)
-            continue
-        except ParseError:  # the undecodable line
-            if lines:
-                yield line_no, lines
-            raise
-        if not lines:
-            return
+    its first line."""
+    line_no = 1
+    while lines := list(islice(fh, CHUNK_ROWS)):
         yield line_no, lines
         line_no += len(lines)
-        lines = []
 
 
 def _jsonl_rows(lines: list[str], first_line_no: int) -> Iterator[tuple[int, dict]]:
     for line_no, line in enumerate(lines, start=first_line_no):
+        # The raw line, so the JSON escape "\udcff" still decodes as JSON does.
+        _check_utf8(line, line_no)
         if not line.strip():
             continue
         try:
@@ -342,23 +337,17 @@ def _jsonl_rows(lines: list[str], first_line_no: int) -> Iterator[tuple[int, dic
         yield line_no, fields
 
 
-def _csv_rows(fh, path: Path) -> Iterator[tuple[int, dict]]:
-    line_no = 1
-    try:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return
-        expected = {"user_id", "timestamp", *FEATURE_NAMES}
-        if not expected.issubset(set(reader.fieldnames)):
-            raise ParseError(1, f"CSV header missing columns {sorted(expected - set(reader.fieldnames))}")
-        for line_no, row in enumerate(reader, start=2):
-            if None in row.values() or None in row:
-                raise ParseError(line_no, "wrong number of columns")
-            yield line_no, row
-    except UnicodeDecodeError:
-        # Read the file again through ``_utf8_lines`` and go on past the
-        # rows already yielded, so every row before the bad line is checked.
-        yield from islice(_csv_rows(_utf8_lines(path), path), line_no - 1, None)
+def _csv_rows(fh) -> Iterator[tuple[int, dict]]:
+    reader = csv.DictReader(_utf8_lines(fh))
+    if reader.fieldnames is None:
+        return
+    expected = {"user_id", "timestamp", *FEATURE_NAMES}
+    if not expected.issubset(set(reader.fieldnames)):
+        raise ParseError(1, f"CSV header missing columns {sorted(expected - set(reader.fieldnames))}")
+    for line_no, row in enumerate(reader, start=2):
+        if None in row.values() or None in row:
+            raise ParseError(line_no, "wrong number of columns")
+        yield line_no, row
 
 
 def _add_rows(builder: _TableBuilder, rows: Iterator[tuple[int, dict]]) -> None:
@@ -389,11 +378,11 @@ def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}, expected 'jsonl' or 'csv'")
     builder = _TableBuilder()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         if format == "csv":
-            _add_rows(builder, _csv_rows(fh, path))
+            _add_rows(builder, _csv_rows(fh))
         else:
-            for line_no, lines in _line_chunks(fh, path):
+            for line_no, lines in _line_chunks(fh):
                 if not _add_canonical_lines(builder, lines):
                     _add_rows(builder, _jsonl_rows(lines, line_no))
     return builder.table()
@@ -495,11 +484,5 @@ def load_labels(path: str | Path) -> LabelTable:
     A byte that is not UTF-8 raises ParseError with its line number, unless
     a bad row comes before it."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            return _label_table(fh, path)
-        except UnicodeDecodeError:
-            pass
-    # Read the file again through ``_utf8_lines``: the first error in line
-    # order, a bad row or the undecodable line, is the one raised.
-    return _label_table(_utf8_lines(path), path)
+    with _open_text(path) as fh:
+        return _label_table(_utf8_lines(fh), path)

@@ -21,24 +21,18 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+# The canonical RMSProp constants; only the learning rate is
+# experiment-specific.
+RMSPROP_RHO = 0.9
+RMSPROP_EPSILON = 1e-8
+
+
 @dataclass
 class RmspropState:
-    """Squared-gradient accumulators plus the optimizer constants.
-
-    rho and epsilon default to the canonical RMSProp values; only the
-    learning rate is experiment-specific.
-    """
+    """The learning rate plus the squared-gradient accumulators."""
 
     learning_rate: float
-    rho: float = 0.9
-    epsilon: float = 1e-8
     v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def rmsprop_step(
@@ -65,9 +59,9 @@ def rmsprop_step(
         v = state.v.get(name)
         if v is None:
             v = np.zeros_like(params[name])
-        v = state.rho * v + (1.0 - state.rho) * g * g
+        v = RMSPROP_RHO * v + (1.0 - RMSPROP_RHO) * g * g
         state.v[name] = v
-        out[name] = params[name] - state.learning_rate * g / (np.sqrt(v) + state.epsilon)
+        out[name] = params[name] - state.learning_rate * g / (np.sqrt(v) + RMSPROP_EPSILON)
     return out
 
 

@@ -102,8 +102,12 @@ class PipelineConfig:
             raise ValueError(f"task must be one of {TASKS}")
         if self.min_pts < 2:
             raise ValueError(f"min_pts must be >= 2 so the knee heuristic has k >= 1")
+        if self.n_clusters is not None and self.n_clusters < 1:
+            raise ValueError(f"n_clusters must be at least 1, got {self.n_clusters}")
+        if self.eps is not None and not self.eps >= 0.0:
+            raise ValueError(f"eps must be non-negative, got {self.eps}")
         for variant in ENCODERS[self.representation]:
-            # epochs, holdout_fraction and latent_dim, by the encoder's own rules
+            # epochs, learning_rate, holdout_fraction and latent_dim, by the encoder's rules
             _ae_config(self, variant, self.seed)
         if self.features is not None:
             self.features = tuple(self.features)

@@ -234,7 +234,7 @@ def test_assignment_validation():
     with pytest.raises(ValueError):
         ClusterAssignment(
             labels=np.array([0, 1, 3]), user_ids=("a", "b", "c"),
-            n_clusters=2, has_noise=True, method="dbscan",
+            n_clusters=2, has_noise=True,
         )
 
 
@@ -244,13 +244,12 @@ def test_assignment_csv_roundtrip(tmp_path):
         user_ids=("a", "b", "c"),
         n_clusters=2,
         has_noise=True,
-        method="dbscan",
     )
     p = tmp_path / "clusters.csv"
     save_assignment_csv(out, p)
     text = p.read_text().splitlines()
     assert text[0] == "user_id,cluster_id"
-    back = load_assignment_csv(p, method="dbscan")
+    back = load_assignment_csv(p)
     assert np.array_equal(back.labels, out.labels)
     assert back.user_ids == out.user_ids
     assert back.n_clusters == 2

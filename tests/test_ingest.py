@@ -377,6 +377,8 @@ ROWWISE_CASES = {
     # either leave them to the row validator or read what json.loads reads.
     "user_escaped_quote": _line(user='a"b'),
     "user_escaped_e_acute": _line(user="é"),
+    # ASCII JSON text that decodes to a lone surrogate, not an undecodable byte.
+    "user_escaped_surrogate": _line(user="u\udcff"),
     "user_raw_e_acute": _raw_line(user="é"),
     "user_raw_tab": _line(user="a\tb").replace("\\t", "\t"),
     "user_raw_del": _raw_line(user="a\x7fb"),
@@ -544,6 +546,17 @@ def test_bad_row_in_undecodable_block_is_reported_first(tmp_path, format):
     _undecodable_last_line_file(p, format, last_row=_row(retweet_count="x"))
     with pytest.raises(ParseError, match="line 300: count 'retweet_count'"):
         parse_tweets(p, format=format)
+
+
+@pytest.mark.parametrize("line", [_line, _compact_line], ids=["default", "compact"])
+def test_raw_undecodable_byte_in_canonical_id_is_line_numbered(tmp_path, line):
+    # A canonical line but for a raw 0xff byte inside its id, in the second
+    # chunk: the pattern scan must not read it as the user 'u\udcff'.
+    p = tmp_path / "t.jsonl"
+    _two_chunk_file(p, {CHUNK_ROWS + 3: line(user="u@")}, line=line)
+    p.write_bytes(p.read_bytes().replace(b'"u@"', b'"u\xff"'))
+    with pytest.raises(ParseError, match=f"line {CHUNK_ROWS + 3}: byte 0xff is not UTF-8"):
+        parse_tweets(p)
 
 
 def _record_decoded(monkeypatch):

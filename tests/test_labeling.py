@@ -12,7 +12,7 @@ from botclust.labeling import (
 )
 
 
-def _assignment(labels, method="dbscan"):
+def _assignment(labels):
     labels = np.asarray(labels)
     pos = labels[labels != NOISE]
     return ClusterAssignment(
@@ -20,7 +20,6 @@ def _assignment(labels, method="dbscan"):
         user_ids=tuple(f"u{i}" for i in range(len(labels))),
         n_clusters=int(pos.max()) if pos.size else 0,
         has_noise=bool(np.any(labels == NOISE)),
-        method=method,
     )
 
 
@@ -136,13 +135,13 @@ def test_binary_polarity_spread_cluster_is_genuine():
     # Cluster 1 tight (bots), cluster 2 spread (genuine).
     pts = np.array([[0.0], [0.01], [0.02], [10.0], [14.0], [20.0]])
     dist = distance_matrix(pts)
-    assignment = _assignment([1, 1, 1, 2, 2, 2], method="ward")
+    assignment = _assignment([1, 1, 1, 2, 2, 2])
     out = assign_labels_binary(assignment, dist=dist, polarity=True)
     assert list(out) == [1, 1, 1, 0, 0, 0]
     # Flip the geometry and the call flips with it.
     pts2 = np.array([[0.0], [6.0], [14.0], [20.0], [20.01], [20.02]])
     out2 = assign_labels_binary(
-        _assignment([1, 1, 1, 2, 2, 2], method="ward"),
+        _assignment([1, 1, 1, 2, 2, 2]),
         dist=distance_matrix(pts2),
         polarity=True,
     )
@@ -153,7 +152,7 @@ def test_binary_polarity_tie_prefers_lower_cluster_id():
     pts = np.array([[0.0], [1.0], [10.0], [11.0]])
     dist = distance_matrix(pts)
     out = assign_labels_binary(
-        _assignment([1, 1, 2, 2], method="ward"), dist=dist, polarity=True
+        _assignment([1, 1, 2, 2]), dist=dist, polarity=True
     )
     # Equal spreads: cluster 1 is called genuine.
     assert list(out) == [0, 0, 1, 1]
@@ -171,7 +170,7 @@ def test_binary_polarity_two_distant_botnets_are_bot():
     iu = np.triu_indices(12, k=1)
     assert dist[:12, :12][iu].mean() > dist[12:, 12:][iu].mean()
     # Default min_pts 4: each member's 4th neighbour is in its own botnet.
-    out = assign_labels_binary(_assignment(labels, method="ward"), dist=dist, polarity=True)
+    out = assign_labels_binary(_assignment(labels), dist=dist, polarity=True)
     assert list(out) == [1] * 12 + [0] * 12
 
 

@@ -22,7 +22,7 @@ def test_seeded_rng_reproducible():
 def test_rmsprop_single_step_hand_values():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([2.0])}
-    state = RmspropState(learning_rate=0.1, rho=0.9, epsilon=1e-8)
+    state = RmspropState(learning_rate=0.1)
     out = rmsprop_step(params, grads, state)
     # v = 0.9*0 + 0.1*4 = 0.4 ; w = 1 - 0.1*2/(sqrt(0.4)+1e-8)
     expected_v = 0.4
@@ -34,7 +34,7 @@ def test_rmsprop_single_step_hand_values():
 def test_rmsprop_second_step_accumulates():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([2.0])}
-    state = RmspropState(learning_rate=0.1, rho=0.9, epsilon=1e-8)
+    state = RmspropState(learning_rate=0.1)
     params = rmsprop_step(params, grads, state)
     params = rmsprop_step(params, {"w": np.array([1.0])}, state)
     expected_v = 0.9 * 0.4 + 0.1 * 1.0

@@ -424,6 +424,10 @@ def test_cli_train_zero_epochs_exits_0(trained_workspace, tmp_path, capsys):
     (("--epochs", -1), "epochs must be non-negative"),
     (("--holdout-fraction", 1.5), "holdout_fraction must lie in (0, 1)"),
     (("--variant-preset", "Vec_Hier", "--latent-dim", 0), "latent_dim must be positive"),
+    (("--learning-rate", -0.5), "learning_rate must be positive"),
+    (("--learning-rate", 0), "learning_rate must be positive"),
+    (("--n-clusters", 0), "n_clusters must be at least 1"),
+    (("--eps", -1), "eps must be non-negative"),
 ])
 def test_cli_bad_encoder_setting_is_usage_error_before_parse(tmp_path, caplog, flags, message):
     # The tweets file does not exist: the setting fails first, with exit 2, not 4.
@@ -431,6 +435,25 @@ def test_cli_bad_encoder_setting_is_usage_error_before_parse(tmp_path, caplog, f
               "--labels", tmp_path / "nope.csv", *flags)
     assert rc == 2
     assert message in caplog.text
+
+
+@pytest.mark.parametrize("artifact, body, message", [
+    ("clusters.csv", "user_id,cluster_id\nu0,1\nu1\n", "line 3: expected 2 columns, got 1"),
+    ("clusters.csv", "user_id,cluster_id\nu0,1\nu1,x\n", "line 3: cluster id is not an integer: 'x'"),
+    ("global_features.csv", "user_id,mean\nu0,0.5\nu1\n", "line 3: expected 2 columns, got 1"),
+    ("global_features.csv", "user_id,mean\nu0,0.5\nu1,x\n", "line 3: could not convert"),
+])
+def test_cli_damaged_csv_artifact_is_data_error(tmp_path, caplog, artifact, body, message):
+    # Binary Ward with no --genuine-cluster reads the points, here the global features.
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "clusters.csv").write_text("user_id,cluster_id\nu0,1\nu1,2\n")
+    (out / "global_features.csv").write_text("user_id,mean\nu0,0.5\nu1,1.5\n")
+    (out / artifact).write_text(body)
+    (tmp_path / "labels.csv").write_text("user_id,class_id\nu0,0\nu1,1\n")
+    assert _cli("evaluate", "--outdir", out, "--labels", tmp_path / "labels.csv",
+                "--variant-preset", "Glob_Hier", "--task", "binary") == 4
+    assert f"{out / artifact}: {message}" in caplog.text
 
 
 @pytest.mark.parametrize("command, preset, report, legs", [
