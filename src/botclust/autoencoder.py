@@ -22,6 +22,15 @@ consumes its cache (a second one raises MissingCacheError). Every sum
 runs in the same order as in a batch-major layout, so outputs and
 gradients do not depend on the layout to the last bit.
 
+Training runs one forward pass per epoch over the training rows followed
+by the holdout rows, so each LSTM runs its recurrence once; the dense
+layers of vec run once per split, so each split's product is the one its
+rows alone take. The backward pass reads the training rows' columns of
+that pass's cache as views, and the forward buffers are allocated once
+per train call. Models and reports equal one pass per split bit for bit,
+except where a split is a single row: that product is a gemv, which sums
+in another order.
+
 All gradients are hand-derived backpropagation through time; the test
 suite checks every layer against central finite differences.
 
@@ -45,6 +54,14 @@ GATE_ORDER = ("i", "f", "o", "c")
 
 _CKPT_MAGIC = b"BCAECK01"
 _CKPT_VERSION = 2
+
+
+def _xavier(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> np.ndarray:
+    """Xavier-uniform (fan_in, fan_out) weights; zeros without rng."""
+    if rng is None:
+        return np.zeros((fan_in, fan_out))
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 class _Layer:
@@ -85,15 +102,13 @@ class LstmLayerParams(_Layer):
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
 
     @classmethod
-    def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator) -> "LstmLayerParams":
+    def init(cls, input_size: int, hidden_size: int,
+             rng: np.random.Generator | None) -> "LstmLayerParams":
         """Xavier-uniform weights drawn gate by gate (every W, then every
-        U); biases zero except the forget gate at 1."""
-        def xavier(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-        w = np.concatenate([xavier(input_size, hidden_size) for _ in GATE_ORDER], axis=1)
-        u = np.concatenate([xavier(hidden_size, hidden_size) for _ in GATE_ORDER], axis=1)
+        U); biases zero except the forget gate at 1. Without rng the
+        weights are zero, a shell for a checkpoint's blocks."""
+        w = np.concatenate([_xavier(rng, input_size, hidden_size) for _ in GATE_ORDER], axis=1)
+        u = np.concatenate([_xavier(rng, hidden_size, hidden_size) for _ in GATE_ORDER], axis=1)
         b = np.zeros(4 * hidden_size)
         b[hidden_size:2 * hidden_size] = 1.0
         return cls(input_size=input_size, hidden_size=hidden_size, W=w, U=u, b=b)
@@ -111,12 +126,12 @@ class DenseLayerParams(_Layer):
     b: np.ndarray
 
     @classmethod
-    def init(cls, input_size: int, output_size: int, rng: np.random.Generator) -> "DenseLayerParams":
-        limit = np.sqrt(6.0 / (input_size + output_size))
+    def init(cls, input_size: int, output_size: int,
+             rng: np.random.Generator | None) -> "DenseLayerParams":
         return cls(
             input_size=input_size,
             output_size=output_size,
-            W=rng.uniform(-limit, limit, size=(input_size, output_size)),
+            W=_xavier(rng, input_size, output_size),
             b=np.zeros(output_size),
         )
 
@@ -127,15 +142,34 @@ class MissingCacheError(RuntimeError):
 
 # Steps whose input projection one GEMM computes in lstm_forward_cached.
 _PROJECTION_STEPS = 8
+# Gate rows (steps times 4*hidden) per block of lstm_backward's copy of
+# the gate gradients into (user, step) order: 21 steps for hidden 6, 128
+# for hidden 1. On a 2-vCPU VM (numpy 2.4, T = 365, hidden 6) one
+# whole-array copy took 4.3, 9.7, 68 and 387 ms at N = 64, 160, 1000 and
+# 4000 users, these blocks 0.9, 4.4, 30 and 173 ms; at hidden 1 both ways
+# cost about the same.
+_TRANSPOSE_ROWS = 512
 
 
-def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def _buffer(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """buffers[name] when it has this shape, else a new array kept there."""
+    if buffers is None:
+        return np.empty(shape)
+    if name not in buffers or buffers[name].shape != shape:
+        buffers[name] = np.empty(shape)
+    return buffers[name]
+
+
+def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray,
+                        buffers: dict | None = None) -> tuple[np.ndarray, dict]:
     """Batched LSTM pass over x of shape (N, T, input) with h0 = c0 = 0.
 
     Returns the full hidden sequence (N, T, hidden) and the cache needed
     for backpropagation through time: the input, the gate activations
     (T, 4*hidden, N) with gate blocks in GATE_ORDER, the cell states
-    (T, hidden, N) and the hidden sequence that is also returned.
+    (T, hidden, N) and the hidden sequence that is also returned. Given a
+    buffers dict, those three arrays are the ones it holds from an earlier
+    call of the same shape (and are overwritten), else new ones kept in it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != layer.input_size:
@@ -147,15 +181,15 @@ def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarr
     # in (user, step) order and lands transposed in that chunk's blocks.
     # Chunks split T evenly, so none is a single row (a gemv, which sums in
     # another order) unless the whole input is.
-    acts = np.empty((t, 4 * h, n))
+    acts = _buffer(buffers, "acts", (t, 4 * h, n))
     chunks = -(-t // _PROJECTION_STEPS)
     bounds = [t * k // chunks for k in range(chunks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         proj = x[:, lo:hi].reshape(n * (hi - lo), d) @ layer.W
         proj += layer.b
         acts[lo:hi] = proj.reshape(n, hi - lo, 4 * h).transpose(1, 2, 0)
-    cells = np.empty((t, h, n))
-    hidden = np.empty((n, t, h))
+    cells = _buffer(buffers, "cells", (t, h, n))
+    hidden = _buffer(buffers, "hidden", (n, t, h))
     h_prev = np.zeros((n, h))
     c_prev = np.zeros((h, n))
     for step in range(t):
@@ -185,9 +219,11 @@ def lstm_backward(
 
     d_out is (N, T, hidden) when return_sequence, else (N, hidden) for the
     last state only. Returns the parameter gradients keyed W/U/b and the
-    gradient with respect to the input sequence. The gate activations in
-    the cache hold the gate gradients afterwards, so a cache serves one
-    backward pass; a second raises MissingCacheError.
+    gradient with respect to the input sequence. The cache's arrays may
+    cover more users than its input x: only their leading x.shape[0]
+    users, those of x, are backpropagated, read as views. The gate
+    activation buffer holds the gate gradients afterwards, so a cache
+    serves one backward pass; a second raises MissingCacheError.
     """
     if cache is None or "acts" not in cache:
         raise MissingCacheError("lstm_backward needs a fresh cache from lstm_forward_cached")
@@ -205,7 +241,8 @@ def lstm_backward(
         d_hidden = np.zeros((n, t, h))
         d_hidden[:, -1] = d_out
 
-    acts, cells, hidden = cache.pop("acts"), cache["cells"], cache["hidden"]
+    spent = cache.pop("acts")
+    acts, cells, hidden = spent[:, :, :n], cache["cells"][:, :, :n], cache["hidden"][:n]
     i, f, o, g = acts.reshape(t, 4, h, n).transpose(1, 0, 2, 3)
     # Everything but the upstream dc (dh for the output gate) is known from
     # the forward pass, so each gate's factor is formed for all steps here:
@@ -244,9 +281,13 @@ def lstm_backward(
         dc_next = dc * f[step]
 
     # The activations are spent: their buffer takes the gate gradients in
-    # (user, step) row order, the order every sum below runs over.
-    dz_seq = acts.reshape(n, t, 4 * h)
-    np.copyto(dz_seq, dz.transpose(2, 0, 1))
+    # (user, step) row order, the order every sum below runs over. The
+    # transposing copy goes a block of steps at a time, which stays in
+    # cache (see _TRANSPOSE_ROWS).
+    dz_seq = spent.reshape(-1)[:n * t * 4 * h].reshape(n, t, 4 * h)
+    block = max(1, _TRANSPOSE_ROWS // (4 * h))
+    for lo in range(0, t, block):
+        np.copyto(dz_seq[:, lo:lo + block], dz[lo:lo + block].transpose(2, 0, 1))
     dz_rows = dz_seq.reshape(n * t, 4 * h)
     # h_prev is zero at step 0, so per user hidden[:, :-1] meets dz[:, 1:]
     d_u = np.matmul(hidden[:, :-1].transpose(0, 2, 1), dz_seq[:, 1:])
@@ -390,10 +431,11 @@ class AutoencoderModel:
 
 
 def init_model(config: AutoencoderConfig, seq_len: int, input_dim: int,
-               rng: np.random.Generator,
+               rng: np.random.Generator | None,
                norm_params: NormalizationParams | None = None) -> AutoencoderModel:
     """Build a freshly initialized model. Draw order is fixed (encoder,
-    enc_dense, dec_dense, decoder) so a seed pins every weight."""
+    enc_dense, dec_dense, decoder) so a seed pins every weight. Without
+    rng nothing is drawn and the weights are zero (see load_model)."""
     encoder = LstmLayerParams.init(input_dim, 1, rng)
     enc_dense = dec_dense = None
     if config.variant == "vec":
@@ -412,22 +454,36 @@ def init_model(config: AutoencoderConfig, seq_len: int, input_dim: int,
     )
 
 
-def _forward_cached(model: AutoencoderModel, batch: np.ndarray):
+def _forward_cached(model: AutoencoderModel, batch: np.ndarray, n_train: int | None = None,
+                    buffers: dict | None = None):
+    """Encoder and decoder over a batch (N, T, D) whose first n_train rows
+    (default: all) are the ones to backpropagate. Returns their latent,
+    the reconstruction of every row and the caches for those rows. Each
+    LSTM runs once over the whole batch, with buffers[layer] as its
+    buffers; the dense layers of vec run once per split, rows [:n_train]
+    and [n_train:], so a split's product is the one its rows alone take.
+    """
     n, t, d = batch.shape
-    enc_seq, enc_cache = lstm_forward_cached(model.encoder, batch)     # (N, T, 1)
+    n_train = n if n_train is None else n_train
+    layer_buffers = buffers or {}
+    enc_seq, enc_cache = lstm_forward_cached(model.encoder, batch, layer_buffers.get("encoder"))
     caches = {"encoder": enc_cache}
     if model.variant == "uts":
-        latent = enc_seq
-        recon, dec_cache = lstm_forward_cached(model.decoder, latent)
-        caches["decoder"] = dec_cache
+        latent = dec_in = enc_seq                                      # (N, T, 1)
     else:
         flat = enc_seq.reshape(n, t)
-        latent, c1 = dense_forward_cached(model.enc_dense, flat)       # (N, L)
-        expanded, c2 = dense_forward_cached(model.dec_dense, latent)   # (N, T)
+        latent, c1 = dense_forward_cached(model.enc_dense, flat[:n_train])    # (n_train, L)
+        expanded, c2 = dense_forward_cached(model.dec_dense, latent)          # (n_train, T)
+        caches.update({"enc_dense": c1, "dec_dense": c2})
+        if n_train < n:
+            rest, _ = dense_forward_cached(model.enc_dense, flat[n_train:])
+            expanded = np.concatenate([expanded, dense_forward_cached(model.dec_dense, rest)[0]])
         dec_in = expanded.reshape(n, t, 1)
-        recon, dec_cache = lstm_forward_cached(model.decoder, dec_in)
-        caches.update({"enc_dense": c1, "dec_dense": c2, "decoder": dec_cache})
-    return latent, recon, caches
+    recon, dec_cache = lstm_forward_cached(model.decoder, dec_in, layer_buffers.get("decoder"))
+    caches["decoder"] = dec_cache
+    enc_cache["x"] = batch[:n_train]
+    dec_cache["x"] = dec_in[:n_train]
+    return latent[:n_train], recon, caches
 
 
 def forward_autoencoder(model: AutoencoderModel, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,10 +540,11 @@ def train(
     """Train on a normalized tensor: seeded split, full-batch RMSProp.
 
     Runs exactly config.epochs optimizer steps on the training split and
-    records training and holdout MSE (both measured before each step),
-    the gradient norm before clipping and whether clipping fired, then
-    the last epoch's latent saturation and stall ratio. The holdout curve
-    is monitored only; there is no early stopping.
+    records training and holdout MSE (both measured before each step, by
+    one forward pass over both splits), the gradient norm before clipping
+    and whether clipping fired, then the last epoch's latent saturation
+    and stall ratio. The holdout curve is monitored only; there is no
+    early stopping.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized tensor; run minmax_normalize first")
@@ -501,12 +558,15 @@ def train(
 
     perm = rng.permutation(n)
     n_hold = min(max(1, int(round(n * config.holdout_fraction))), n - 1)
-    hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
-    x_train = data.values[train_idx]
-    x_hold = data.values[hold_idx]
+    n_train = n - n_hold
+    # Training rows first, then the holdout rows: one forward pass per
+    # epoch covers both splits, and each split is a view.
+    x_all = data.values[np.concatenate([perm[n_hold:], perm[:n_hold]])]
+    x_train, x_hold = x_all[:n_train], x_all[n_train:]
 
     params = model.params_dict()
     opt = RmspropState(learning_rate=config.resolved_lr())
+    buffers = {"encoder": {}, "decoder": {}}
     train_curve: list[float] = []
     hold_curve: list[float] = []
     norms: list[float] = []
@@ -514,16 +574,15 @@ def train(
     started = time.perf_counter()
     for epoch in range(config.epochs):
         model.set_params(params)
-        latent, recon, caches = _forward_cached(model, x_train)
-        loss = mse_loss(recon, x_train)
+        latent, recon, caches = _forward_cached(model, x_all, n_train, buffers)
+        recon_train = recon[:n_train]
+        loss = mse_loss(recon_train, x_train)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at epoch {epoch + 1}")
-        _, hold_recon = forward_autoencoder(model, x_hold)
-        hold_loss = mse_loss(hold_recon, x_hold)
         train_curve.append(loss)
-        hold_curve.append(hold_loss)
-        d_recon = recon - x_train
-        d_recon *= 2.0 / recon.size
+        hold_curve.append(mse_loss(recon[n_train:], x_hold))
+        d_recon = recon_train - x_train
+        d_recon *= 2.0 / recon_train.size
         grads = _backward(model, caches, d_recon)
         norms.append(global_norm(grads))
         step_grads = clip_global_norm(grads, config.clip_norm)
@@ -600,7 +659,7 @@ def load_model(path) -> AutoencoderModel:
     config = AutoencoderConfig.from_dict(header["config"])
     norm = NormalizationParams.from_dict(header["norm_params"]) if header["norm_params"] else None
     model = init_model(config, seq_len=header["seq_len"], input_dim=header["input_dim"],
-                       rng=seeded_rng(0), norm_params=norm)
+                       rng=None, norm_params=norm)
     layout = {name: list(block.shape) for name, block in model.params_dict().items()}
     if {entry["name"]: entry["shape"] for entry in header["blocks"]} != layout:
         raise ValueError(f"{path}: checkpoint blocks do not match a {config.variant} model "

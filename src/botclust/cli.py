@@ -269,7 +269,7 @@ def cmd_train(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
     mts = load_tensor(_require(out / A_MTS, "extract"))
-    models, reports = _train_models(config, mts, config.seed)
+    models, reports, _ = _train_models(config, mts, config.seed)
     _save_models(out, config, models, reports)
     for variant, report in reports.items():
         final = f"final train MSE {report.train_mse[-1]:.6f}" if report.train_mse else "0 epochs"

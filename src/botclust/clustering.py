@@ -271,17 +271,25 @@ def load_assignment_csv(path) -> ClusterAssignment:
         header = next(reader, None)
         if header != ["user_id", "cluster_id"]:
             raise ValueError(f"{path}: expected header user_id,cluster_id")
-        user_ids = []
+        lines = {}   # user id -> its line
         labels = []
         for line_no, rec in enumerate(reader, start=2):
             if len(rec) != 2:
                 raise ValueError(f"{path}: line {line_no}: expected 2 columns, got {len(rec)}")
             try:
-                labels.append(int(rec[1]))
+                label = int(rec[1])
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: cluster id is not an integer: "
                                  f"{rec[1]!r}") from None
-            user_ids.append(rec[0])
+            if label < NOISE:
+                raise ValueError(f"{path}: line {line_no}: cluster id {label} is negative "
+                                 f"(0 marks noise)")
+            if rec[0] in lines:
+                raise ValueError(f"{path}: line {line_no}: user id {rec[0]!r} repeats "
+                                 f"line {lines[rec[0]]}")
+            lines[rec[0]] = line_no
+            labels.append(label)
+        user_ids = list(lines)
     arr = np.asarray(labels, dtype=np.int64)
     n_clusters = int(arr.max()) if arr.size and arr.max() > 0 else 0
     return ClusterAssignment(

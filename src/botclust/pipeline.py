@@ -17,8 +17,10 @@ for detecting botnets that were never seen during training.
 
 Independent legs run side by side through legs.map_legs: glob_vec's two
 encoders in _train_models, and the base run plus one leg per bot class
-in lobo_run. Each leg is seeded on its own, so results are byte-identical
-to a one-CPU run, which runs every leg in-process.
+in lobo_run. In run_pipeline_from_mts each training leg also encodes the
+tensor it trained on, so no serial _encode follows the legs. Each leg is
+seeded on its own, so results are byte-identical to a one-CPU run, which
+runs every leg in-process.
 """
 
 from __future__ import annotations
@@ -250,19 +252,32 @@ def _train_models(
     config: PipelineConfig,
     mts_raw: MtsTensor,
     seed: int,
-) -> tuple[dict[str, AutoencoderModel], dict[str, TrainReport]]:
+    encoded: bool = False,
+) -> tuple[dict[str, AutoencoderModel], dict[str, TrainReport], dict[str, np.ndarray]]:
     """Min-max fit a raw tensor and train the encoder(s) a representation
     needs; each model keeps the fitted statistics. A second encoder (the
     vec one of glob_vec) trains from a derived seed so both models are
     pinned by the one pipeline seed. The encoders share only the input,
-    so they train side by side (see legs.map_legs)."""
+    so they train side by side (see legs.map_legs). With encoded, each
+    leg also returns its model's latent of the tensor it trained on, the
+    one _encode would give: minmax_normalize's output is bitwise
+    apply_normalization with the fitted statistics. Otherwise the latents
+    are empty."""
     norm, params = minmax_normalize(mts_raw)
+
+    def leg(ae_config: AutoencoderConfig):
+        model, report = train(ae_config, norm, params)
+        return model, report, encode(model, norm) if encoded else None
+
     variants = ENCODERS[config.representation]
-    jobs = [(_ae_config(config, variant, derive_seed(seed, stream) if stream else seed), norm, params)
+    jobs = [(_ae_config(config, variant, derive_seed(seed, stream) if stream else seed),)
             for stream, variant in enumerate(variants)]
-    trained = dict(zip(variants, map_legs(train, jobs)))
-    return ({v: model for v, (model, _) in trained.items()},
-            {v: report for v, (_, report) in trained.items()})
+    models, reports, latents = {}, {}, {}
+    for variant, (model, report, latent) in zip(variants, map_legs(leg, jobs)):
+        models[variant], reports[variant] = model, report
+        if encoded:
+            latents[variant] = latent
+    return models, reports, latents
 
 
 def _encode(models: dict[str, AutoencoderModel], mts_raw: MtsTensor) -> dict[str, np.ndarray]:
@@ -364,8 +379,7 @@ def run_pipeline_from_mts(
     sub = mts_raw
     if config.features is not None and config.features != mts_raw.feature_names:
         sub = mts_raw.select_features(config.features)
-    models, reports = _train_models(config, sub, config.seed)
-    latents = _encode(models, sub)
+    models, reports, latents = _train_models(config, sub, config.seed, encoded=True)
     user_ids = tuple(mts_raw.user_ids)
     points, features = _make_points(config, latents, user_ids)
     clustering = _cluster(config, points, user_ids, n_classes)
@@ -450,7 +464,7 @@ def lobo_run(
         """Weighted F1 on the full population of encoders trained on the
         users in keep (None: all of them)."""
         train_set = mts_raw if keep is None else mts_raw.select_users(keep)
-        models, _reports = _train_models(config, train_set, seed)
+        models = _train_models(config, train_set, seed)[0]
         points, _features = _make_points(config, _encode(models, mts_raw), user_ids)
         clustering = _cluster(config, points, user_ids, n_classes)
         _pred, metrics = _label_and_score(

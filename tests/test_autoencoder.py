@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +10,9 @@ import pytest
 from botclust.autoencoder import (
     GATE_ORDER,
     AutoencoderConfig,
+    _backward,
+    _forward_cached,
+    init_model,
     DenseLayerParams,
     LstmLayerParams,
     MissingCacheError,
@@ -22,7 +28,13 @@ from botclust.autoencoder import (
     train,
 )
 from botclust.mts import SENTINEL, MtsTensor
-from botclust.numerics import seeded_rng
+from botclust.numerics import (
+    RmspropState,
+    clip_global_norm,
+    global_norm,
+    rmsprop_step,
+    seeded_rng,
+)
 
 from oracles import (
     batch_major_lstm_backward,
@@ -239,6 +251,85 @@ def test_lstm_backward_consumes_its_cache():
     assert cache["x"].shape == (2, 4, 3)
 
 
+@pytest.mark.parametrize("input_size, hidden_size", [(6, 1), (1, 6)])
+@pytest.mark.parametrize("n_train, n_rest, t", [(64, 16, 40), (3, 2, 9), (13, 5, 365)])
+def test_lstm_joined_batch_matches_each_split_bitwise(input_size, hidden_size, n_train, n_rest, t):
+    """One pass over training rows then holdout rows gives each split's
+    own hidden sequence, and backpropagating the leading rows of its
+    cache gives the training split's own gradients."""
+    rng = seeded_rng(100 * n_train + t)
+    layer = LstmLayerParams.init(input_size, hidden_size, rng)
+    layer.b = rng.normal(size=layer.b.shape)
+    x = rng.uniform(size=(n_train + n_rest, t, input_size))
+    x[rng.uniform(size=x.shape[:2]) < 0.3] = SENTINEL
+    probe = rng.normal(size=(n_train, t, hidden_size))
+    hidden, cache = lstm_forward_cached(layer, x)
+    train_hidden, train_cache = lstm_forward_cached(layer, x[:n_train])
+    assert np.array_equal(hidden[:n_train], train_hidden)
+    assert np.array_equal(hidden[n_train:], lstm_forward_cached(layer, x[n_train:])[0])
+    cache["x"] = x[:n_train]
+    grads, dx = lstm_backward(layer, cache, probe)
+    ref_grads, ref_dx = lstm_backward(layer, train_cache, probe)
+    for name in ("W", "U", "b"):
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert np.array_equal(dx, ref_dx)
+
+
+def test_lstm_forward_reuses_buffers():
+    rng = seeded_rng(28)
+    layer = LstmLayerParams.init(3, 2, rng)
+    buffers = {}
+    first, _ = lstm_forward_cached(layer, rng.normal(size=(4, 5, 3)), buffers)
+    assert sorted(buffers) == ["acts", "cells", "hidden"] and first is buffers["hidden"]
+    x = rng.normal(size=(4, 5, 3))
+    again, cache = lstm_forward_cached(layer, x, buffers)
+    assert again is first and cache["acts"] is buffers["acts"]
+    assert np.array_equal(again, lstm_forward_cached(layer, x)[0])
+    wider, _ = lstm_forward_cached(layer, rng.normal(size=(6, 5, 3)), buffers)
+    assert wider.shape == (6, 5, 2) and buffers["hidden"] is wider
+
+
+def _split_pass_train(config, data):
+    """The training loop with one forward pass per split, the training
+    rows and then the holdout rows alone: the reference train() must
+    match bit for bit. Returns the model and the per-epoch curves."""
+    rng = seeded_rng(config.seed)
+    model = init_model(config, seq_len=data.n_days, input_dim=data.n_features, rng=rng)
+    perm = rng.permutation(data.n_users)
+    n_hold = min(max(1, int(round(data.n_users * config.holdout_fraction))), data.n_users - 1)
+    x_train, x_hold = data.values[perm[n_hold:]], data.values[perm[:n_hold]]
+    params = model.params_dict()
+    opt = RmspropState(learning_rate=config.resolved_lr())
+    curves = {"train_mse": [], "holdout_mse": [], "grad_norm": []}
+    for _ in range(config.epochs):
+        model.set_params(params)
+        _, recon, caches = _forward_cached(model, x_train)
+        curves["train_mse"].append(mse_loss(recon, x_train))
+        curves["holdout_mse"].append(mse_loss(forward_autoencoder(model, x_hold)[1], x_hold))
+        d_recon = recon - x_train
+        d_recon *= 2.0 / recon.size
+        grads = _backward(model, caches, d_recon)
+        curves["grad_norm"].append(global_norm(grads))
+        params = rmsprop_step(params, clip_global_norm(grads, config.clip_norm), opt)
+    model.set_params(params)
+    return model, curves
+
+
+@pytest.mark.parametrize("variant, n, t, latent_dim", [
+    ("uts", 12, 20, 5), ("vec", 12, 20, 5), ("uts", 31, 20, 5), ("vec", 31, 20, 5),
+    # one dense product over both splits sums differently at this size
+    ("vec", 12, 365, 300),
+])
+def test_train_one_pass_matches_split_passes_bitwise(variant, n, t, latent_dim):
+    data = _toy_tensor(seeded_rng(41), n=n, t=t, d=3)
+    cfg = AutoencoderConfig(variant=variant, epochs=4, latent_dim=latent_dim, seed=6, learning_rate=0.05)
+    model, report = train(cfg, data)
+    ref_model, curves = _split_pass_train(cfg, data)
+    for name, block in ref_model.params_dict().items():
+        assert np.array_equal(model.params_dict()[name], block), name
+    assert {key: getattr(report, key) for key in curves} == curves
+
+
 def test_lstm_init_draws_gates_in_order():
     """A seed pins the same weights as drawing each gate's block in turn."""
     layer = LstmLayerParams.init(3, 2, seeded_rng(27))
@@ -424,6 +515,28 @@ def test_checkpoint_with_retired_config_keys_loads(tmp_path):
     back = load_model(path)
     assert back.config == model.config
     assert np.array_equal(encode(back, data), encode(model, data))
+
+
+def test_load_model_draws_no_random_numbers(tmp_path):
+    # The stepwise encode process loads models only: it need not import
+    # numpy.random at all.
+    data = _toy_tensor(seeded_rng(42), n=4, t=5, d=2)
+    model, _ = train(AutoencoderConfig(variant="vec", epochs=2, latent_dim=3, seed=0), data)
+    save_model(model, tmp_path / "model.ckpt")
+    np.save(tmp_path / "data.npy", data.values)
+    np.save(tmp_path / "latent.npy", encode(model, data))
+    script = (
+        "import sys, numpy as np\n"
+        "from botclust.autoencoder import encode, load_model\n"
+        "from botclust.mts import MtsTensor\n"
+        f"model = load_model({str(tmp_path / 'model.ckpt')!r})\n"
+        f"values = np.load({str(tmp_path / 'data.npy')!r})\n"
+        "data = MtsTensor(values, ['a', 'b', 'c', 'd'], ('f0', 'f1'), None, normalized=True)\n"
+        f"assert np.array_equal(encode(model, data), np.load({str(tmp_path / 'latent.npy')!r}))\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 def test_encode_rejects_mismatched_width():

@@ -1,3 +1,9 @@
+import csv
+import io
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -143,3 +149,40 @@ def test_features_csv_roundtrip_exact(tmp_path):
     assert back.user_ids == z.user_ids
     assert back.column_names == z.column_names
     assert np.array_equal(back.values, z.values)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 64, 365])
+def test_median_is_np_median_bitwise(t):
+    rng = seeded_rng(t)
+    x = rng.normal(size=(40, t)) * 10.0 ** rng.integers(-50, 50, size=(40, 1))
+    x[::3, ::2] = -0.0            # signed zeros: np.median's mean turns -0.0 into 0.0
+    x[1::3] = np.round(x[1::3])   # ties
+    got = extract_global_features(x).values[:, CATALOG.index("median")]
+    assert np.array_equal(got.view(np.int64), np.median(x, axis=1).view(np.int64))
+
+
+def test_extract_does_not_import_numpy_ma():
+    script = ("import sys, numpy as np\n"
+              "from botclust.globalfeats import extract_global_features\n"
+              "extract_global_features(np.arange(12.0).reshape(3, 4))\n"
+              "assert 'numpy.ma' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+def test_features_csv_bytes_follow_csv_rules(tmp_path):
+    ids = ["plain", "with,comma", 'with"quote', "with\nnewline", "", " lead"]
+    values = np.array([[0.1, -0.0, 1e-300], [np.nan, np.inf, -np.inf],
+                       [2.0, 1e22, -3.5], [5e-324, 0.0, 1 / 3], [7.0, 8.0, 9.0], [1.0, 2.0, 3.0]])
+    feats = GlobalFeatureVector(values=values, user_ids=tuple(ids), column_names=("a", "b,c", "d"))
+    path = tmp_path / "f.csv"
+    save_features_csv(feats, path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(("user_id", "a", "b,c", "d"))
+    for uid, row in zip(ids, values):
+        writer.writerow([uid] + [repr(float(v)) for v in row])
+    assert path.read_bytes() == expected.getvalue().encode()
+    back = load_features_csv(path)
+    assert back.user_ids == tuple(ids)
+    assert np.array_equal(back.values, values, equal_nan=True)

@@ -11,6 +11,8 @@ from botclust.mts import extract_mts
 from botclust.pipeline import (
     PRESETS,
     PipelineConfig,
+    _encode,
+    _train_models,
     apply_preset,
     config_hash,
     derive_seed,
@@ -112,6 +114,19 @@ def test_run_pipeline_vec_and_glob_vec(small_dataset):
     # z-scored stats (19) concatenated with the vector latent
     assert res2.points.shape == (32, 19 + FAST["latent_dim"])
     assert "uts" in res2.models and "vec" in res2.models
+
+
+def test_trained_legs_encode_as_the_serial_encode(small_dataset):
+    # A leg encodes the min-max output it trained on; the serial stage
+    # rescales the raw tensor with the stored statistics. Same bits.
+    records, labels = small_dataset
+    mts = extract_mts(build_timelines(records))
+    cfg = apply_preset(PipelineConfig(task="binary", seed=2, **FAST), "Glob_Vec_Hier")
+    models, reports, latents = _train_models(cfg, mts, cfg.seed, encoded=True)
+    assert set(latents) == {"uts", "vec"}
+    for variant, latent in _encode(models, mts).items():
+        assert np.array_equal(latents[variant], latent), variant
+    assert _train_models(cfg, mts, cfg.seed)[2] == {}
 
 
 def test_pipeline_deterministic_per_seed(small_dataset):
@@ -440,6 +455,8 @@ def test_cli_bad_encoder_setting_is_usage_error_before_parse(tmp_path, caplog, f
 @pytest.mark.parametrize("artifact, body, message", [
     ("clusters.csv", "user_id,cluster_id\nu0,1\nu1\n", "line 3: expected 2 columns, got 1"),
     ("clusters.csv", "user_id,cluster_id\nu0,1\nu1,x\n", "line 3: cluster id is not an integer: 'x'"),
+    ("clusters.csv", "user_id,cluster_id\nu0,1\nu1,2\nu0,2\n", "line 4: user id 'u0' repeats line 2"),
+    ("clusters.csv", "user_id,cluster_id\nu0,1\nu1,-1\n", "line 3: cluster id -1 is negative"),
     ("global_features.csv", "user_id,mean\nu0,0.5\nu1\n", "line 3: expected 2 columns, got 1"),
     ("global_features.csv", "user_id,mean\nu0,0.5\nu1,x\n", "line 3: could not convert"),
 ])
