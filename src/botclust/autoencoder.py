@@ -14,13 +14,15 @@ and batch-minor: gate activations are kept as (T, 4H, N) and cells as
 blocks. The forward pass projects the input before the recurrence, one
 matrix product per chunk of about 8 steps over rows in (user, step)
 order, written straight into the time-major buffer; the hidden sequence
-is kept once, as (N, T, H). The backward pass writes the gate gradients
-in (user, step) order into the spent activation buffer after its
-reverse loop and forms the weight gradients with one product each, so
-each time step costs one product with U either way. A backward pass
-consumes its cache (a second one raises MissingCacheError). Every sum
-runs in the same order as in a batch-major layout, so outputs and
-gradients do not depend on the layout to the last bit.
+is kept once, as (N, T, H). The backward pass forms tanh(c) and dc/dh
+in the cache's cell buffer, writes the gate gradients in (user, step)
+order into the spent activation buffer after its reverse loop, drops its
+time-major copy of them and forms the weight gradients with one product
+each, so each time step costs one product with U either way. A backward
+pass consumes its cache's activations and cells (a second one raises
+MissingCacheError). Every sum runs in the same order as in a batch-major
+layout, so outputs and gradients do not depend on the layout to the last
+bit.
 
 Training runs one forward pass per epoch over the training rows followed
 by the holdout rows, so each LSTM runs its recurrence once; the dense
@@ -221,9 +223,11 @@ def lstm_backward(
     last state only. Returns the parameter gradients keyed W/U/b and the
     gradient with respect to the input sequence. The cache's arrays may
     cover more users than its input x: only their leading x.shape[0]
-    users, those of x, are backpropagated, read as views. The gate
-    activation buffer holds the gate gradients afterwards, so a cache
-    serves one backward pass; a second raises MissingCacheError.
+    users, those of x, are backpropagated, read as views. The pass
+    consumes the cache's activations and cells: afterwards the activation
+    buffer holds the gate gradients and the cell buffer the factor dc/dh
+    (a later lstm_forward_cached writes both before reading them), so a
+    cache serves one backward pass; a second raises MissingCacheError.
     """
     if cache is None or "acts" not in cache:
         raise MissingCacheError("lstm_backward needs a fresh cache from lstm_forward_cached")
@@ -241,8 +245,37 @@ def lstm_backward(
         d_hidden = np.zeros((n, t, h))
         d_hidden[:, -1] = d_out
 
-    spent = cache.pop("acts")
-    acts, cells, hidden = spent[:, :, :n], cache["cells"][:, :, :n], cache["hidden"][:n]
+    spent, spent_cells = cache.pop("acts"), cache.pop("cells")
+    dz = _gate_gradients(layer, spent[:, :, :n], spent_cells[:, :, :n], d_hidden)
+
+    # The activations are spent: their buffer takes the gate gradients in
+    # (user, step) row order, the order every sum below runs over. The
+    # transposing copy goes a block of steps at a time, which stays in
+    # cache (see _TRANSPOSE_ROWS). The time-major gradients are dropped
+    # before the products.
+    dz_seq = spent.reshape(-1)[:n * t * 4 * h].reshape(n, t, 4 * h)
+    block = max(1, _TRANSPOSE_ROWS // (4 * h))
+    for lo in range(0, t, block):
+        np.copyto(dz_seq[:, lo:lo + block], dz[lo:lo + block].transpose(2, 0, 1))
+    del dz
+    hidden = cache["hidden"][:n]
+    dz_rows = dz_seq.reshape(n * t, 4 * h)
+    # h_prev is zero at step 0, so per user hidden[:, :-1] meets dz[:, 1:]
+    d_u = np.matmul(hidden[:, :-1].transpose(0, 2, 1), dz_seq[:, 1:])
+    grads = {"W": x.reshape(n * t, d).T @ dz_rows, "U": d_u.sum(axis=0), "b": dz_rows.sum(axis=0)}
+    return grads, (dz_rows @ layer.W.T).reshape(n, t, d)
+
+
+def _gate_gradients(layer: LstmLayerParams, acts: np.ndarray, cells: np.ndarray,
+                    d_hidden: np.ndarray) -> np.ndarray:
+    """The reverse loop of lstm_backward: the gate gradients (T, 4H, N)
+    from the gate activations (T, 4H, N), the cell states (T, H, N) and
+    the upstream hidden-state gradients (N, T, H). The cells are read
+    once, then overwritten with tanh(c) and the factor dc/dh. The views
+    of the gradients end with this call, so the caller frees them by
+    dropping the one array returned."""
+    t, h4, n = acts.shape
+    h = h4 // 4
     i, f, o, g = acts.reshape(t, 4, h, n).transpose(1, 0, 2, 3)
     # Everything but the upstream dc (dh for the output gate) is known from
     # the forward pass, so each gate's factor is formed for all steps here:
@@ -258,7 +291,7 @@ def lstm_backward(
     dzf[0] = 0.0
     dzf[1:] *= cells[:-1]
     dzg *= i
-    dc_dh = np.tanh(cells)
+    dc_dh = np.tanh(cells, out=cells)
     dzo *= dc_dh
     dc_dh *= dc_dh
     np.subtract(1.0, dc_dh, out=dc_dh)
@@ -279,20 +312,7 @@ def lstm_backward(
         # four gate terms in another order.
         dh_next = (np.ascontiguousarray(dz[step].T) @ u_t).T
         dc_next = dc * f[step]
-
-    # The activations are spent: their buffer takes the gate gradients in
-    # (user, step) row order, the order every sum below runs over. The
-    # transposing copy goes a block of steps at a time, which stays in
-    # cache (see _TRANSPOSE_ROWS).
-    dz_seq = spent.reshape(-1)[:n * t * 4 * h].reshape(n, t, 4 * h)
-    block = max(1, _TRANSPOSE_ROWS // (4 * h))
-    for lo in range(0, t, block):
-        np.copyto(dz_seq[:, lo:lo + block], dz[lo:lo + block].transpose(2, 0, 1))
-    dz_rows = dz_seq.reshape(n * t, 4 * h)
-    # h_prev is zero at step 0, so per user hidden[:, :-1] meets dz[:, 1:]
-    d_u = np.matmul(hidden[:, :-1].transpose(0, 2, 1), dz_seq[:, 1:])
-    grads = {"W": x.reshape(n * t, d).T @ dz_rows, "U": d_u.sum(axis=0), "b": dz_rows.sum(axis=0)}
-    return grads, (dz_rows @ layer.W.T).reshape(n, t, d)
+    return dz
 
 
 def dense_forward_cached(layer: DenseLayerParams, x: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -9,6 +9,12 @@ write the same bytes. Settings merge with precedence
 flag > config file > default; --variant-preset expands to a
 representation plus clustering method before explicit flags apply.
 
+Commands hold only what they still read while they train: run-all,
+importance and lobo drop the parsed tweet table once its tensor exists,
+so neither the process nor its forked legs hold it while training, and
+train hands the loaded tensor to _train_models without keeping a name
+for it, so it is freed once normalized.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 missing
 upstream artifact, 4 invalid data, 1 unexpected failure. Logs go to
 stderr; each subcommand prints a one-line summary to stdout.
@@ -52,7 +58,7 @@ from .pipeline import (
     apply_preset,
     config_hash,
     global_features,
-    lobo_run,
+    lobo_run_from_mts,
     prepare,
     run_pipeline_from_mts,
     truth_vector,
@@ -268,8 +274,9 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    mts = load_tensor(_require(out / A_MTS, "extract"))
-    models, reports, _ = _train_models(config, mts, config.seed)
+    # The loaded tensor goes unnamed, so _train_models frees it once normalized.
+    models, reports, _ = _train_models(config, load_tensor(_require(out / A_MTS, "extract")),
+                                       config.seed)
     _save_models(out, config, models, reports)
     for variant, report in reports.items():
         final = f"final train MSE {report.train_mse[-1]:.6f}" if report.train_mse else "0 epochs"
@@ -349,6 +356,7 @@ def cmd_importance(args) -> int:
     out = _outdir(paths)
     tweets, labels = _read_inputs(paths)
     mts, true = prepare(tweets, labels, config)
+    del tweets   # the retraining runs without the tweet table
     started = time.perf_counter()
 
     def runner(feats: tuple[str, ...]) -> float:
@@ -381,7 +389,9 @@ def cmd_lobo(args) -> int:
     if args.bot_classes:
         bot_classes = [int(c) for c in args.bot_classes.split(",")]
     started = time.perf_counter()
-    report = lobo_run(tweets, labels, config, bot_classes=bot_classes)
+    mts, true = prepare(tweets, labels, config)
+    del tweets   # the legs train without the tweet table
+    report = lobo_run_from_mts(mts, true, labels, config, bot_classes=bot_classes)
     _write_report(
         out / A_LOBO,
         report.to_dict(),
@@ -428,6 +438,7 @@ def cmd_run_all(args) -> int:
     tweets, labels = _read_inputs(paths)
     started = time.perf_counter()
     mts, true = prepare(tweets, labels, config)
+    del tweets   # training runs without the tweet table
     save_tensor(mts, out / A_MTS)
     result = run_pipeline_from_mts(mts, true, labels.num_classes, config)
     _save_models(out, config, result.models, result.train_reports)

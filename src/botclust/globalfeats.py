@@ -160,12 +160,23 @@ def concat_features(globals_: GlobalFeatureVector, vec_latent: np.ndarray) -> Gl
     )
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer's default dialect writes a field of a row with
+    others: quoted, with its quotes doubled, when it holds a comma, a
+    quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def save_features_csv(features: GlobalFeatureVector, path) -> None:
+    """The header through csv.writer, then each row as csv.writer writes
+    it: the user id, then the repr of each value (which needs no
+    quoting), without csv.writer's per-field work."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("user_id",) + features.column_names)
-        writer.writerows([uid, *map(repr, row)]
-                         for uid, row in zip(features.user_ids, features.values.tolist()))
+        csv.writer(fh).writerow(("user_id",) + features.column_names)
+        fh.writelines(f"{_csv_field(uid)},{','.join(map(repr, row))}\r\n"
+                      for uid, row in zip(features.user_ids, features.values.tolist()))
 
 
 def load_features_csv(path) -> GlobalFeatureVector:

@@ -9,6 +9,7 @@ from min-max statistics and pass through normalization unchanged.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from datetime import date
@@ -209,7 +210,7 @@ def write_container(path: str | Path, magic: bytes, header: dict, arrays) -> Non
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for array in arrays:
-            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))   # its buffer, not a bytes copy
 
 
 class _Header(dict):
@@ -243,9 +244,15 @@ def read_container(path: str | Path, magic: bytes, what: str, body_size) -> tupl
         (header_len,) = struct.unpack("<I", take(fh, 4, "header length"))
         header = json.loads(take(fh, header_len, "header").decode("utf-8"),
                             object_hook=lambda items: _Header(f"{path}: {what} header", items))
-        count = body_size(header)
-        body = take(fh, count * 8, "body")
-    return header, np.frombuffer(body, dtype="<f8").copy()
+        # The body is read straight into its array; a short file is found
+        # from its size first, so no array is made for a body that is not there.
+        size = body_size(header) * 8
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
+            raise ValueError(f"{path}: truncated {what}: body has {left} of {size} bytes")
+        body = np.empty(size // 8, dtype="<f8")
+        fh.readinto(body.data.cast("B"))
+    return header, body
 
 
 def save_tensor(mts: MtsTensor, path: str | Path) -> None:

@@ -17,10 +17,15 @@ for detecting botnets that were never seen during training.
 
 Independent legs run side by side through legs.map_legs: glob_vec's two
 encoders in _train_models, and the base run plus one leg per bot class
-in lobo_run. In run_pipeline_from_mts each training leg also encodes the
-tensor it trained on, so no serial _encode follows the legs. Each leg is
-seeded on its own, so results are byte-identical to a one-CPU run, which
-runs every leg in-process.
+in lobo_run_from_mts. In run_pipeline_from_mts each training leg also
+encodes the tensor it trained on, so no serial _encode follows the legs.
+Each leg is seeded on its own, so results are byte-identical to a one-CPU
+run, which runs every leg in-process.
+
+Stages let go of inputs they no longer read: _train_models drops the raw
+tensor once it is normalized, and lobo_run the tweet table once its
+tensor exists, so a caller that hands over its only reference trains
+without them.
 """
 
 from __future__ import annotations
@@ -262,8 +267,11 @@ def _train_models(
     leg also returns its model's latent of the tensor it trained on, the
     one _encode would give: minmax_normalize's output is bitwise
     apply_normalization with the fitted statistics. Otherwise the latents
-    are empty."""
+    are empty. The raw tensor is not read after its normalization, so a
+    caller that passes its only reference (the train step does) frees it
+    before training."""
     norm, params = minmax_normalize(mts_raw)
+    del mts_raw
 
     def leg(ae_config: AutoencoderConfig):
         model, report = train(ae_config, norm, params)
@@ -439,9 +447,24 @@ def lobo_run(
     config: PipelineConfig,
     bot_classes: Optional[list[int]] = None,
 ) -> LoboReport:
+    """lobo_run_from_mts on the table's raw tensor. The table is dropped
+    before training, so a caller that passes its only reference frees it."""
+    mts_raw, true = prepare(tweets, labels, config)
+    del tweets
+    return lobo_run_from_mts(mts_raw, true, labels, config, bot_classes)
+
+
+def lobo_run_from_mts(
+    mts_raw: MtsTensor,
+    true: np.ndarray,
+    labels: LabelTable,
+    config: PipelineConfig,
+    bot_classes: Optional[list[int]] = None,
+) -> LoboReport:
     """Leave-one-botnet-out: for each bot class, retrain the encoder(s)
     without it (normalization statistics from the reduced set too), then
-    encode, cluster, label and score the FULL population.
+    encode, cluster, label and score the FULL population of the raw
+    tensor, whose rows have the class ids in true.
 
     Each leg runs from a seed derived per excluded class. Excluding a
     class with no members degenerates to the base run by construction,
@@ -456,7 +479,6 @@ def lobo_run(
     if any(c == GENUINE_CLASS for c in bot_classes):
         raise ValueError("cannot exclude the genuine class")
 
-    mts_raw, true = prepare(tweets, labels, config)
     user_ids = tuple(mts_raw.user_ids)
     n_classes = labels.num_classes
 

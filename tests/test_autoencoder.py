@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +288,32 @@ def test_lstm_forward_reuses_buffers():
     assert np.array_equal(again, lstm_forward_cached(layer, x)[0])
     wider, _ = lstm_forward_cached(layer, rng.normal(size=(6, 5, 3)), buffers)
     assert wider.shape == (6, 5, 2) and buffers["hidden"] is wider
+
+
+@pytest.mark.parametrize("return_sequence", [True, False])
+def test_lstm_backward_peak_memory(return_sequence):
+    """A decoder backward on a merged-split cache (N = 200 rows, the
+    leading n = 160 backpropagated) allocates at its peak no more than
+    the time-major gate gradients, the zero-padded upstream gradient when
+    only the last state is given, and half a (T, H, n) array: tanh(c) and
+    dc/dh live in the cache's cell buffer, and the gate gradients are
+    dropped before the products."""
+    rng = seeded_rng(31)
+    big_n, n, t, h = 200, 160, 365, 6
+    layer = LstmLayerParams.init(1, h, rng)
+    x = rng.uniform(size=(big_n, t, 1))
+    _, cache = lstm_forward_cached(layer, x, {})
+    cache["x"] = x[:n]
+    probe = rng.normal(size=(n, t, h) if return_sequence else (n, h))
+    per_step = t * h * n * 8
+    bound = 4 * per_step + (0 if return_sequence else per_step) + per_step // 2
+    tracemalloc.start()
+    try:
+        lstm_backward(layer, cache, probe, return_sequence=return_sequence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
 
 
 def _split_pass_train(config, data):

@@ -171,9 +171,11 @@ def test_extract_does_not_import_numpy_ma():
 
 
 def test_features_csv_bytes_follow_csv_rules(tmp_path):
-    ids = ["plain", "with,comma", 'with"quote', "with\nnewline", "", " lead"]
+    ids = ["plain", "with,comma", 'with"quote', "with\nnewline", "", " lead",
+           "with\rreturn", "naïve 東京 ü", 'all, "of\r\nthem" é']
     values = np.array([[0.1, -0.0, 1e-300], [np.nan, np.inf, -np.inf],
-                       [2.0, 1e22, -3.5], [5e-324, 0.0, 1 / 3], [7.0, 8.0, 9.0], [1.0, 2.0, 3.0]])
+                       [2.0, 1e22, -3.5], [5e-324, 0.0, 1 / 3], [7.0, 8.0, 9.0], [1.0, 2.0, 3.0],
+                       [-1.5, 0.25, 1e-7], [3.0, -2.0, 1e100], [0.5, 0.5, 0.5]])
     feats = GlobalFeatureVector(values=values, user_ids=tuple(ids), column_names=("a", "b,c", "d"))
     path = tmp_path / "f.csv"
     save_features_csv(feats, path)
