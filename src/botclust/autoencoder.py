@@ -44,7 +44,7 @@ loading one raises ValueError (exit 4 from the CLI): retrain the model.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -368,15 +368,7 @@ class AutoencoderConfig:
         return 0.5 if self.variant == "uts" else 2e-4
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "latent_dim": self.latent_dim,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "holdout_fraction": self.holdout_fraction,
-            "seed": self.seed,
-            "clip_norm": self.clip_norm,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AutoencoderConfig":
@@ -403,17 +395,9 @@ class TrainReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "train_mse": self.train_mse,
-            "holdout_mse": self.holdout_mse,
-            "grad_norm": self.grad_norm,
-            "clipped": self.clipped,
-            "latent_saturation": self.latent_saturation,
-            "stall_ratio": self.stall_ratio,
-            "final_epoch": self.final_epoch,
-            "seed": self.seed,
-            "timing": {"wall_time_s": self.wall_time_s},
-        }
+        doc = asdict(self)
+        doc["timing"] = {"wall_time_s": doc.pop("wall_time_s")}
+        return doc
 
 
 @dataclass

@@ -10,10 +10,11 @@ flag > config file > default; --variant-preset expands to a
 representation plus clustering method before explicit flags apply.
 
 Commands hold only what they still read while they train: run-all,
-importance and lobo drop the parsed tweet table once its tensor exists,
-so neither the process nor its forked legs hold it while training, and
-train hands the loaded tensor to _train_models without keeping a name
-for it, so it is freed once normalized.
+importance and lobo read their inputs through _read_inputs, which turns
+the parsed tweet table into its tensor and drops it, so neither the
+process nor its forked legs hold it while training, and train hands the
+loaded tensor to _train_models without keeping a name for it, so it is
+freed once normalized.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing
 upstream artifact, 4 invalid data, 1 unexpected failure. Logs go to
@@ -41,7 +42,7 @@ from .clustering import (
     save_dendrogram_json,
 )
 from .globalfeats import load_features_csv, save_features_csv
-from .ingest import LabelTable, ParseError, TweetTable, load_labels, parse_tweets, write_tweets_jsonl
+from .ingest import LabelTable, ParseError, load_labels, parse_tweets, write_tweets_jsonl
 from .labeling import feature_importance
 from .legs import last_workers
 from .mts import MtsTensor, load_tensor, save_tensor
@@ -63,7 +64,6 @@ from .pipeline import (
     run_pipeline_from_mts,
     truth_vector,
 )
-from .synth import SynthConfig, generate_dataset
 
 log = logging.getLogger("botclust")
 
@@ -185,10 +185,14 @@ def _input(paths: dict, key: str) -> str:
     return paths[key]
 
 
-def _read_inputs(paths: dict) -> tuple[TweetTable, LabelTable]:
-    """The tweets file parsed into its table, and the labels."""
+def _read_inputs(paths: dict, config: PipelineConfig) -> tuple[MtsTensor, np.ndarray, LabelTable]:
+    """The raw tensor of the tweets file (see prepare), its truth vector in
+    tensor row order, and the labels. The parsed tweet table is dropped on
+    return, so no command trains while holding it."""
     tweets, labels = _input(paths, "tweets"), _input(paths, "labels")
-    return parse_tweets(tweets, format=paths["format"]), load_labels(labels)
+    table, labels = parse_tweets(tweets, format=paths["format"]), load_labels(labels)
+    mts, true = prepare(table, labels, config)
+    return mts, true, labels
 
 
 def _wrap_latent(latent: np.ndarray, source: MtsTensor, variant: str) -> MtsTensor:
@@ -354,9 +358,7 @@ def cmd_evaluate(args) -> int:
 def cmd_importance(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    tweets, labels = _read_inputs(paths)
-    mts, true = prepare(tweets, labels, config)
-    del tweets   # the retraining runs without the tweet table
+    mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
 
     def runner(feats: tuple[str, ...]) -> float:
@@ -384,13 +386,11 @@ def cmd_importance(args) -> int:
 def cmd_lobo(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    tweets, labels = _read_inputs(paths)
+    mts, true, labels = _read_inputs(paths, config)
     bot_classes = None
     if args.bot_classes:
         bot_classes = [int(c) for c in args.bot_classes.split(",")]
     started = time.perf_counter()
-    mts, true = prepare(tweets, labels, config)
-    del tweets   # the legs train without the tweet table
     report = lobo_run_from_mts(mts, true, labels, config, bot_classes=bot_classes)
     _write_report(
         out / A_LOBO,
@@ -407,6 +407,9 @@ def cmd_lobo(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # Imported here, so the other subcommands start without it.
+    from .synth import SynthConfig, generate_dataset
+
     paths, _config = _merged(args)
     out = _outdir(paths)
     kwargs = {}
@@ -435,10 +438,8 @@ def cmd_synth(args) -> int:
 def cmd_run_all(args) -> int:
     paths, config = _merged(args)
     out = _outdir(paths)
-    tweets, labels = _read_inputs(paths)
+    mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
-    mts, true = prepare(tweets, labels, config)
-    del tweets   # training runs without the tweet table
     save_tensor(mts, out / A_MTS)
     result = run_pipeline_from_mts(mts, true, labels.num_classes, config)
     _save_models(out, config, result.models, result.train_reports)

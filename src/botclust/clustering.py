@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,10 +55,7 @@ class Dendrogram:
     merges: list[tuple[int, int, float, int]]  # (id_a, id_b, height, new size)
 
     def to_dict(self) -> dict:
-        return {
-            "n_leaves": self.n_leaves,
-            "merges": [[a, b, h, s] for a, b, h, s in self.merges],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dendrogram":

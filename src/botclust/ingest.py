@@ -9,16 +9,17 @@ never decodes to, and raises ParseError when its line is reached in line
 order, so a bad row before it is still the error reported.
 
 ``parse_tweets`` reads a file straight into a ``TweetTable`` without a
-per-tweet object, CHUNK_ROWS lines at a time, along two paths:
+per-tweet object. A JSONL file is read in blocks of about BLOCK_CHARS
+characters, each ending at a line break, along two paths:
 
-- the pattern path: a JSONL chunk whose lines all hold the keys, key
-  order and value types ``write_tweets_jsonl`` writes, with or without a
-  space after each ':' and ',' (``_CANONICAL_LINES``), is read into
-  columns by one regular-expression scan, with no row decoded;
-- the row validator: any other chunk, such as one holding an undecodable
-  byte, and every CSV file, is checked line by line and row by row in
-  line order, so errors, negative-row warnings and UTC days are those
-  of a row-by-row parse.
+- the pattern path: a block whose lines all hold the keys, key order and
+  value types ``write_tweets_jsonl`` writes, with or without a space
+  after each ':' and ',' (``_CANONICAL_LINES``), is read into columns by
+  one regular-expression scan, with no row decoded;
+- the row validator: any other block, such as one holding an
+  undecodable byte, and every CSV file, is checked line by line and row
+  by row in line order, so errors, negative-row warnings and UTC days
+  are those of a row-by-row parse.
 
 ``build_timelines`` indexes in-memory ``TweetRecord`` lists (from
 ``synth`` and the tests) into the same table.
@@ -27,6 +28,7 @@ per-tweet object, CHUNK_ROWS lines at a time, along two paths:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import re
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,12 +54,14 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 GENUINE_CLASS = 0
 
-# Lines read before a chunk is turned into columns: large enough that
-# the per-chunk numpy calls cost little per row, small enough that one
-# chunk's text and columns stay a few MiB.
+# Rows the row validator checks, and records the writer formats, before
+# they are turned into columns or text: large enough that the per-batch
+# calls cost little per row, small enough that one batch stays a few MiB.
 CHUNK_ROWS = 4096
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-_YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
+# Characters of JSONL text scanned at once (then up to the next line
+# break): large enough that one scan costs little per line, small enough
+# that one block's text and matches stay a few MiB.
+BLOCK_CHARS = 1 << 20
 # A byte that is not UTF-8, as ``errors="surrogateescape"`` decodes it.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -71,13 +76,15 @@ def _line_pattern(space: str) -> re.Pattern:
     (``_ESCAPED_BYTE``), so it is the text itself; digits are ASCII
     ([0-9], not \d, which also matches other scripts' digits); and a
     count has at most 15 digits, so ``float()`` of the text is exact. The
-    timestamp's 19 characters before the 'Z' are captured for
-    ``datetime64[s]``, which rejects a date or time that does not exist
-    (month 13, hour 24, second 60).
+    time of day is limited to hours 00-23 and minutes and seconds 00-59,
+    the times that exist; only the date is captured, for
+    ``date.fromisoformat``, which rejects a date that does not exist
+    (month 13, February 29 of a common year, year 0).
     """
     count = r"(0|[1-9][0-9]{0,14})"
     fields = (("user_id", r'"([^"\\\x00-\x1f\udc80-\udcff]+)"'),
-              ("timestamp", r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})Z"'),
+              ("timestamp",
+               r'"([0-9]{4}-[0-9]{2}-[0-9]{2})T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z"'),
               *((name, count) for name in FEATURE_NAMES))
     return re.compile(
         r"^\{" + f",{space}".join(f'"{name}":{space}{value}' for name, value in fields)
@@ -107,9 +114,9 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class TweetRecord:
-    """One tweet's entity counts at a UTC timestamp (second precision)."""
+class TweetRecord(NamedTuple):
+    """One tweet's entity counts at a UTC timestamp (second precision);
+    the counts are the last six fields, in FEATURE_NAMES order."""
 
     user_id: str
     timestamp: datetime
@@ -121,14 +128,7 @@ class TweetRecord:
     favorite_count: int
 
     def counts(self) -> tuple[int, ...]:
-        return (
-            self.num_urls,
-            self.num_hashtags,
-            self.num_mentions,
-            self.retweet_count,
-            self.reply_count,
-            self.favorite_count,
-        )
+        return self[2:]
 
     def day(self) -> date:
         """The UTC date; a naive timestamp is read as UTC, as the
@@ -267,32 +267,50 @@ class _TableBuilder:
         )
 
 
-def _add_canonical_lines(builder: _TableBuilder, lines: list[str]) -> bool:
-    """Add a chunk of lines by one scan with the ``_CANONICAL_LINES``
-    pattern its first line matches, if every line matches and every
-    timestamp is a real UTC second from year 1 on; otherwise add nothing
-    and return False, and the row validator takes the chunk."""
-    # The first line picks the pattern; a chunk in another layout is not
+class _Memo(dict):
+    """``fn``'s value per distinct argument, each computed once."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _date_ordinal(text: str) -> int:
+    return date.fromisoformat(text).toordinal()
+
+
+def _add_canonical_block(builder: _TableBuilder, text: str, ordinals: _Memo,
+                         floats: _Memo) -> int | None:
+    """Add a block of lines by one scan with the ``_CANONICAL_LINES``
+    pattern its first line matches, if every line matches and every date
+    exists, and return the number of lines; otherwise add nothing and
+    return None, and the row validator takes the block. ``ordinals`` and
+    ``floats`` convert a date's and a count's text, once per distinct text."""
+    # The first line picks the pattern; a block in another layout is not
     # scanned at all.
-    pattern = next((p for p in _CANONICAL_LINES if p.match(lines[0])), None)
+    pattern = next((p for p in _CANONICAL_LINES if p.match(text)), None)
     if pattern is None:
-        return False
-    matches = pattern.findall("".join(lines))
-    if len(matches) != len(lines):
-        return False
-    user_ids, stamps, *columns = zip(*matches)
+        return None
+    matches = pattern.findall(text)
+    # A match cannot span a line break, nor end at a lone '\r', so this
+    # many matches is every line of the block.
+    n = len(matches)
+    if n != text.count("\n") + (not text.endswith("\n")):
+        return None
+    user_ids, dates, *columns = zip(*matches)
     try:
-        seconds = np.array(stamps).astype("datetime64[s]")
-    except ValueError:  # a date or time that does not exist
-        return False
-    if (seconds < _YEAR_ONE).any():  # year 0, which numpy reads but datetime does not
-        return False
-    counts = np.empty((len(lines), len(FEATURE_NAMES)))
+        days = np.fromiter(map(ordinals.__getitem__, dates), dtype=np.int64, count=n)
+    except ValueError:  # a date that does not exist, or year 0
+        return None
+    counts = np.empty((n, len(FEATURE_NAMES)))
     for j, column in enumerate(columns):
-        counts[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=len(lines))
-    builder.add(user_ids, seconds.astype("datetime64[D]").astype(np.int64) + _EPOCH_ORDINAL,
-                counts)
-    return True
+        counts[:, j] = np.fromiter(map(floats.__getitem__, column), dtype=np.float64, count=n)
+    builder.add(user_ids, days, counts)
+    return n
 
 
 def _open_text(path: Path):
@@ -313,13 +331,13 @@ def _utf8_lines(fh) -> Iterator[str]:
         yield line
 
 
-def _line_chunks(fh) -> Iterator[tuple[int, list[str]]]:
-    """The file's lines CHUNK_ROWS at a time, each chunk with the number of
-    its first line."""
-    line_no = 1
-    while lines := list(islice(fh, CHUNK_ROWS)):
-        yield line_no, lines
-        line_no += len(lines)
+def _blocks(fh) -> Iterator[str]:
+    """The file's text about BLOCK_CHARS characters at a time, each block
+    ending at a line break or at the end of the file."""
+    while text := fh.read(BLOCK_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        yield text
 
 
 def _jsonl_rows(lines: list[str], first_line_no: int) -> Iterator[tuple[int, dict]]:
@@ -364,13 +382,15 @@ def _add_rows(builder: _TableBuilder, rows: Iterator[tuple[int, dict]]) -> None:
 def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
     """Parse tweet activity rows from a JSONL or CSV file into one TweetTable.
 
-    Lines are read in chunks of CHUNK_ROWS and each chunk becomes columns;
-    no per-tweet object is built. A JSONL chunk in ``write_tweets_jsonl``'s
-    layout, compact or not, is read by one pattern scan; any other chunk
-    is decoded row by row, with the same result. Structurally malformed rows
-    (undecodable, missing fields, bad timestamps, counts that are not
-    integers or do not fit a float64) raise ParseError with the offending
-    line number; the first such line in the file is the one reported.
+    No per-tweet object is built. A JSONL file is read in blocks of about
+    BLOCK_CHARS characters, each ending at a line break; a block in
+    ``write_tweets_jsonl``'s layout, compact or not, is read by one
+    pattern scan, and any other block is split into lines as file
+    iteration splits them and decoded row by row, with the same result.
+    Structurally malformed rows (undecodable, missing fields, bad
+    timestamps, counts that are not integers or do not fit a float64)
+    raise ParseError with the offending line number; the first such line
+    in the file is the one reported.
     Rows with negative counts are dropped with a logged diagnostic and
     parsing continues. A file with no rows left raises ValueError.
     """
@@ -382,9 +402,15 @@ def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
         if format == "csv":
             _add_rows(builder, _csv_rows(fh))
         else:
-            for line_no, lines in _line_chunks(fh):
-                if not _add_canonical_lines(builder, lines):
+            ordinals, floats = _Memo(_date_ordinal), _Memo(float)
+            line_no = 1
+            for text in _blocks(fh):
+                n = _add_canonical_block(builder, text, ordinals, floats)
+                if n is None:
+                    lines = list(io.StringIO(text, newline=""))
                     _add_rows(builder, _jsonl_rows(lines, line_no))
+                    n = len(lines)
+                line_no += n
     return builder.table()
 
 

@@ -11,9 +11,11 @@ everything else (features, epochs, seeds, eps) comes from PipelineConfig.
 Each stage (prepare, _train_models, _encode, global_features,
 _make_points, _cluster, _label_and_score) is one function, chained here
 by run_pipeline_from_mts and called one at a time by the CLI steps.
-The leave-one-botnet-out harness retrains on a reduced population and
-scores the full one, which is the generalization question that matters
-for detecting botnets that were never seen during training.
+The leave-one-botnet-out harness, lobo_run_from_mts, retrains on a
+reduced population and scores the full one, which is the generalization
+question that matters for detecting botnets that were never seen during
+training. Each analysis has one entry point, and each starts from the
+raw tensor that prepare builds from a tweet table.
 
 Independent legs run side by side through legs.map_legs: glob_vec's two
 encoders in _train_models, and the base run plus one leg per bot class
@@ -23,16 +25,15 @@ Each leg is seeded on its own, so results are byte-identical to a one-CPU
 run, which runs every leg in-process.
 
 Stages let go of inputs they no longer read: _train_models drops the raw
-tensor once it is normalized, and lobo_run the tweet table once its
-tensor exists, so a caller that hands over its only reference trains
-without them.
+tensor once it is normalized, so a caller that hands over its only
+reference trains without it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -122,28 +123,12 @@ class PipelineConfig:
                 raise ValueError(f"features must not repeat a name, got {list(self.features)}")
 
     def to_dict(self) -> dict:
-        return {
-            "representation": self.representation,
-            "cluster_method": self.cluster_method,
-            "task": self.task,
-            "features": list(self.features) if self.features else None,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "latent_dim": self.latent_dim,
-            "holdout_fraction": self.holdout_fraction,
-            "clip_norm": self.clip_norm,
-            "min_pts": self.min_pts,
-            "eps": self.eps,
-            "n_clusters": self.n_clusters,
-            "genuine_cluster": self.genuine_cluster,
-            "seed": self.seed,
-        }
+        # An empty feature list is written null, as it always has been, so
+        # config hashes stay put.
+        return dict(asdict(self), features=list(self.features) if self.features else None)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        if d.get("features"):
-            d["features"] = tuple(d["features"])
         return cls(**d)
 
 
@@ -409,16 +394,6 @@ def run_pipeline_from_mts(
     )
 
 
-def run_pipeline(
-    tweets: TweetTable,
-    labels: LabelTable,
-    config: PipelineConfig,
-) -> PipelineResult:
-    """Full run from a tweet table plus ground-truth labels."""
-    mts_raw, true = prepare(tweets, labels, config)
-    return run_pipeline_from_mts(mts_raw, true, labels.num_classes, config)
-
-
 @dataclass
 class LoboReport:
     """Scores from retraining without one bot class at a time."""
@@ -439,19 +414,6 @@ class LoboReport:
                 for cid, vals in sorted(self.entries.items())
             },
         }
-
-
-def lobo_run(
-    tweets: TweetTable,
-    labels: LabelTable,
-    config: PipelineConfig,
-    bot_classes: Optional[list[int]] = None,
-) -> LoboReport:
-    """lobo_run_from_mts on the table's raw tensor. The table is dropped
-    before training, so a caller that passes its only reference frees it."""
-    mts_raw, true = prepare(tweets, labels, config)
-    del tweets
-    return lobo_run_from_mts(mts_raw, true, labels, config, bot_classes)
 
 
 def lobo_run_from_mts(

@@ -25,8 +25,8 @@ from botclust.numerics import seeded_rng
 from botclust.pipeline import (
     PipelineConfig,
     apply_preset,
-    lobo_run,
-    run_pipeline,
+    lobo_run_from_mts,
+    prepare,
     run_pipeline_from_mts,
 )
 from botclust.synth import SynthConfig, generate_dataset
@@ -177,10 +177,11 @@ def test_criterion_5_synthetic_separation(frozen_synth):
     start = time.time()
 
     glob_cfg = apply_preset(PipelineConfig(task="binary", seed=0), "Glob_Hier")
-    glob_res = run_pipeline(build_timelines(records), labels, glob_cfg)
+    mts, true = prepare(build_timelines(records), labels, glob_cfg)
+    glob_res = run_pipeline_from_mts(mts, true, labels.num_classes, glob_cfg)
 
     dbscan_cfg = apply_preset(PipelineConfig(task="multiclass", seed=0), "UTS_DBSCAN")
-    dbscan_res = run_pipeline(build_timelines(records), labels, dbscan_cfg)
+    dbscan_res = run_pipeline_from_mts(mts, true, labels.num_classes, dbscan_cfg)
 
     elapsed = time.time() - start
     ok = (
@@ -202,7 +203,7 @@ def test_criterion_5_synthetic_separation(frozen_synth):
 def test_criterion_6_leave_one_botnet_out(frozen_synth):
     records, labels = frozen_synth
     cfg = apply_preset(PipelineConfig(task="binary", seed=0), "Glob_Hier")
-    report = lobo_run(build_timelines(records), labels, cfg)
+    report = lobo_run_from_mts(*prepare(build_timelines(records), labels, cfg), labels, cfg)
     changes = {cid: entry["pct_change"] for cid, entry in report.entries.items()}
     ok = all(abs(v) <= 5.0 for v in changes.values())
     _verdict(

@@ -525,6 +525,32 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.input_dim == model.input_dim
 
 
+def test_checkpoint_header_bytes_are_pinned(tmp_path):
+    """The header a checkpoint has always had, key for key and byte for byte."""
+    from botclust.mts import NormalizationParams
+
+    model = init_model(AutoencoderConfig(variant="vec", latent_dim=3, learning_rate=0.01,
+                                         epochs=7, seed=5),
+                       seq_len=4, input_dim=2, rng=None,
+                       norm_params=NormalizationParams(("num_urls", "reply_count"),
+                                                       [0.0, 1.0], [2.0, 3.5]))
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    raw = path.read_bytes()
+    header = raw[12:12 + int.from_bytes(raw[8:12], "little")].decode("utf-8")
+    assert header == (
+        '{"blocks": [{"name": "dec_dense.W", "shape": [3, 4]}, {"name": "dec_dense.b", '
+        '"shape": [4]}, {"name": "decoder.U", "shape": [2, 8]}, {"name": "decoder.W", '
+        '"shape": [1, 8]}, {"name": "decoder.b", "shape": [8]}, {"name": "enc_dense.W", '
+        '"shape": [4, 3]}, {"name": "enc_dense.b", "shape": [3]}, {"name": "encoder.U", '
+        '"shape": [1, 4]}, {"name": "encoder.W", "shape": [2, 4]}, {"name": "encoder.b", '
+        '"shape": [4]}], "config": {"clip_norm": 5.0, "epochs": 7, "holdout_fraction": 0.2, '
+        '"latent_dim": 3, "learning_rate": 0.01, "seed": 5, "variant": "vec"}, '
+        '"input_dim": 2, "norm_params": {"feature_names": ["num_urls", "reply_count"], '
+        '"maxs": [2.0, 3.5], "mins": [0.0, 1.0]}, "seq_len": 4, "version": 2}'
+    )
+
+
 def test_checkpoint_with_retired_config_keys_loads(tmp_path):
     """v2 checkpoints written while the config still had input_dim and
     seq_len hold both keys as null; loading ignores them."""

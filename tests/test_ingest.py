@@ -585,12 +585,84 @@ def test_canonical_file_decodes_no_line(tmp_path, caplog, monkeypatch, line, new
     assert decoded == []
 
 
-def test_odd_line_decodes_only_its_chunk(tmp_path, caplog, monkeypatch):
+# A block size that puts two or three lines in a block, so a small file
+# spans many blocks.
+SMALL_BLOCK = 300
+
+
+def _small_block_file(path, special, line=_line, newline="\n"):
+    """40 canonical rows over 5 users and 12 days, with the lines named in
+    ``special`` (1-based line number -> text) replaced."""
+    lines = [line(user=f"u{i % 5}", ts=f"2023-03-{1 + i % 12:02d}T{i % 24:02d}:{i:02d}:59Z",
+                  num_urls=i % 3, favorite_count=10**14 + i)
+             for i in range(40)]
+    for line_no, text in special.items():
+        lines[line_no - 1] = text
+    path.write_bytes((newline.join(lines) + newline).encode())
+
+
+def _expected_blocks(path, block_chars):
+    """A file's lines grouped as the parse reads them: each block is the
+    fewest whole lines holding at least ``block_chars`` characters."""
+    blocks, block = [], []
+    for line in path.read_text().splitlines(keepends=True):
+        block.append(line)
+        if sum(map(len, block)) >= block_chars:
+            blocks.append(block)
+            block = []
+    return blocks + [block] if block else blocks
+
+
+def test_odd_line_decodes_only_its_block(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", SMALL_BLOCK)
     p = tmp_path / "t.jsonl"
-    _two_chunk_file(p, {CHUNK_ROWS + 3: json.dumps(_row(user="odd"), separators=(",", ":"))})
+    _small_block_file(p, {20: json.dumps(_row(user="odd"), separators=(",", ":"))})
     decoded = _record_decoded(monkeypatch)
     _assert_matches_rowwise(p, caplog)
-    assert decoded == p.read_text().splitlines(keepends=True)[CHUNK_ROWS:2 * CHUNK_ROWS]
+    odd_block = next(b for b in _expected_blocks(p, SMALL_BLOCK) if '"user_id":"odd"' in "".join(b))
+    assert 1 < len(odd_block) < 5
+    assert decoded == odd_block
+
+
+@pytest.mark.parametrize("line", [_line, _compact_line], ids=["default", "compact"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final_newline", "no_final_newline"])
+def test_small_blocks_read_canonical_file_as_row_validator(tmp_path, caplog, monkeypatch, line,
+                                                           newline, final_newline):
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", SMALL_BLOCK)
+    p = tmp_path / "t.jsonl"
+    _small_block_file(p, {}, line, newline)
+    if not final_newline:
+        p.write_bytes(p.read_bytes()[:-len(newline)])
+    decoded = _record_decoded(monkeypatch)
+    _assert_matches_rowwise(p, caplog)
+    assert decoded == []
+
+
+# Lines in a later block that send it to the row validator, whose error
+# or warning must name the line in the file.
+LATER_BLOCK_CASES = {
+    "bad_json": {25: "{not json"},
+    "negative_then_bad_count": {23: _line(user="neg", reply_count=-3), 31: _line(retweet_count=2.5)},
+    # File iteration ends a line at a bare '\r', so every later line number is one higher.
+    "bare_cr_then_bad_count": {21: _line(user="m") + "\r" + _line(user="n"),
+                               33: _line(retweet_count="x")},
+    "bare_cr_then_negative": {21: _line(user="m") + "\r" + _line(user="n"),
+                              36: _line(user="neg", num_urls=-1)},
+    # Timestamps the pattern refuses, each a ParseError of the row validator.
+    "feb29_nonleap": {27: _line(ts="2023-02-29T12:00:00Z")},
+    "year_0": {27: _line(ts="0000-01-01T00:00:00Z")},
+    "hour_24": {27: _line(ts="2023-01-05T24:00:00Z")},
+    "second_60": {27: _line(ts="2016-12-31T23:59:60Z")},
+}
+
+
+@pytest.mark.parametrize("special", LATER_BLOCK_CASES.values(), ids=LATER_BLOCK_CASES.keys())
+def test_later_block_is_line_numbered_as_row_validator(tmp_path, caplog, monkeypatch, special):
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", SMALL_BLOCK)
+    p = tmp_path / "t.jsonl"
+    _small_block_file(p, special)
+    _assert_matches_rowwise(p, caplog)
 
 
 def test_canonical_parse_builds_no_tweet_record(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from botclust.ingest import build_timelines
 from botclust.legs import last_workers, map_legs
-from botclust.pipeline import PipelineConfig, apply_preset, run_pipeline
+from botclust.pipeline import PipelineConfig, apply_preset, prepare, run_pipeline_from_mts
 from botclust.synth import SynthConfig, generate_dataset
 
 
@@ -85,13 +85,13 @@ def test_runtime_warning_in_worker_fails_the_call(cpus):
 
 def test_glob_vec_identical_on_one_and_two_cpus(cpus):
     records, labels = generate_dataset(SynthConfig(n_days=16, n_genuine=12))
-    tweets = build_timelines(records)
     cfg = apply_preset(PipelineConfig(task="binary", seed=3, epochs=6, latent_dim=8),
                        "Glob_Vec_Hier")
+    mts, true = prepare(build_timelines(records), labels, cfg)
     runs = {}
     for n in (1, 2):
         cpus(n)
-        runs[n] = run_pipeline(tweets, labels, cfg)
+        runs[n] = run_pipeline_from_mts(mts, true, labels.num_classes, cfg)
         assert last_workers() == n
     one, two = runs[1], runs[2]
     assert set(one.models) == set(two.models) == {"uts", "vec"}

@@ -16,8 +16,8 @@ from botclust.pipeline import (
     apply_preset,
     config_hash,
     derive_seed,
-    lobo_run,
-    run_pipeline,
+    lobo_run_from_mts,
+    prepare,
     run_pipeline_from_mts,
 )
 from botclust.synth import BotTemplate, SynthConfig, generate_dataset
@@ -38,6 +38,11 @@ SMALL_TEMPLATES = (
 def small_dataset():
     cfg = SynthConfig(n_days=24, n_genuine=16, templates=SMALL_TEMPLATES)
     return generate_dataset(cfg)
+
+
+def _prepared(records, labels, cfg):
+    """The raw tensor and truth vector an analysis starts from."""
+    return prepare(build_timelines(records), labels, cfg)
 
 
 def test_presets_cover_reference_table():
@@ -61,6 +66,17 @@ def test_config_hash_stable_and_sensitive():
     assert len(config_hash(a)) == 16
 
 
+def test_config_serialization_is_pinned():
+    # The hashes reports have always carried, so runs stay comparable.
+    assert config_hash(PipelineConfig()) == "979800830a933b6f"
+    cfg = apply_preset(PipelineConfig(task="multiclass", epochs=60, learning_rate=0.1,
+                                      features=("num_urls", "reply_count")), "Glob_Vec_Hier")
+    assert config_hash(cfg) == "c46181c808e13407"
+    assert cfg.to_dict()["features"] == ["num_urls", "reply_count"]
+    assert PipelineConfig(features=()).to_dict()["features"] is None
+    assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+
 def test_derive_seed_is_stable():
     assert derive_seed(42, 1) == derive_seed(42, 1)
     assert derive_seed(42, 1) != derive_seed(42, 2)
@@ -70,7 +86,7 @@ def test_derive_seed_is_stable():
 def test_run_pipeline_binary_ward(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
-    res = run_pipeline(build_timelines(records), labels, cfg)
+    res = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     assert res.pred_labels.shape == res.true_labels.shape
     assert set(np.unique(res.pred_labels)) <= {0, 1}
     assert res.assignment.n_clusters == 2
@@ -82,7 +98,7 @@ def test_run_pipeline_binary_ward(small_dataset):
 def test_cluster_report_polarity_scores_name_genuine(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
-    res = run_pipeline(build_timelines(records), labels, cfg)
+    res = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     polarity = res.clustering.report(cfg)["polarity"]
     scores = polarity["local_density"]
     assert len(scores) == 2 and min(scores) > 0
@@ -97,7 +113,7 @@ def test_cluster_report_polarity_scores_name_genuine(small_dataset):
 def test_run_pipeline_multiclass_dbscan(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="multiclass", seed=0, **FAST), "UTS_DBSCAN")
-    res = run_pipeline(build_timelines(records), labels, cfg)
+    res = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     assert res.clustering.eps is not None and res.clustering.eps > 0
     assert res.metrics.confusion.shape == (3, 3)
     assert set(np.unique(res.pred_labels)) <= {0, 1, 2}
@@ -106,11 +122,11 @@ def test_run_pipeline_multiclass_dbscan(small_dataset):
 def test_run_pipeline_vec_and_glob_vec(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Vec_Hier")
-    res = run_pipeline(build_timelines(records), labels, cfg)
+    res = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     assert res.latents["vec"].shape == (32, FAST["latent_dim"])
 
     cfg2 = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Vec_Hier")
-    res2 = run_pipeline(build_timelines(records), labels, cfg2)
+    res2 = run_pipeline_from_mts(*_prepared(records, labels, cfg2), labels.num_classes, cfg2)
     # z-scored stats (19) concatenated with the vector latent
     assert res2.points.shape == (32, 19 + FAST["latent_dim"])
     assert "uts" in res2.models and "vec" in res2.models
@@ -132,8 +148,8 @@ def test_trained_legs_encode_as_the_serial_encode(small_dataset):
 def test_pipeline_deterministic_per_seed(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=5, **FAST), "Glob_Hier")
-    r1 = run_pipeline(build_timelines(records), labels, cfg)
-    r2 = run_pipeline(build_timelines(records), labels, cfg)
+    r1 = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
+    r2 = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     assert np.array_equal(r1.pred_labels, r2.pred_labels)
     assert np.array_equal(r1.points, r2.points)
     assert r1.metrics.weighted_f1 == r2.metrics.weighted_f1
@@ -155,7 +171,7 @@ def test_run_pipeline_from_mts_feature_subset(small_dataset):
 def test_lobo_run_small(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
-    rep = lobo_run(build_timelines(records), labels, cfg)
+    rep = lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg)
     assert set(rep.entries) == {1, 2}
     for entry in rep.entries.values():
         assert "weighted_f1" in entry and "pct_change" in entry
@@ -167,9 +183,9 @@ def test_lobo_guards(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
     with pytest.raises(ValueError):
-        lobo_run(build_timelines(records), labels, cfg, bot_classes=[1])
+        lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg, bot_classes=[1])
     with pytest.raises(ValueError):
-        lobo_run(build_timelines(records), labels, cfg, bot_classes=[0, 1])
+        lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg, bot_classes=[0, 1])
 
 
 # ----------------------------------------------------------------- CLI
