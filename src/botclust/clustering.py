@@ -1,9 +1,11 @@
 """Distance-based clustering: DBSCAN with an automatic eps knee, and
 Ward agglomerative clustering via Lance-Williams updates.
 
-Both algorithms consume a precomputed Euclidean distance matrix and
-resolve every tie toward the lowest point index, so results are
-reproducible regardless of dict ordering or BLAS threading.
+Both consume a precomputed Euclidean distance matrix and resolve every
+tie toward the lowest point index, so results do not depend on BLAS
+threading. Each step is an array operation over what it changed: DBSCAN
+grows clusters by frontiers, Ward keeps each row's nearest slot, and a
+dendrogram cut follows parent pointers.
 """
 
 from __future__ import annotations
@@ -144,29 +146,22 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int,
     if user_ids is None:
         user_ids = tuple(str(i) for i in range(n))
     within = dist <= eps
-    counts = within.sum(axis=1)
-    core = counts >= min_pts
+    core = within.sum(axis=1) >= min_pts
+    within &= core  # each row now marks only its core neighbours
     labels = np.zeros(n, dtype=np.int64)
     next_id = 1
-    for seed in range(n):
-        if not core[seed] or labels[seed] != NOISE:
+    for seed in np.flatnonzero(core):
+        if labels[seed] != NOISE:
             continue
-        cluster = next_id
+        frontier = np.array([seed])
+        while frontier.size:
+            labels[frontier] = next_id
+            frontier = np.flatnonzero(within[frontier].any(axis=0) & (labels == NOISE))
         next_id += 1
-        frontier = [seed]
-        labels[seed] = cluster
-        while frontier:
-            point = frontier.pop(0)
-            for nb in np.flatnonzero(within[point]):
-                if core[nb] and labels[nb] == NOISE:
-                    labels[nb] = cluster
-                    frontier.append(nb)
-    for point in range(n):
-        if core[point]:
-            continue
-        core_neighbors = np.flatnonzero(within[point] & core)
-        if core_neighbors.size:
-            labels[point] = labels[core_neighbors[0]]
+    border = ~core & within.any(axis=1)
+    if border.any():
+        # argmax finds each border point's first True: its lowest-index core neighbour.
+        labels[border] = labels[within[border].argmax(axis=1)]
     return ClusterAssignment(
         labels=labels,
         user_ids=user_ids,
@@ -196,11 +191,15 @@ def ward_agglomerative(dist: np.ndarray) -> Dendrogram:
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
     ids = np.arange(n, dtype=np.int64)  # current cluster id occupying each slot
+    rows = np.arange(n)
+    nearest = np.argmin(d2, axis=1)  # each row's first minimal column
     merges: list[tuple[int, int, float, int]] = []
     for step in range(n - 1):
-        # d2 is symmetric, so its first minimum in row-major order is the
-        # lexicographically smallest slot pair, with bi < bj.
-        bi, bj = divmod(int(np.argmin(d2)), n)
+        # The first row holding the global minimum, at its first minimal
+        # column, is d2's first minimum in row-major order: as d2 is
+        # symmetric, the lexicographically smallest slot pair, bi < bj.
+        bi = int(np.argmin(d2[rows, nearest]))
+        bj = int(nearest[bi])
         best = d2[bi, bj]
         ni, nj = sizes[bi], sizes[bj]
         merged_size = ni + nj
@@ -215,6 +214,14 @@ def ward_agglomerative(dist: np.ndarray) -> Dendrogram:
         merges.append((int(ids[bi]), int(ids[bj]), float(np.sqrt(best)), int(merged_size)))
         ids[bi] = n + step
         sizes[bi] = merged_size
+        # Only column bi changed and column bj closed. A row whose nearest
+        # slot was one of them rescans; any other row moves to bi if bi is
+        # now closer, or as close and lower.
+        cur = nearest[others]
+        new, old = d2[others, bi], d2[others, cur]
+        nearest[others[(new < old) | ((new == old) & (bi < cur))]] = bi
+        rescan = np.append(others[(cur == bi) | (cur == bj)], bi)
+        nearest[rescan] = np.argmin(d2[rescan], axis=1)
     return Dendrogram(n_leaves=n, merges=merges)
 
 
@@ -227,29 +234,20 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int,
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if user_ids is None:
         user_ids = tuple(str(i) for i in range(n))
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    members: dict[int, int] = {i: i for i in range(n)}  # merge id -> any leaf
-    for m, (a, b, _h, _s) in enumerate(dendrogram.merges[: n - k]):
-        ra, rb = find(members[a]), find(members[b])
-        parent[rb] = ra
-        members[n + m] = ra
-    roots: dict[int, list[int]] = {}
-    for leaf in range(n):
-        roots.setdefault(find(leaf), []).append(leaf)
-    labels = np.zeros(n, dtype=np.int64)
-    for cluster_id, root in enumerate(sorted(roots, key=lambda r: min(roots[r])), start=1):
-        labels[roots[root]] = cluster_id
+    # Both children of merge m point at its id n+m; jumping every pointer
+    # to its parent's parent until none moves leaves each leaf at its root.
+    parent = np.arange(2 * n - k)
+    children = np.array([(a, b) for a, b, _h, _s in dendrogram.merges[: n - k]],
+                        dtype=np.int64).reshape(-1, 2)
+    parent[children[:, 0]] = parent[children[:, 1]] = np.arange(n, 2 * n - k)
+    while not np.array_equal(up := parent[parent], parent):
+        parent = up
+    _, smallest, inverse = np.unique(parent[:n], return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(smallest))  # clusters ordered by smallest member
     return ClusterAssignment(
-        labels=labels,
+        labels=rank[inverse] + 1,
         user_ids=user_ids,
-        n_clusters=len(roots),
+        n_clusters=smallest.size,
         has_noise=False,
     )
 

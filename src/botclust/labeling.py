@@ -7,7 +7,6 @@ and to score the result.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -87,16 +86,13 @@ def assign_labels_multiclass(
         raise ValueError(
             f"true labels shape {true_labels.shape} != {assignment.labels.shape}"
         )
-    out = np.full(len(true_labels), GENUINE_CLASS, dtype=np.int64)
-    for cid in range(1, assignment.n_clusters + 1):
-        members = assignment.members(cid)
-        if members.size == 0:
-            continue
-        counts = Counter(true_labels[members].tolist())
-        top = max(counts.values())
-        winner = min(c for c, v in counts.items() if v == top)
-        out[members] = winner
-    return out
+    if np.any(true_labels < 0):
+        raise ValueError("class ids must be non-negative")
+    votes = np.zeros((assignment.n_clusters + 1, true_labels.max(initial=0) + 1), dtype=np.int64)
+    np.add.at(votes, (assignment.labels, true_labels), 1)
+    names = votes.argmax(axis=1)  # first maximum: the lowest tied class
+    names[NOISE] = GENUINE_CLASS
+    return names[assignment.labels]
 
 
 def confusion_matrix(true_labels: Sequence[int], pred_labels: Sequence[int],

@@ -10,11 +10,13 @@ import csv
 import json
 import logging
 import math
+from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
+from botclust.clustering import NOISE, ClusterAssignment, Dendrogram
 from botclust.ingest import (
     FEATURE_NAMES,
     GENUINE_CLASS,
@@ -510,3 +512,139 @@ def dumps_write_tweets_jsonl(records, path):
             }
             row.update({name: count for name, count in zip(FEATURE_NAMES, rec.counts())})
             fh.write(json.dumps(row) + "\n")
+
+
+# The clustering loops the package ran before its steps went to arrays,
+# frozen as they were: a FIFO queue for DBSCAN, a whole-matrix argmin per
+# Ward merge, a path-halving union-find for the cut and a Counter per
+# cluster for the names. The package must return equal labels, and equal
+# merges as tuples, on every input.
+
+
+def loop_dbscan(dist, eps, min_pts, user_ids=None):
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
+    if dist.shape != (n, n):
+        raise ValueError(f"distance matrix must be square, got {dist.shape}")
+    if eps < 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
+    if min_pts < 1:
+        raise ValueError(f"min_pts must be at least 1, got {min_pts}")
+    if user_ids is None:
+        user_ids = tuple(str(i) for i in range(n))
+    within = dist <= eps
+    counts = within.sum(axis=1)
+    core = counts >= min_pts
+    labels = np.zeros(n, dtype=np.int64)
+    next_id = 1
+    for seed in range(n):
+        if not core[seed] or labels[seed] != NOISE:
+            continue
+        cluster = next_id
+        next_id += 1
+        frontier = [seed]
+        labels[seed] = cluster
+        while frontier:
+            point = frontier.pop(0)
+            for nb in np.flatnonzero(within[point]):
+                if core[nb] and labels[nb] == NOISE:
+                    labels[nb] = cluster
+                    frontier.append(nb)
+    for point in range(n):
+        if core[point]:
+            continue
+        core_neighbors = np.flatnonzero(within[point] & core)
+        if core_neighbors.size:
+            labels[point] = labels[core_neighbors[0]]
+    return ClusterAssignment(
+        labels=labels,
+        user_ids=user_ids,
+        n_clusters=next_id - 1,
+        has_noise=bool(np.any(labels == NOISE)),
+    )
+
+
+def loop_ward_agglomerative(dist):
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
+    if dist.shape != (n, n):
+        raise ValueError(f"distance matrix must be square, got {dist.shape}")
+    if n < 2:
+        raise ValueError(f"need at least 2 points, got {n}")
+    d2 = dist**2
+    # Merged-away slots get inf like the diagonal, so argmin never picks them.
+    np.fill_diagonal(d2, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)  # current cluster id occupying each slot
+    merges = []
+    for step in range(n - 1):
+        # d2 is symmetric, so its first minimum in row-major order is the
+        # lexicographically smallest slot pair, with bi < bj.
+        bi, bj = divmod(int(np.argmin(d2)), n)
+        best = d2[bi, bj]
+        ni, nj = sizes[bi], sizes[bj]
+        merged_size = ni + nj
+        active[bj] = False
+        others = np.flatnonzero(active)
+        others = others[others != bi]
+        nk = sizes[others]
+        d2[others, bi] = d2[bi, others] = (
+            (ni + nk) * d2[others, bi] + (nj + nk) * d2[others, bj] - nk * best
+        ) / (merged_size + nk)
+        d2[bj, :] = d2[:, bj] = np.inf
+        merges.append((int(ids[bi]), int(ids[bj]), float(np.sqrt(best)), int(merged_size)))
+        ids[bi] = n + step
+        sizes[bi] = merged_size
+    return Dendrogram(n_leaves=n, merges=merges)
+
+
+def loop_cut_dendrogram(dendrogram, k, user_ids=None):
+    n = dendrogram.n_leaves
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if user_ids is None:
+        user_ids = tuple(str(i) for i in range(n))
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    members = {i: i for i in range(n)}  # merge id -> any leaf
+    for m, (a, b, _h, _s) in enumerate(dendrogram.merges[: n - k]):
+        ra, rb = find(members[a]), find(members[b])
+        parent[rb] = ra
+        members[n + m] = ra
+    roots = {}
+    for leaf in range(n):
+        roots.setdefault(find(leaf), []).append(leaf)
+    labels = np.zeros(n, dtype=np.int64)
+    for cluster_id, root in enumerate(sorted(roots, key=lambda r: min(roots[r])), start=1):
+        labels[roots[root]] = cluster_id
+    return ClusterAssignment(
+        labels=labels,
+        user_ids=user_ids,
+        n_clusters=len(roots),
+        has_noise=False,
+    )
+
+
+def loop_assign_labels_multiclass(assignment, true_labels):
+    true_labels = np.asarray(true_labels, dtype=np.int64)
+    if true_labels.shape != assignment.labels.shape:
+        raise ValueError(
+            f"true labels shape {true_labels.shape} != {assignment.labels.shape}"
+        )
+    out = np.full(len(true_labels), GENUINE_CLASS, dtype=np.int64)
+    for cid in range(1, assignment.n_clusters + 1):
+        members = assignment.members(cid)
+        if members.size == 0:
+            continue
+        counts = Counter(true_labels[members].tolist())
+        top = max(counts.values())
+        winner = min(c for c, v in counts.items() if v == top)
+        out[members] = winner
+    return out

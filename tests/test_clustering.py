@@ -19,7 +19,13 @@ from botclust.clustering import (
 )
 from botclust.numerics import seeded_rng
 
-from oracles import oracle_dbscan, oracle_ward
+from oracles import (
+    loop_cut_dendrogram,
+    loop_dbscan,
+    loop_ward_agglomerative,
+    oracle_dbscan,
+    oracle_ward,
+)
 
 
 def _members_by_merge(dendrogram):
@@ -185,9 +191,9 @@ def test_ward_ties_merge_lexicographically_smallest_pair():
     assert heights == pytest.approx([1.0, 1.0, np.sqrt(2.0)], rel=1e-12)
 
 
-def test_ward_matches_scipy_linkage_n500():
+def test_ward_matches_scipy_linkage_n2000():
     hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
-    pts = seeded_rng(9).normal(size=(500, 4))
+    pts = seeded_rng(9).normal(size=(2000, 4))
     ours = _members_by_merge(ward_agglomerative(distance_matrix(pts)))
     z = hierarchy.linkage(pts, method="ward")
     members = {i: frozenset([i]) for i in range(len(pts))}
@@ -197,6 +203,46 @@ def test_ward_matches_scipy_linkage_n500():
         oa, ob, oh, osize = ours[step]
         assert oa | ob == merged and osize == size, step
         assert oh == pytest.approx(height, rel=1e-9), step
+
+
+def _tie_prone_points(kind, n):
+    """Points whose distances are distinct ("gaussian"), or tie often:
+    integer points, every point twice, or the unit square's corners."""
+    if kind == "square":
+        return np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    pts = seeded_rng(n).normal(size=(n, 3))
+    if kind == "rounded":
+        return np.round(2.0 * pts)
+    if kind == "duplicated":
+        return np.repeat(pts[: (n + 1) // 2], 2, axis=0)[:n]
+    return pts
+
+
+WARD_CASES = [(kind, n) for kind in ("gaussian", "rounded", "duplicated")
+              for n in (2, 3, 80, 300)] + [("square", 4)]
+
+
+@pytest.mark.parametrize("kind,n", WARD_CASES)
+def test_ward_and_cut_equal_the_loop_versions(kind, n):
+    dist = distance_matrix(_tie_prone_points(kind, n))
+    n = dist.shape[0]
+    dend = ward_agglomerative(dist)
+    assert dend.merges == loop_ward_agglomerative(dist).merges
+    for k in sorted({1, 2, n // 2, n - 1, n} - {0}):
+        cut, ref = cut_dendrogram(dend, k), loop_cut_dendrogram(dend, k)
+        assert np.array_equal(cut.labels, ref.labels), k
+        assert cut.n_clusters == ref.n_clusters == k
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rounded", "duplicated"])
+@pytest.mark.parametrize("min_pts", [1, 2, 4])
+def test_dbscan_equals_the_loop_version(kind, min_pts):
+    dist = distance_matrix(_tie_prone_points(kind, 80))
+    knee, _ = kdist_knee_eps(dist, k=4)
+    for eps in (0.0, knee / 2, knee, 2 * knee, float(dist.max())):
+        out, ref = dbscan(dist, eps, min_pts), loop_dbscan(dist, eps, min_pts)
+        assert np.array_equal(out.labels, ref.labels), eps
+        assert (out.n_clusters, out.has_noise) == (ref.n_clusters, ref.has_noise), eps
 
 
 def test_cut_dendrogram_labels_by_smallest_member():

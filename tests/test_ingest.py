@@ -671,7 +671,9 @@ def test_canonical_parse_builds_no_tweet_record(tmp_path, monkeypatch):
 
     p = tmp_path / "t.jsonl"
     _two_chunk_file(p, {7: _line(user="neg", num_urls=-1)})
-    monkeypatch.setattr(TweetRecord, "__init__", refuse)
+    # A named tuple built with _make skips both __new__ and __init__.
+    for name in ("__init__", "__new__", "_make"):
+        monkeypatch.setattr(TweetRecord, name, refuse)
     assert len(parse_tweets(p)) == 2 * CHUNK_ROWS + 4
 
 

@@ -11,6 +11,8 @@ from botclust.labeling import (
     prf_metrics,
 )
 
+from oracles import loop_assign_labels_multiclass
+
 
 def _assignment(labels):
     labels = np.asarray(labels)
@@ -212,6 +214,30 @@ def test_multiclass_relabeling_invariance():
     out_a = assign_labels_multiclass(_assignment(labels_a), true)
     out_b = assign_labels_multiclass(_assignment(labels_b), true)
     assert np.array_equal(out_a, out_b)
+
+
+def test_multiclass_equals_the_loop_version_with_empty_clusters_and_ties():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n = int(rng.integers(1, 30))
+        n_clusters = int(rng.integers(0, 8))
+        # Draw from a subset of the ids, so some clusters stay empty.
+        ids = rng.choice(n_clusters + 1, size=int(rng.integers(1, n_clusters + 2)),
+                         replace=False)
+        labels = rng.choice(ids, size=n)
+        assignment = ClusterAssignment(
+            labels=labels, user_ids=tuple(f"u{i}" for i in range(n)),
+            n_clusters=n_clusters, has_noise=bool(np.any(labels == NOISE)),
+        )
+        # Few users over up to four classes: tied votes are common.
+        true = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        out = assign_labels_multiclass(assignment, true)
+        assert np.array_equal(out, loop_assign_labels_multiclass(assignment, true)), trial
+
+
+def test_multiclass_rejects_negative_class_id():
+    with pytest.raises(ValueError, match="non-negative"):
+        assign_labels_multiclass(_assignment([1, 1, NOISE]), np.array([0, -1, 0]))
 
 
 # ----------------------------------------------------------- importance
