@@ -29,9 +29,11 @@ by the holdout rows, so each LSTM runs its recurrence once; the dense
 layers of vec run once per split, so each split's product is the one its
 rows alone take. The backward pass reads the training rows' columns of
 that pass's cache as views, and the forward buffers are allocated once
-per train call. Models and reports equal one pass per split bit for bit,
-except where a split is a single row: that product is a gemv, which sums
-in another order.
+per train call. Training reads the rows of the normalized tensor in
+place and makes no permuted copy of it; the encoder's backward gathers
+its input after the decoder's, the training peak. Models and reports
+equal one pass per split bit for bit, except where a split is a single
+row: that product is a gemv, which sums in another order.
 
 All gradients are hand-derived backpropagation through time; the test
 suite checks every layer against central finite differences.
@@ -162,21 +164,25 @@ def _buffer(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
     return buffers[name]
 
 
-def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray,
-                        buffers: dict | None = None) -> tuple[np.ndarray, dict]:
-    """Batched LSTM pass over x of shape (N, T, input) with h0 = c0 = 0.
+def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray, buffers: dict | None = None,
+                        rows=slice(None)) -> tuple[np.ndarray, dict]:
+    """Batched LSTM pass with h0 = c0 = 0 over the users x[rows] of an
+    input x of shape (N, T, input); rows defaults to all of them in order.
 
-    Returns the full hidden sequence (N, T, hidden) and the cache needed
-    for backpropagation through time: the input, the gate activations
-    (T, 4*hidden, N) with gate blocks in GATE_ORDER, the cell states
-    (T, hidden, N) and the hidden sequence that is also returned. Given a
-    buffers dict, those three arrays are the ones it holds from an earlier
-    call of the same shape (and are overwritten), else new ones kept in it.
+    Returns the full hidden sequence (n, T, hidden) of those n users and
+    the cache needed for backpropagation through time: the input and the
+    rows, the gate activations (T, 4*hidden, n) with gate blocks in
+    GATE_ORDER, the cell states (T, hidden, n) and the hidden sequence
+    that is also returned. Given a buffers dict, those three arrays are
+    the ones it holds from an earlier call of the same shape (and are
+    overwritten), else new ones kept in it. The rows are read in place,
+    a chunk of steps at a time, so no copy of x[rows] is made.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != layer.input_size:
         raise ValueError(f"expected (N, T, {layer.input_size}) input, got {x.shape}")
-    n, t, d = x.shape
+    n = np.arange(len(x))[rows].size
+    t, d = x.shape[1:]
     h = layer.hidden_size
     # Time-major, batch-minor: each step's gates are one contiguous (4H, N)
     # block. The input projection runs a chunk of steps per GEMM over rows
@@ -187,7 +193,7 @@ def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray,
     chunks = -(-t // _PROJECTION_STEPS)
     bounds = [t * k // chunks for k in range(chunks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        proj = x[:, lo:hi].reshape(n * (hi - lo), d) @ layer.W
+        proj = x[rows, lo:hi].reshape(n * (hi - lo), d) @ layer.W
         proj += layer.b
         acts[lo:hi] = proj.reshape(n, hi - lo, 4 * h).transpose(1, 2, 0)
     cells = _buffer(buffers, "cells", (t, h, n))
@@ -207,7 +213,7 @@ def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray,
         c_prev = np.multiply(f_t, c_prev, out=cells[step])
         c_prev += i_t * g_t
         h_prev = np.multiply(o_t, np.tanh(c_prev), out=hidden[:, step].T).T
-    cache = {"x": x, "acts": acts, "cells": cells, "hidden": hidden}
+    cache = {"x": x, "rows": rows, "acts": acts, "cells": cells, "hidden": hidden}
     return hidden, cache
 
 
@@ -222,16 +228,18 @@ def lstm_backward(
     d_out is (N, T, hidden) when return_sequence, else (N, hidden) for the
     last state only. Returns the parameter gradients keyed W/U/b and the
     gradient with respect to the input sequence. The cache's arrays may
-    cover more users than its input x: only their leading x.shape[0]
-    users, those of x, are backpropagated, read as views. The pass
-    consumes the cache's activations and cells: afterwards the activation
-    buffer holds the gate gradients and the cell buffer the factor dc/dh
-    (a later lstm_forward_cached writes both before reading them), so a
-    cache serves one backward pass; a second raises MissingCacheError.
+    cover more users than the rows of its input x that it names: only
+    their leading n users, those of x[rows], are backpropagated, read as
+    views. x[rows] is gathered when the pass runs and replaces the cache's
+    input and rows. The pass consumes the cache's activations and cells:
+    afterwards the activation buffer holds the gate gradients and the
+    cell buffer the factor dc/dh (a later lstm_forward_cached writes both
+    before reading them), so a cache serves one backward pass; a second
+    raises MissingCacheError.
     """
     if cache is None or "acts" not in cache:
         raise MissingCacheError("lstm_backward needs a fresh cache from lstm_forward_cached")
-    x = cache["x"]
+    x = cache["x"] = cache["x"][cache.pop("rows")]
     n, t, d = x.shape
     h = layer.hidden_size
     d_out = np.asarray(d_out, dtype=np.float64)
@@ -458,19 +466,20 @@ def init_model(config: AutoencoderConfig, seq_len: int, input_dim: int,
     )
 
 
-def _forward_cached(model: AutoencoderModel, batch: np.ndarray, n_train: int | None = None,
-                    buffers: dict | None = None):
-    """Encoder and decoder over a batch (N, T, D) whose first n_train rows
-    (default: all) are the ones to backpropagate. Returns their latent,
-    the reconstruction of every row and the caches for those rows. Each
-    LSTM runs once over the whole batch, with buffers[layer] as its
-    buffers; the dense layers of vec run once per split, rows [:n_train]
-    and [n_train:], so a split's product is the one its rows alone take.
+def _forward_cached(model: AutoencoderModel, x: np.ndarray, n_train: int | None = None,
+                    buffers: dict | None = None, rows=slice(None)):
+    """Encoder and decoder over the batch x[rows] of a tensor x (N, T, D),
+    read in place, whose first n_train rows (default: all) are the ones
+    to backpropagate. Returns their latent, the reconstruction of every
+    row and the caches for those rows. Each LSTM runs once over the whole
+    batch, with buffers[layer] as its buffers; the dense layers of vec
+    run once per split, rows [:n_train] and [n_train:], so a split's
+    product is the one its rows alone take.
     """
-    n, t, d = batch.shape
-    n_train = n if n_train is None else n_train
     layer_buffers = buffers or {}
-    enc_seq, enc_cache = lstm_forward_cached(model.encoder, batch, layer_buffers.get("encoder"))
+    enc_seq, enc_cache = lstm_forward_cached(model.encoder, x, layer_buffers.get("encoder"), rows)
+    n, t = enc_seq.shape[:2]
+    n_train = n if n_train is None else n_train
     caches = {"encoder": enc_cache}
     if model.variant == "uts":
         latent = dec_in = enc_seq                                      # (N, T, 1)
@@ -485,7 +494,7 @@ def _forward_cached(model: AutoencoderModel, batch: np.ndarray, n_train: int | N
         dec_in = expanded.reshape(n, t, 1)
     recon, dec_cache = lstm_forward_cached(model.decoder, dec_in, layer_buffers.get("decoder"))
     caches["decoder"] = dec_cache
-    enc_cache["x"] = batch[:n_train]
+    enc_cache["rows"] = np.arange(len(x))[rows][:n_train]
     dec_cache["x"] = dec_in[:n_train]
     return latent[:n_train], recon, caches
 
@@ -548,7 +557,7 @@ def train(
     one forward pass over both splits), the gradient norm before clipping
     and whether clipping fired, then the last epoch's latent saturation
     and stall ratio. The holdout curve is monitored only; there is no
-    early stopping.
+    early stopping. Both splits are read from data in place.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized tensor; run minmax_normalize first")
@@ -564,9 +573,9 @@ def train(
     n_hold = min(max(1, int(round(n * config.holdout_fraction))), n - 1)
     n_train = n - n_hold
     # Training rows first, then the holdout rows: one forward pass per
-    # epoch covers both splits, and each split is a view.
-    x_all = data.values[np.concatenate([perm[n_hold:], perm[:n_hold]])]
-    x_train, x_hold = x_all[:n_train], x_all[n_train:]
+    # epoch covers both splits, reading them from the tensor in place.
+    x, train_rows, hold_rows = data.values, perm[n_hold:], perm[:n_hold]
+    order = np.concatenate([train_rows, hold_rows])
 
     params = model.params_dict()
     opt = RmspropState(learning_rate=config.resolved_lr())
@@ -578,15 +587,17 @@ def train(
     started = time.perf_counter()
     for epoch in range(config.epochs):
         model.set_params(params)
-        latent, recon, caches = _forward_cached(model, x_all, n_train, buffers)
-        recon_train = recon[:n_train]
-        loss = mse_loss(recon_train, x_train)
+        latent, recon, caches = _forward_cached(model, x, n_train, buffers, order)
+        # The gradient's buffer takes the gathered training rows, then
+        # the difference in place.
+        d_recon = x[train_rows]
+        np.subtract(recon[:n_train], d_recon, out=d_recon)
+        loss = float(np.mean(d_recon * d_recon))
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at epoch {epoch + 1}")
         train_curve.append(loss)
-        hold_curve.append(mse_loss(recon[n_train:], x_hold))
-        d_recon = recon_train - x_train
-        d_recon *= 2.0 / recon_train.size
+        hold_curve.append(mse_loss(recon[n_train:], x[hold_rows]))
+        d_recon *= 2.0 / d_recon.size
         grads = _backward(model, caches, d_recon)
         norms.append(global_norm(grads))
         step_grads = clip_global_norm(grads, config.clip_norm)
@@ -595,6 +606,7 @@ def train(
     saturation = stall = None
     if config.epochs:
         saturation = float(np.mean(np.abs(latent) > 0.99))
+        x_train = x[train_rows]
         baseline = mse_loss(np.broadcast_to(x_train.mean(axis=(0, 1)), x_train.shape), x_train)
         stall = loss / baseline if baseline > 0.0 else None
     model.set_params(params)

@@ -12,9 +12,10 @@ representation plus clustering method before explicit flags apply.
 Commands hold only what they still read while they train: run-all,
 importance and lobo read their inputs through _read_inputs, which turns
 the parsed tweet table into its tensor and drops it, so neither the
-process nor its forked legs hold it while training, and train hands the
-loaded tensor to _train_models without keeping a name for it, so it is
-freed once normalized.
+process nor its forked legs hold it while training. train and run-all
+hand the raw tensor to training without keeping a name for it, so it is
+freed once normalized; run-all keeps only the user ids and first day its
+latents are written with.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing
 upstream artifact, 4 invalid data, 1 unexpected failure. Logs go to
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import logging
 import sys
@@ -195,14 +197,14 @@ def _read_inputs(paths: dict, config: PipelineConfig) -> tuple[MtsTensor, np.nda
     return mts, true, labels
 
 
-def _wrap_latent(latent: np.ndarray, source: MtsTensor, variant: str) -> MtsTensor:
+def _wrap_latent(latent: np.ndarray, user_ids, day_min, variant: str) -> MtsTensor:
     """A latent as a tensor file body: (N, T, 1) for uts, (N, 1, L) for vec."""
     if variant == "uts":
         values, names = latent, ("latent",)
     else:
         values, names = latent[:, np.newaxis, :], tuple(f"latent.{j}" for j in range(latent.shape[1]))
-    return MtsTensor(values=values, user_ids=list(source.user_ids), feature_names=names,
-                     day_min=source.day_min, kind=f"latent_{variant}")
+    return MtsTensor(values=values, user_ids=list(user_ids), feature_names=names,
+                     day_min=day_min, kind=f"latent_{variant}")
 
 
 def _load_latents(out: Path, variants) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
@@ -234,9 +236,9 @@ def _save_models(out: Path, config: PipelineConfig, models: dict, reports: dict)
         _write_report(out / f"train_report_{variant}.json", {"train": doc}, config, timing)
 
 
-def _save_latents(out: Path, latents: dict[str, np.ndarray], source: MtsTensor) -> None:
+def _save_latents(out: Path, latents: dict[str, np.ndarray], user_ids, day_min) -> None:
     for variant, latent in latents.items():
-        save_tensor(_wrap_latent(latent, source, variant), out / _latent_name(variant))
+        save_tensor(_wrap_latent(latent, user_ids, day_min, variant), out / _latent_name(variant))
 
 
 def _save_features(out: Path, tables) -> None:
@@ -297,7 +299,7 @@ def cmd_encode(args) -> int:
     }
     mts = load_tensor(_require(out / A_MTS, "extract"))
     latents = _encode(models, mts)
-    _save_latents(out, latents, mts)
+    _save_latents(out, latents, mts.user_ids, mts.day_min)
     for variant, latent in latents.items():
         print(f"encode: latent shape {latent.shape} -> {out / _latent_name(variant)}")
     return EXIT_OK
@@ -441,9 +443,11 @@ def cmd_run_all(args) -> int:
     mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
     save_tensor(mts, out / A_MTS)
-    result = run_pipeline_from_mts(mts, true, labels.num_classes, config)
+    day_min = mts.day_min
+    # Handed over unnamed, so training frees the raw tensor once it is normalized.
+    result = run_pipeline_from_mts((mts, mts := None)[0], true, labels.num_classes, config)
     _save_models(out, config, result.models, result.train_reports)
-    _save_latents(out, result.latents, mts)
+    _save_latents(out, result.latents, result.user_ids, day_min)
     if result.features is not None:
         _save_features(out, result.features)
     _save_clustering(out, config, result.clustering)
@@ -571,5 +575,12 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """main for `python -m botclust.cli` and the botclust script, after
+    gc.freeze, so no collection scans the import-time heap again."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -26,7 +26,7 @@ run, which runs every leg in-process.
 
 Stages let go of inputs they no longer read: _train_models drops the raw
 tensor once it is normalized, so a caller that hands over its only
-reference trains without it.
+reference trains without it, as run-all and each lobo leg do.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def _train_models(
     one _encode would give: minmax_normalize's output is bitwise
     apply_normalization with the fitted statistics. Otherwise the latents
     are empty. The raw tensor is not read after its normalization, so a
-    caller that passes its only reference (the train step does) frees it
+    caller that passes its only reference (train and run-all do) frees it
     before training."""
     norm, params = minmax_normalize(mts_raw)
     del mts_raw
@@ -369,11 +369,13 @@ def run_pipeline_from_mts(
         raise ValueError(
             f"true labels shape {true_labels.shape} != ({mts_raw.n_users},)"
         )
-    sub = mts_raw
-    if config.features is not None and config.features != mts_raw.feature_names:
-        sub = mts_raw.select_features(config.features)
-    models, reports, latents = _train_models(config, sub, config.seed, encoded=True)
     user_ids = tuple(mts_raw.user_ids)
+    if config.features is not None and config.features != mts_raw.feature_names:
+        mts_raw = mts_raw.select_features(config.features)
+    # Handed on unnamed, so a caller that passed its only reference (run-all
+    # does) trains without the raw tensor.
+    models, reports, latents = _train_models(config, (mts_raw, mts_raw := None)[0],
+                                             config.seed, encoded=True)
     points, features = _make_points(config, latents, user_ids)
     clustering = _cluster(config, points, user_ids, n_classes)
     pred, metrics = _label_and_score(
@@ -447,8 +449,9 @@ def lobo_run_from_mts(
     def leg(keep: Optional[np.ndarray], seed: int) -> float:
         """Weighted F1 on the full population of encoders trained on the
         users in keep (None: all of them)."""
-        train_set = mts_raw if keep is None else mts_raw.select_users(keep)
-        models = _train_models(config, train_set, seed)[0]
+        # The user subset goes unnamed, so _train_models frees it once normalized.
+        models = _train_models(config, mts_raw if keep is None else mts_raw.select_users(keep),
+                               seed)[0]
         points, _features = _make_points(config, _encode(models, mts_raw), user_ids)
         clustering = _cluster(config, points, user_ids, n_classes)
         _pred, metrics = _label_and_score(

@@ -276,6 +276,31 @@ def test_lstm_joined_batch_matches_each_split_bitwise(input_size, hidden_size, n
     assert np.array_equal(dx, ref_dx)
 
 
+@pytest.mark.parametrize("input_size, hidden_size", [(6, 1), (1, 6)])
+@pytest.mark.parametrize("n, t", [(n, t) for n in (1, 3, 64) for t in (1, 33, 365)])
+def test_lstm_forward_reads_rows_in_place_bitwise(input_size, hidden_size, n, t):
+    """A pass over the rows of a larger tensor, in a shuffled order, equals
+    a pass over those rows gathered first, bit for bit, and so does the
+    backward pass of its cache, which gathers them itself."""
+    rng = seeded_rng(7 * n + t)
+    layer = LstmLayerParams.init(input_size, hidden_size, rng)
+    layer.b = rng.normal(size=layer.b.shape)
+    x = rng.uniform(size=(n + 2, t, input_size))
+    x[rng.uniform(size=(n + 2, t)) < 0.3] = SENTINEL
+    order = rng.permutation(n + 2)[:n]
+    hidden, cache = lstm_forward_cached(layer, x, rows=order)
+    ref_hidden, ref_cache = lstm_forward_cached(layer, x[order])
+    assert np.array_equal(hidden, ref_hidden)
+    for name in ("acts", "cells"):
+        assert np.array_equal(cache[name], ref_cache[name]), name
+    probe = rng.normal(size=(n, t, hidden_size))
+    grads, dx = lstm_backward(layer, cache, probe)
+    ref_grads, ref_dx = lstm_backward(layer, ref_cache, probe)
+    for name in ("W", "U", "b"):
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert np.array_equal(dx, ref_dx)
+
+
 def test_lstm_forward_reuses_buffers():
     rng = seeded_rng(28)
     layer = LstmLayerParams.init(3, 2, rng)
@@ -310,6 +335,25 @@ def test_lstm_backward_peak_memory(return_sequence):
     tracemalloc.start()
     try:
         lstm_backward(layer, cache, probe, return_sequence=return_sequence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+def test_train_epoch_peak_memory():
+    """One uts epoch over N = 200 users (n = 160 of them training) at
+    T = 365, D = 6 allocates at its peak no more than both layers' forward
+    buffers (6 + 36 floats per user and step), the gradient buffer of the
+    training rows (D floats) and the decoder backward's bound above (27
+    floats per training user and step): training reads its rows from the
+    tensor in place and makes no permuted copy of it."""
+    data = _toy_tensor(seeded_rng(43), n=200, t=365, d=6)
+    n_train = 160
+    bound = (42 * data.n_users + 33 * n_train) * data.n_days * 8
+    tracemalloc.start()
+    try:
+        train(AutoencoderConfig(variant="uts", epochs=1, seed=2), data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

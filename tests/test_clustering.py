@@ -121,12 +121,19 @@ def test_dbscan_self_inclusion_in_neighborhood():
 
 
 def test_dbscan_border_goes_to_lowest_core_neighbor():
-    # Cores at 0 and 2 (via companions at 0.4 and 1.6); border at 1.0
-    # is within eps of both cores and must join the lower-indexed one.
-    pts = np.array([[0.0], [0.4], [1.6], [2.0], [1.0]])
+    # Point 8 at 0.9 is a border point: only the cores 6 (at 0.0) and 7
+    # (at 1.8) lie within eps of it, so it counts 3 < min_pts points. The
+    # two cores are 1.8 apart, in different clusters, and the right-hand
+    # cluster is number 1 because point 0 seeds it. So the lowest-index
+    # core neighbour (6) names cluster 2, where neither the highest-index
+    # one nor the lowest cluster label would.
+    pts = np.array([[2.1], [2.3], [2.5], [-0.3], [-0.5], [-0.7], [0.0], [1.8], [0.9]])
     dist = distance_matrix(pts)
-    out = dbscan(dist, eps=1.0, min_pts=3)
-    assert out.labels[4] == out.labels[0]
+    assert np.sum(dist[8] <= 1.0) == 3
+    out = dbscan(dist, eps=1.0, min_pts=4)
+    assert out.n_clusters == 2
+    assert (out.labels[6], out.labels[7]) == (2, 1)
+    assert out.labels[8] == 2
 
 
 def test_dbscan_matches_bruteforce_small_random():

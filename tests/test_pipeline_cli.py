@@ -327,6 +327,61 @@ def test_cli_run_all_deterministic_reports(cli_workspace, tmp_path):
         assert ra == rb, name
 
 
+def test_run_all_and_lobo_legs_train_without_their_raw_tensor(cli_workspace, small_dataset,
+                                                              tmp_path, monkeypatch):
+    """run-all hands its raw tensor, and each lobo leg its user subset, to
+    training without keeping a name for it, so it is freed once
+    normalized: no tensor is alive when train starts."""
+    import weakref
+
+    from botclust import cli, pipeline
+    from botclust.mts import MtsTensor
+
+    handed = []
+    save_tensor, select_users, train = cli.save_tensor, MtsTensor.select_users, pipeline.train
+
+    def saving(tensor, path):
+        if not handed:
+            handed.append(weakref.ref(tensor))
+        save_tensor(tensor, path)
+
+    def selecting(tensor, rows):
+        subset = select_users(tensor, rows)
+        handed.append(weakref.ref(subset))
+        return subset
+
+    def training(*args, **kwargs):
+        assert not handed or handed[-1]() is None, "the handed-over tensor is still alive"
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "save_tensor", saving)
+    monkeypatch.setattr(MtsTensor, "select_users", selecting)
+    monkeypatch.setattr(pipeline, "train", training)
+    root, tweets, labels_csv = cli_workspace
+    rc = _cli("run-all", "--outdir", tmp_path / "run", "--tweets", tweets, "--labels", labels_csv,
+              "--variant-preset", "UTS_DBSCAN", "--task", "multiclass", "--epochs", 2)
+    assert rc == 0 and len(handed) == 1
+    records, labels = small_dataset
+    cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
+    handed.clear()
+    lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg)
+
+
+def test_process_entry_freezes_the_heap_and_main_does_not(tmp_path, monkeypatch):
+    import gc
+
+    from botclust import cli
+
+    before = gc.get_freeze_count()
+    assert _cli("cluster", "--outdir", tmp_path) == 3
+    assert gc.get_freeze_count() == before
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    assert cli.entry() == 0
+    assert calls == ["freeze", "main"]
+
+
 def test_cli_ward_multiclass_needs_explicit_k(cli_workspace, tmp_path):
     root, tweets, labels_csv = cli_workspace
     out = tmp_path / "wardk"
