@@ -369,6 +369,8 @@ class AutoencoderConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.learning_rate is not None and not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def resolved_lr(self) -> float:
         if self.learning_rate is not None:

@@ -37,12 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import load_model, save_model
-from .clustering import (
-    distance_matrix,
-    load_assignment_csv,
-    save_assignment_csv,
-    save_dendrogram_json,
-)
+from .clustering import load_assignment_csv, save_assignment_csv, save_dendrogram_json
 from .globalfeats import load_features_csv, save_features_csv
 from .ingest import LabelTable, ParseError, load_labels, parse_tweets, write_tweets_jsonl
 from .labeling import feature_importance
@@ -59,6 +54,7 @@ from .pipeline import (
     _make_points,
     _train_models,
     apply_preset,
+    check_bot_classes,
     config_hash,
     global_features,
     lobo_run_from_mts,
@@ -225,6 +221,19 @@ def _load_points(config: PipelineConfig, out: Path) -> tuple[np.ndarray, tuple[s
     return _make_points(config, latents, user_ids)[0], user_ids
 
 
+def _recorded_polarity(out: Path) -> list[float]:
+    """The polarity scores `cluster` recorded for a binary two-way Ward cut."""
+    path = _require(out / A_CLUSTER_REP, "cluster")
+    try:
+        polarity = json.loads(path.read_text()).get("polarity")
+    except (ValueError, AttributeError) as exc:   # not JSON, or not an object
+        raise ValueError(f"{path}: {exc}") from None
+    if polarity is None:
+        raise ConfigError(f"{path} records no polarity scores (only a binary two-way Ward "
+                          "cut does); pass --genuine-cluster")
+    return polarity["local_density"]
+
+
 # Savers shared by the step subcommands and run-all, so both flows write
 # the same bytes.
 
@@ -340,15 +349,12 @@ def cmd_evaluate(args) -> int:
     out = _outdir(paths)
     labels_path = _input(paths, "labels")
     assignment = load_assignment_csv(_require(out / A_CLUSTERS, "cluster"))
+    polarity = None
+    if config.task == "binary" and config.cluster_method == "ward" and config.genuine_cluster is None:
+        polarity = _recorded_polarity(out)
     labels = load_labels(labels_path)
     true = truth_vector(labels, assignment.user_ids)
-    dist = None
-    if config.task == "binary" and config.cluster_method == "ward" and config.genuine_cluster is None:
-        points, point_users = _load_points(config, out)
-        if point_users != assignment.user_ids:
-            raise ValueError("points artifact and clusters disagree on users")
-        dist = distance_matrix(points)
-    _pred, metrics = _label_and_score(config, assignment, dist, true, labels.num_classes)
+    _pred, metrics = _label_and_score(config, assignment, polarity, true, labels.num_classes)
     _save_scores(out, config, metrics)
     print(
         f"evaluate: task={config.task} weighted_f1={metrics.weighted_f1:.4f} "
@@ -387,11 +393,17 @@ def cmd_importance(args) -> int:
 
 def cmd_lobo(args) -> int:
     paths, config = _merged(args)
-    out = _outdir(paths)
-    mts, true, labels = _read_inputs(paths, config)
     bot_classes = None
     if args.bot_classes:
-        bot_classes = [int(c) for c in args.bot_classes.split(",")]
+        # Checked before any input is read; whether each class occurs in
+        # the labels is lobo's data check.
+        try:
+            bot_classes = [int(c) for c in args.bot_classes.split(",")]
+            check_bot_classes(bot_classes)
+        except ValueError as exc:
+            raise ConfigError(f"--bot-classes {args.bot_classes!r}: {exc}") from None
+    out = _outdir(paths)
+    mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
     report = lobo_run_from_mts(mts, true, labels, config, bot_classes=bot_classes)
     _write_report(
@@ -412,16 +424,13 @@ def cmd_synth(args) -> int:
     # Imported here, so the other subcommands start without it.
     from .synth import SynthConfig, generate_dataset
 
+    try:
+        cfg = SynthConfig(**{key: getattr(args, key) for key in ("n_days", "n_genuine", "seed")
+                             if getattr(args, key) is not None})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     paths, _config = _merged(args)
     out = _outdir(paths)
-    kwargs = {}
-    if args.n_days is not None:
-        kwargs["n_days"] = args.n_days
-    if args.n_genuine is not None:
-        kwargs["n_genuine"] = args.n_genuine
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    cfg = SynthConfig(**kwargs)
     records, labels = generate_dataset(cfg)
     write_tweets_jsonl(records, out / A_TWEETS)
     with open(out / A_LABELS, "w", newline="") as fh:
@@ -497,51 +506,25 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--labels", help="ground-truth labels csv")
     io.add_argument("--format", choices=("jsonl", "csv"), help="tweet file format")
 
-    p = sub.add_parser("extract", parents=[common, pipe, io],
-                       help="tweets -> daily feature tensor")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("train", parents=[common, pipe],
-                       help="train the autoencoder(s) the representation needs")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("encode", parents=[common, pipe],
-                       help="encode the tensor with the trained model(s)")
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("features", parents=[common, pipe],
-                       help="summary statistics of the encoded series "
-                            "(plus the vec encoding for glob_vec)")
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("cluster", parents=[common, pipe],
-                       help="cluster the representation's points")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("evaluate", parents=[common, pipe, io],
-                       help="score a clustering against ground truth")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("importance", parents=[common, pipe, io],
-                       help="leave-one-feature-out importance")
-    p.set_defaults(func=cmd_importance)
-
-    p = sub.add_parser("lobo", parents=[common, pipe, io],
-                       help="leave-one-botnet-out generalization test")
-    p.add_argument("--bot-classes", help="comma-separated class ids (default: all)")
-    p.set_defaults(func=cmd_lobo)
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a labeled synthetic dataset")
-    p.add_argument("--n-days", type=int)
-    p.add_argument("--n-genuine", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("run-all", parents=[common, pipe, io],
-                       help="extract, train, encode, cluster, evaluate")
-    p.set_defaults(func=cmd_run_all)
-
+    subs = {}
+    for name, func, parents, text in (
+        ("extract", cmd_extract, [pipe, io], "tweets -> daily feature tensor"),
+        ("train", cmd_train, [pipe], "train the autoencoder(s) the representation needs"),
+        ("encode", cmd_encode, [pipe], "encode the tensor with the trained model(s)"),
+        ("features", cmd_features, [pipe],
+         "summary statistics of the encoded series (plus the vec encoding for glob_vec)"),
+        ("cluster", cmd_cluster, [pipe], "cluster the representation's points"),
+        ("evaluate", cmd_evaluate, [pipe, io], "score a clustering against ground truth"),
+        ("importance", cmd_importance, [pipe, io], "leave-one-feature-out importance"),
+        ("lobo", cmd_lobo, [pipe, io], "leave-one-botnet-out generalization test"),
+        ("synth", cmd_synth, [], "generate a labeled synthetic dataset"),
+        ("run-all", cmd_run_all, [pipe, io], "extract, train, encode, cluster, evaluate"),
+    ):
+        subs[name] = sub.add_parser(name, parents=[common, *parents], help=text)
+        subs[name].set_defaults(func=func)
+    subs["lobo"].add_argument("--bot-classes", help="comma-separated class ids (default: all)")
+    for flag in ("--n-days", "--n-genuine", "--seed"):
+        subs["synth"].add_argument(flag, type=int)
     return parser
 
 

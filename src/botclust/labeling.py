@@ -19,29 +19,25 @@ from .legs import map_legs
 
 def assign_labels_binary(
     assignment: ClusterAssignment,
-    dist: np.ndarray | None = None,
+    scores: Sequence[float] | None = None,
     genuine_cluster: int | None = None,
-    polarity: bool = False,
-    min_pts: int = 4,
 ) -> np.ndarray:
     """Binary account labels (0 genuine, 1 bot) from a clustering.
 
     Default rule (the density route): noise points are genuine, every
     cluster is a bot group, since bots coordinate into dense clumps while
-    genuine accounts scatter. With polarity=True (the hierarchical route
-    cut at two clusters), the less locally dense cluster is called
-    genuine instead: each cluster scores the mean distance from a member
-    to its k-th nearest fellow member, k = min(min_pts, size - 1), and
-    the larger score is genuine. Unlike mean pairwise distance, this
-    still calls several tight botnets set far apart the bot side. A
-    cluster of fewer than 2 members scores 0; ties fall to the lower
-    cluster id. min_pts is DBSCAN's density scale
-    (PipelineConfig.min_pts). Pass genuine_cluster to override the
-    polarity choice.
+    genuine accounts scatter. Given scores (the hierarchical route cut at
+    two clusters), the less locally dense cluster is called genuine
+    instead: scores holds each cluster's local_density_scores, the mean
+    distance from a member to its k-th nearest fellow member, and the
+    larger score is genuine. Unlike mean pairwise distance, this still
+    calls several tight botnets set far apart the bot side. Ties fall to
+    the lower cluster id. Pass genuine_cluster to override the polarity
+    choice.
     """
     labels = assignment.labels
     out = np.ones(len(labels), dtype=np.int64)
-    if genuine_cluster is None and not polarity:
+    if genuine_cluster is None and scores is None:
         out[labels == NOISE] = GENUINE_CLASS
         return out
     if assignment.has_noise:
@@ -52,10 +48,7 @@ def assign_labels_binary(
                 f"polarity rule needs exactly 2 clusters, got {assignment.n_clusters}; "
                 "pass genuine_cluster explicitly"
             )
-        if dist is None:
-            raise ValueError("polarity rule needs the distance matrix")
-        scales = local_density_scores(assignment, dist, min_pts)
-        genuine_cluster = 1 if scales[0] >= scales[1] else 2
+        genuine_cluster = 1 if scores[0] >= scores[1] else 2
     if not 1 <= genuine_cluster <= assignment.n_clusters:
         raise ValueError(f"genuine_cluster {genuine_cluster} out of range")
     out[labels == genuine_cluster] = GENUINE_CLASS
@@ -66,7 +59,8 @@ def local_density_scores(assignment: ClusterAssignment, dist: np.ndarray,
                          min_pts: int) -> list[float]:
     """Per cluster, in id order: the mean distance from each member to its
     k-th nearest other member, k = min(min_pts, size - 1); 0.0 for fewer
-    than 2 members."""
+    than 2 members. min_pts is DBSCAN's density scale
+    (PipelineConfig.min_pts)."""
     scores = []
     for cid in range(1, assignment.n_clusters + 1):
         members = assignment.members(cid)

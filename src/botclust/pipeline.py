@@ -155,13 +155,16 @@ ENCODERS = {"uts": ("uts",), "vec": ("vec",), "glob": ("uts",), "glob_vec": ("ut
 
 @dataclass
 class Clustering:
-    """A partition plus the choices that produced it."""
+    """A partition plus the choices that produced it. A binary two-way
+    Ward cut also carries its polarity: the per-cluster local-density
+    scores that name the genuine side (see assign_labels_binary), taken
+    once from the distance matrix, which does not outlive _cluster."""
 
-    dist: np.ndarray
     assignment: ClusterAssignment
     eps: Optional[float] = None                  # DBSCAN radius used
     dendrogram: Optional[Dendrogram] = None
     cut_k: Optional[int] = None                  # Ward cut size used
+    polarity: Optional[list[float]] = None       # local-density score per cluster
 
     def report(self, config: PipelineConfig) -> dict:
         """The cluster_report.json payload of run-all and `cluster` alike."""
@@ -174,11 +177,10 @@ class Clustering:
             doc.update(eps=self.eps, min_pts=config.min_pts)
         else:
             doc["cut_k"] = self.cut_k
-            if config.task == "binary" and self.cut_k == 2:
-                # The polarity rule's margin: genuine is the larger score.
-                scores = local_density_scores(self.assignment, self.dist, config.min_pts)
-                doc["polarity"] = {"local_density": scores,
-                                   "ratio": max(scores) / min(scores) if min(scores) > 0 else None}
+        if (scores := self.polarity) is not None:
+            # The polarity rule's margin: genuine is the larger score.
+            doc["polarity"] = {"local_density": scores,
+                               "ratio": max(scores) / min(scores) if min(scores) > 0 else None}
         return doc
 
 
@@ -319,39 +321,42 @@ def _cluster(
     n_classes: Optional[int],
 ) -> Clustering:
     """DBSCAN at the configured or knee eps, or a Ward cut at n_clusters
-    (default 2 for binary, n_classes for multiclass)."""
+    (default 2 for binary, n_classes for multiclass). A binary two-way
+    cut also gets its polarity scores at min_pts; this is the only place
+    the N x N distance matrix lives."""
     dist = distance_matrix(points)
     if config.cluster_method == "dbscan":
         eps = config.eps
         if eps is None:
             eps, _curve = kdist_knee_eps(dist, config.min_pts - 1)
-        return Clustering(dist, dbscan(dist, eps, config.min_pts, user_ids=user_ids), eps=eps)
+        return Clustering(dbscan(dist, eps, config.min_pts, user_ids=user_ids), eps=eps)
     dendro = ward_agglomerative(dist)
     k = config.n_clusters
     if k is None:
         k = 2 if config.task == "binary" else max(n_classes, 1)
     assignment = cut_dendrogram(dendro, k, user_ids=user_ids)
-    return Clustering(dist, assignment, dendrogram=dendro, cut_k=k)
+    polarity = None
+    if config.task == "binary" and k == 2:
+        polarity = local_density_scores(assignment, dist, config.min_pts)
+    return Clustering(assignment, dendrogram=dendro, cut_k=k, polarity=polarity)
 
 
 def _label_and_score(
     config: PipelineConfig,
     assignment: ClusterAssignment,
-    dist: Optional[np.ndarray],
+    polarity: Optional[list[float]],
     true_labels: np.ndarray,
     n_classes: int,
 ) -> tuple[np.ndarray, MetricsReport]:
-    """Account labels and scores; dist is read only by the binary Ward
-    polarity rule."""
+    """Account labels and scores. A binary Ward partition is named by its
+    polarity scores (Clustering.polarity) unless genuine_cluster is set;
+    other partitions read neither."""
     if config.task == "binary":
         truth = (true_labels != GENUINE_CLASS).astype(np.int64)
-        pred = assign_labels_binary(
-            assignment,
-            dist=dist,
-            genuine_cluster=config.genuine_cluster,
-            polarity=config.cluster_method == "ward",
-            min_pts=config.min_pts,
-        )
+        if config.cluster_method == "ward" and polarity is None and config.genuine_cluster is None:
+            raise ValueError(f"polarity rule needs exactly 2 clusters, got "
+                             f"{assignment.n_clusters}; pass genuine_cluster explicitly")
+        pred = assign_labels_binary(assignment, polarity, config.genuine_cluster)
         return pred, prf_metrics(truth, pred, 2)
     pred = assign_labels_multiclass(assignment, true_labels)
     return pred, prf_metrics(true_labels, pred, n_classes)
@@ -379,7 +384,7 @@ def run_pipeline_from_mts(
     points, features = _make_points(config, latents, user_ids)
     clustering = _cluster(config, points, user_ids, n_classes)
     pred, metrics = _label_and_score(
-        config, clustering.assignment, clustering.dist, true_labels, n_classes
+        config, clustering.assignment, clustering.polarity, true_labels, n_classes
     )
     return PipelineResult(
         config=config,
@@ -418,6 +423,14 @@ class LoboReport:
         }
 
 
+def check_bot_classes(bot_classes: list[int]) -> None:
+    """The classes lobo can leave out one at a time: two or more bot classes."""
+    if len(bot_classes) < 2:
+        raise ValueError(f"need at least 2 bot classes, got {bot_classes}")
+    if GENUINE_CLASS in bot_classes:
+        raise ValueError("cannot exclude the genuine class")
+
+
 def lobo_run_from_mts(
     mts_raw: MtsTensor,
     true: np.ndarray,
@@ -438,10 +451,7 @@ def lobo_run_from_mts(
     """
     if bot_classes is None:
         bot_classes = sorted(c for c in labels.supports() if c != GENUINE_CLASS)
-    if len(bot_classes) < 2:
-        raise ValueError(f"need at least 2 bot classes, got {bot_classes}")
-    if any(c == GENUINE_CLASS for c in bot_classes):
-        raise ValueError("cannot exclude the genuine class")
+    check_bot_classes(bot_classes)
 
     user_ids = tuple(mts_raw.user_ids)
     n_classes = labels.num_classes
@@ -455,7 +465,7 @@ def lobo_run_from_mts(
         points, _features = _make_points(config, _encode(models, mts_raw), user_ids)
         clustering = _cluster(config, points, user_ids, n_classes)
         _pred, metrics = _label_and_score(
-            config, clustering.assignment, clustering.dist, true, n_classes
+            config, clustering.assignment, clustering.polarity, true, n_classes
         )
         return metrics.weighted_f1
 

@@ -89,6 +89,8 @@ class SynthConfig:
     genuine_mean_range: tuple[float, float] = (0.0, 3.0)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_days < 2:
             raise ValueError(f"n_days must be >= 2, got {self.n_days}")
         if self.n_genuine < 1:

@@ -7,6 +7,7 @@ from botclust.labeling import (
     assign_labels_multiclass,
     confusion_matrix,
     feature_importance,
+    local_density_scores,
     matthews_corrcoef,
     prf_metrics,
 )
@@ -133,29 +134,26 @@ def test_binary_single_cluster_no_noise_all_bot():
     assert list(out) == [1, 1, 1]
 
 
+def _scores(assignment, pts, min_pts=4):
+    return local_density_scores(assignment, distance_matrix(pts), min_pts)
+
+
 def test_binary_polarity_spread_cluster_is_genuine():
     # Cluster 1 tight (bots), cluster 2 spread (genuine).
     pts = np.array([[0.0], [0.01], [0.02], [10.0], [14.0], [20.0]])
-    dist = distance_matrix(pts)
     assignment = _assignment([1, 1, 1, 2, 2, 2])
-    out = assign_labels_binary(assignment, dist=dist, polarity=True)
+    out = assign_labels_binary(assignment, scores=_scores(assignment, pts))
     assert list(out) == [1, 1, 1, 0, 0, 0]
     # Flip the geometry and the call flips with it.
     pts2 = np.array([[0.0], [6.0], [14.0], [20.0], [20.01], [20.02]])
-    out2 = assign_labels_binary(
-        _assignment([1, 1, 1, 2, 2, 2]),
-        dist=distance_matrix(pts2),
-        polarity=True,
-    )
+    out2 = assign_labels_binary(assignment, scores=_scores(assignment, pts2))
     assert list(out2) == [0, 0, 0, 1, 1, 1]
 
 
 def test_binary_polarity_tie_prefers_lower_cluster_id():
     pts = np.array([[0.0], [1.0], [10.0], [11.0]])
-    dist = distance_matrix(pts)
-    out = assign_labels_binary(
-        _assignment([1, 1, 2, 2]), dist=dist, polarity=True
-    )
+    assignment = _assignment([1, 1, 2, 2])
+    out = assign_labels_binary(assignment, scores=_scores(assignment, pts))
     # Equal spreads: cluster 1 is called genuine.
     assert list(out) == [0, 0, 1, 1]
 
@@ -168,23 +166,19 @@ def test_binary_polarity_two_distant_botnets_are_bot():
     genuine = 300.0 + 10.0 * np.arange(12)
     pts = np.concatenate([bots, genuine])[:, np.newaxis]
     dist = distance_matrix(pts)
-    labels = [1] * 12 + [2] * 12
+    assignment = _assignment([1] * 12 + [2] * 12)
     iu = np.triu_indices(12, k=1)
     assert dist[:12, :12][iu].mean() > dist[12:, 12:][iu].mean()
-    # Default min_pts 4: each member's 4th neighbour is in its own botnet.
-    out = assign_labels_binary(_assignment(labels), dist=dist, polarity=True)
+    # min_pts 4 (the default): each member's 4th neighbour is in its own botnet.
+    out = assign_labels_binary(assignment, scores=local_density_scores(assignment, dist, 4))
     assert list(out) == [1] * 12 + [0] * 12
 
 
 def test_binary_polarity_guards():
-    with pytest.raises(ValueError):
-        assign_labels_binary(_assignment([NOISE, 1, 2]), polarity=True,
-                             dist=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        assign_labels_binary(_assignment([1, 1, 2, 3]), polarity=True,
-                             dist=np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        assign_labels_binary(_assignment([1, 1, 2, 2]), polarity=True)
+    with pytest.raises(ValueError, match="noise-free"):
+        assign_labels_binary(_assignment([NOISE, 1, 2]), scores=[1.0, 2.0])
+    with pytest.raises(ValueError, match="exactly 2 clusters, got 3"):
+        assign_labels_binary(_assignment([1, 1, 2, 3]), scores=[1.0, 2.0, 3.0])
 
 
 def test_binary_genuine_cluster_override():

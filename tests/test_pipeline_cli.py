@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,9 @@ from botclust.mts import extract_mts
 from botclust.pipeline import (
     PRESETS,
     PipelineConfig,
+    _cluster,
     _encode,
+    _label_and_score,
     _train_models,
     apply_preset,
     config_hash,
@@ -106,8 +109,21 @@ def test_cluster_report_polarity_scores_name_genuine(small_dataset):
     genuine = 1 + int(np.argmax(scores))
     assert np.all(res.pred_labels[res.assignment.members(genuine)] == 0)
     assert np.all(res.pred_labels[res.assignment.members(3 - genuine)] == 1)
-    multiclass = replace(cfg, task="multiclass")
-    assert "polarity" not in res.clustering.report(multiclass)
+    assert res.clustering.polarity == scores
+    # A multiclass cut at two clusters names clusters by vote, not polarity.
+    multiclass = replace(cfg, task="multiclass", n_clusters=2)
+    clustering = _cluster(multiclass, res.points, res.user_ids, None)
+    assert clustering.polarity is None
+    assert "polarity" not in clustering.report(multiclass)
+    # Nor has a binary three-way cut: naming it needs genuine_cluster.
+    three = replace(cfg, n_clusters=3)
+    clustering = _cluster(three, res.points, res.user_ids, None)
+    assert clustering.polarity is None
+    with pytest.raises(ValueError, match="exactly 2 clusters, got 3"):
+        _label_and_score(three, clustering.assignment, None, res.true_labels, 3)
+    pred, _ = _label_and_score(replace(three, genuine_cluster=3), clustering.assignment, None,
+                               res.true_labels, 3)
+    assert np.array_equal(pred == 0, clustering.assignment.labels == 3)
 
 
 def test_run_pipeline_multiclass_dbscan(small_dataset):
@@ -514,13 +530,16 @@ def test_cli_train_zero_epochs_exits_0(trained_workspace, tmp_path, capsys):
     (("--learning-rate", 0), "learning_rate must be positive"),
     (("--n-clusters", 0), "n_clusters must be at least 1"),
     (("--eps", -1), "eps must be non-negative"),
+    (("--seed", -1), "seed must be non-negative, got -1"),
 ])
 def test_cli_bad_encoder_setting_is_usage_error_before_parse(tmp_path, caplog, flags, message):
-    # The tweets file does not exist: the setting fails first, with exit 2, not 4.
+    # The tweets file does not exist: the setting fails first, with exit 2, not 4,
+    # and writes nothing.
     rc = _cli("run-all", "--outdir", tmp_path / "o", "--tweets", tmp_path / "nope.jsonl",
               "--labels", tmp_path / "nope.csv", *flags)
     assert rc == 2
     assert message in caplog.text
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("artifact, body, message", [
@@ -532,16 +551,99 @@ def test_cli_bad_encoder_setting_is_usage_error_before_parse(tmp_path, caplog, f
     ("global_features.csv", "user_id,mean\nu0,0.5\nu1,x\n", "line 3: could not convert"),
 ])
 def test_cli_damaged_csv_artifact_is_data_error(tmp_path, caplog, artifact, body, message):
-    # Binary Ward with no --genuine-cluster reads the points, here the global features.
+    # Each file is damaged for the step that reads it: evaluate reads the
+    # clusters, a Glob_Hier cluster step the global features.
     out = tmp_path / "o"
     out.mkdir()
-    (out / "clusters.csv").write_text("user_id,cluster_id\nu0,1\nu1,2\n")
-    (out / "global_features.csv").write_text("user_id,mean\nu0,0.5\nu1,1.5\n")
+    (out / "cluster_report.json").write_text('{"polarity": {"local_density": [1.0, 2.0]}}')
     (out / artifact).write_text(body)
     (tmp_path / "labels.csv").write_text("user_id,class_id\nu0,0\nu1,1\n")
-    assert _cli("evaluate", "--outdir", out, "--labels", tmp_path / "labels.csv",
-                "--variant-preset", "Glob_Hier", "--task", "binary") == 4
+    step = {"clusters.csv": ("evaluate", "--labels", tmp_path / "labels.csv"),
+            "global_features.csv": ("cluster",)}[artifact]
+    assert _cli(*step, "--outdir", out, "--variant-preset", "Glob_Hier", "--task", "binary") == 4
     assert f"{out / artifact}: {message}" in caplog.text
+
+
+_FAST_FLAGS = ("--epochs", FAST["epochs"], "--latent-dim", FAST["latent_dim"])
+_BINARY_WARD = ("--variant-preset", "Glob_Hier", "--task", "binary", *_FAST_FLAGS)
+
+
+@pytest.fixture(scope="module")
+def ward_workspace(cli_workspace, tmp_path_factory):
+    """A binary Glob_Hier run-all, whose cluster_report.json records the polarity."""
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path_factory.mktemp("ward")
+    assert _cli("run-all", "--outdir", out, "--tweets", tweets, "--labels", labels_csv,
+                *_BINARY_WARD) == 0
+    return out
+
+
+def test_cli_binary_ward_evaluate_reads_no_points(cli_workspace, ward_workspace, tmp_path):
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path / "w"
+    shutil.copytree(ward_workspace, out)
+    scored = ("metrics_report.json", "confusion.csv")
+    assert _cli("evaluate", "--outdir", out, "--labels", labels_csv, *_BINARY_WARD) == 0
+    before = {name: (out / name).read_bytes() for name in scored}
+    assert before["confusion.csv"] == (ward_workspace / "confusion.csv").read_bytes()
+    # Neither the global features nor the latents they came from are read.
+    points = [*out.glob("global_features*.csv"), *out.glob("latent_*.tensor")]
+    assert len(points) == 3
+    for path in points:
+        path.unlink()
+    assert _cli("evaluate", "--outdir", out, "--labels", labels_csv, *_BINARY_WARD) == 0
+    assert {name: (out / name).read_bytes() for name in scored} == before
+
+
+def test_cli_evaluate_without_recorded_polarity(cli_workspace, ward_workspace, tmp_path, caplog):
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path / "w"
+    shutil.copytree(ward_workspace, out)
+    report = out / "cluster_report.json"
+    # A multiclass cut at two clusters records no polarity scores.
+    assert _cli("cluster", "--outdir", out, "--variant-preset", "Glob_Hier",
+                "--task", "multiclass", "--n-clusters", 2, *_FAST_FLAGS) == 0
+    assert "polarity" not in json.loads(report.read_text())
+    assert _cli("evaluate", "--outdir", out, "--labels", labels_csv, *_BINARY_WARD) == 2
+    assert f"{report} records no polarity scores" in caplog.text
+    assert "--genuine-cluster" in caplog.text
+    metrics = out / "metrics_report.json"
+    assert metrics.read_bytes() == (ward_workspace / "metrics_report.json").read_bytes()
+    assert _cli("evaluate", "--outdir", out, "--labels", labels_csv, *_BINARY_WARD,
+                "--genuine-cluster", 1) == 0
+    # A truncated report, or one that is not an object, is damaged data named by its path.
+    for damaged in (report.read_text()[:40], "[]"):
+        report.write_text(damaged)
+        caplog.clear()
+        assert _cli("evaluate", "--outdir", out, "--labels", labels_csv, *_BINARY_WARD) == 4
+        assert f"{report}: " in caplog.text
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--n-days", 1), "n_days must be >= 2, got 1"),
+    (("--n-genuine", 0), "n_genuine must be >= 1, got 0"),
+    (("--seed", -1), "seed must be non-negative, got -1"),
+])
+def test_cli_bad_synth_setting_is_usage_error(tmp_path, caplog, flags, message):
+    out = tmp_path / "synthout"
+    assert _cli("synth", "--outdir", out, *flags) == 2
+    assert f"configuration error: {message}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes, message", [
+    ("x", "invalid literal for int() with base 10: 'x'"),
+    ("1,x", "invalid literal for int() with base 10: 'x'"),
+    ("0,1", "cannot exclude the genuine class"),
+    ("1", "need at least 2 bot classes, got [1]"),
+])
+def test_cli_bad_bot_classes_is_usage_error_before_parse(tmp_path, caplog, classes, message):
+    # The tweets file does not exist: the flag fails first, with exit 2, not 4.
+    out = tmp_path / "o"
+    assert _cli("lobo", "--outdir", out, "--tweets", tmp_path / "nope.jsonl",
+                "--labels", tmp_path / "nope.csv", "--bot-classes", classes) == 2
+    assert f"--bot-classes {classes!r}: {message}" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, preset, report, legs", [

@@ -113,6 +113,8 @@ def test_template_validation():
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SynthConfig(seed=-1)
     with pytest.raises(ValueError):
         SynthConfig(n_days=1)
     with pytest.raises(ValueError):
