@@ -629,8 +629,10 @@ def train(
 def encode(model: AutoencoderModel, data: MtsTensor) -> np.ndarray:
     """Encoder-only pass; works for users never seen in training.
 
-    The tensor must already be normalized with the model's statistics
-    (apply_normalization with the params stored on the model).
+    Returns one row per user: the width-1 latent series (N, T) for uts,
+    the latent vector (N, latent_dim) for vec. The tensor must already be
+    normalized with the model's statistics (apply_normalization with the
+    params stored on the model).
     """
     if not data.normalized:
         raise ValueError("encode expects a normalized tensor")
@@ -640,11 +642,10 @@ def encode(model: AutoencoderModel, data: MtsTensor) -> np.ndarray:
             f"model (T={model.seq_len}, D={model.input_dim})"
         )
     enc_seq, _ = lstm_forward_cached(model.encoder, data.values)
+    series = enc_seq.reshape(data.n_users, data.n_days)
     if model.variant == "uts":
-        return enc_seq
-    flat = enc_seq.reshape(data.n_users, data.n_days)
-    latent, _ = dense_forward_cached(model.enc_dense, flat)
-    return latent
+        return series
+    return dense_forward_cached(model.enc_dense, series)[0]
 
 
 def save_model(model: AutoencoderModel, path) -> None:

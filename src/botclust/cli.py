@@ -8,6 +8,8 @@ result with the saver run-all uses, so for the same settings both flows
 write the same bytes. Settings merge with precedence
 flag > config file > default; --variant-preset expands to a
 representation plus clustering method before explicit flags apply.
+main resolves them once, before any command runs, so a bad setting
+exits 2 before any input is read or --outdir is made.
 
 Commands hold only what they still read while they train: run-all,
 importance and lobo read their inputs through _read_inputs, which turns
@@ -39,13 +41,17 @@ import numpy as np
 from .autoencoder import load_model, save_model
 from .clustering import load_assignment_csv, save_assignment_csv, save_dendrogram_json
 from .globalfeats import load_features_csv, save_features_csv
-from .ingest import LabelTable, ParseError, load_labels, parse_tweets, write_tweets_jsonl
+from .ingest import (FEATURE_NAMES, LabelTable, ParseError, load_labels, parse_tweets,
+                     write_tweets_jsonl)
 from .labeling import feature_importance
 from .legs import last_workers
 from .mts import MtsTensor, load_tensor, save_tensor
 from .pipeline import (
+    CLUSTER_METHODS,
     ENCODERS,
     PRESETS,
+    REPRESENTATIONS,
+    TASKS,
     Clustering,
     PipelineConfig,
     _cluster,
@@ -153,9 +159,12 @@ def _merged(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
             config = PipelineConfig.from_dict({**config.to_dict(), **keys})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
-    paths = {}
-    for key in _PATH_KEYS:
-        paths[key] = getattr(args, key, None) or file_cfg.get(key)
+    # Every tensor the commands read holds tweet features; a library
+    # caller may pass a tensor with others.
+    unknown = [name for name in config.features or () if name not in FEATURE_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown features {unknown}; valid: {list(FEATURE_NAMES)}")
+    paths = {key: getattr(args, key, None) or file_cfg.get(key) for key in _PATH_KEYS}
     paths["outdir"] = Path(paths["outdir"] or "out")
     paths["format"] = paths["format"] or "jsonl"
     return paths, config
@@ -177,6 +186,12 @@ def _write_report(path: Path, payload: dict, config: PipelineConfig,
         fh.write("\n")
 
 
+def _timing(started: float) -> dict:
+    """An analysis report's timing block: wall time since started, and
+    the processes its legs ran on (see legs.last_workers)."""
+    return {"wall_time_s": time.perf_counter() - started, "workers": last_workers()}
+
+
 def _input(paths: dict, key: str) -> str:
     if not paths[key]:
         raise ConfigError(f"no {key} file given (flag --{key} or config key '{key}')")
@@ -194,9 +209,11 @@ def _read_inputs(paths: dict, config: PipelineConfig) -> tuple[MtsTensor, np.nda
 
 
 def _wrap_latent(latent: np.ndarray, user_ids, day_min, variant: str) -> MtsTensor:
-    """A latent as a tensor file body: (N, T, 1) for uts, (N, 1, L) for vec."""
+    """A latent (one row per user, as encode gives it) as a tensor file
+    body: a uts series (N, T) is stored (N, T, 1), one feature over T
+    days; a vec latent (N, L) is stored (N, 1, L), L features on one day."""
     if variant == "uts":
-        values, names = latent, ("latent",)
+        values, names = latent[:, :, np.newaxis], ("latent",)
     else:
         values, names = latent[:, np.newaxis, :], tuple(f"latent.{j}" for j in range(latent.shape[1]))
     return MtsTensor(values=values, user_ids=list(user_ids), feature_names=names,
@@ -204,11 +221,11 @@ def _wrap_latent(latent: np.ndarray, user_ids, day_min, variant: str) -> MtsTens
 
 
 def _load_latents(out: Path, variants) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
-    """Latent tensors back in the shapes the pipeline stages produce."""
+    """Latent tensor files back as the rows _wrap_latent stored."""
     latents = {}
     for variant in variants:
         tensor = load_tensor(_require(out / _latent_name(variant), "encode"))
-        latents[variant] = tensor.values if variant == "uts" else tensor.values[:, 0, :]
+        latents[variant] = tensor.values.reshape(tensor.n_users, -1)
     return latents, tuple(tensor.user_ids)
 
 
@@ -274,8 +291,7 @@ def _save_scores(out: Path, config: PipelineConfig, metrics, timing: dict | None
             writer.writerow([str(i)] + [int(v) for v in metrics.confusion[i]])
 
 
-def cmd_extract(args) -> int:
-    paths, config = _merged(args)
+def cmd_extract(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     mts, _ = prepare(parse_tweets(_input(paths, "tweets"), format=paths["format"]), None, config)
     save_tensor(mts, out / A_MTS)
@@ -286,8 +302,7 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    paths, config = _merged(args)
+def cmd_train(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     # The loaded tensor goes unnamed, so _train_models frees it once normalized.
     models, reports, _ = _train_models(config, load_tensor(_require(out / A_MTS, "extract")),
@@ -299,8 +314,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_encode(args) -> int:
-    paths, config = _merged(args)
+def cmd_encode(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     models = {
         variant: load_model(_require(out / _model_name(variant), "train"))
@@ -310,12 +324,13 @@ def cmd_encode(args) -> int:
     latents = _encode(models, mts)
     _save_latents(out, latents, mts.user_ids, mts.day_min)
     for variant, latent in latents.items():
-        print(f"encode: latent shape {latent.shape} -> {out / _latent_name(variant)}")
+        # The summary line names a uts series by its width-1 hidden sequence.
+        shape = latent.shape + (1,) if variant == "uts" else latent.shape
+        print(f"encode: latent shape {shape} -> {out / _latent_name(variant)}")
     return EXIT_OK
 
 
-def cmd_features(args) -> int:
-    paths, config = _merged(args)
+def cmd_features(args, paths: dict, config: PipelineConfig) -> int:
     if config.representation == "vec":
         raise ConfigError("the features step serves the glob and glob_vec representations; "
                           "vec clusters its latent directly, so run `botclust cluster`")
@@ -330,12 +345,11 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def cmd_cluster(args) -> int:
-    paths, config = _merged(args)
-    out = _outdir(paths)
+def cmd_cluster(args, paths: dict, config: PipelineConfig) -> int:
     if config.cluster_method == "ward" and config.task == "multiclass" and config.n_clusters is None:
         # run-all cuts at the class count, which needs the labels
         raise ConfigError("ward multiclass clustering needs n_clusters (flag --n-clusters)")
+    out = _outdir(paths)
     points, user_ids = _load_points(config, out)
     clustering = _cluster(config, points, user_ids, n_classes=None)
     _save_clustering(out, config, clustering)
@@ -344,8 +358,7 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    paths, config = _merged(args)
+def cmd_evaluate(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     labels_path = _input(paths, "labels")
     assignment = load_assignment_csv(_require(out / A_CLUSTERS, "cluster"))
@@ -363,8 +376,7 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_importance(args) -> int:
-    paths, config = _merged(args)
+def cmd_importance(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
@@ -376,12 +388,7 @@ def cmd_importance(args) -> int:
         return result.metrics.weighted_f1
 
     report = feature_importance(runner, mts.feature_names)
-    _write_report(
-        out / A_IMPORTANCE,
-        report.to_dict(),
-        config,
-        timing={"wall_time_s": time.perf_counter() - started, "workers": last_workers()},
-    )
+    _write_report(out / A_IMPORTANCE, report.to_dict(), config, _timing(started))
     ranked = sorted(
         zip(report.feature_names, report.importance), key=lambda p: -p[1]
     )
@@ -391,8 +398,7 @@ def cmd_importance(args) -> int:
     return EXIT_OK
 
 
-def cmd_lobo(args) -> int:
-    paths, config = _merged(args)
+def cmd_lobo(args, paths: dict, config: PipelineConfig) -> int:
     bot_classes = None
     if args.bot_classes:
         # Checked before any input is read; whether each class occurs in
@@ -406,12 +412,7 @@ def cmd_lobo(args) -> int:
     mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
     report = lobo_run_from_mts(mts, true, labels, config, bot_classes=bot_classes)
-    _write_report(
-        out / A_LOBO,
-        report.to_dict(),
-        config,
-        timing={"wall_time_s": time.perf_counter() - started, "workers": last_workers()},
-    )
+    _write_report(out / A_LOBO, report.to_dict(), config, _timing(started))
     worst = max(abs(v["pct_change"]) for v in report.entries.values())
     print(
         f"lobo: base weighted_f1 {report.base_f1:.4f}, "
@@ -420,7 +421,7 @@ def cmd_lobo(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, paths: dict, config: PipelineConfig) -> int:
     # Imported here, so the other subcommands start without it.
     from .synth import SynthConfig, generate_dataset
 
@@ -429,7 +430,6 @@ def cmd_synth(args) -> int:
                              if getattr(args, key) is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    paths, _config = _merged(args)
     out = _outdir(paths)
     records, labels = generate_dataset(cfg)
     write_tweets_jsonl(records, out / A_TWEETS)
@@ -446,8 +446,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_run_all(args) -> int:
-    paths, config = _merged(args)
+def cmd_run_all(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
@@ -461,8 +460,7 @@ def cmd_run_all(args) -> int:
         _save_features(out, result.features)
     _save_clustering(out, config, result.clustering)
     metrics = result.metrics
-    _save_scores(out, config, metrics,
-                 timing={"wall_time_s": time.perf_counter() - started, "workers": last_workers()})
+    _save_scores(out, config, metrics, _timing(started))
     print(
         f"run-all: task={config.task} rep={config.representation} "
         f"method={config.cluster_method} weighted_f1={metrics.weighted_f1:.4f} "
@@ -485,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     pipe = argparse.ArgumentParser(add_help=False)
     pipe.add_argument("--variant-preset", choices=sorted(PRESETS),
                       help="named representation+clustering pairing")
-    pipe.add_argument("--representation", choices=("uts", "vec", "glob", "glob_vec"))
-    pipe.add_argument("--cluster-method", choices=("dbscan", "ward"))
-    pipe.add_argument("--task", choices=("binary", "multiclass"))
+    pipe.add_argument("--representation", choices=REPRESENTATIONS)
+    pipe.add_argument("--cluster-method", choices=CLUSTER_METHODS)
+    pipe.add_argument("--task", choices=TASKS)
     pipe.add_argument("--features", help="comma-separated tweet feature subset")
     pipe.add_argument("--epochs", type=int)
     pipe.add_argument("--learning-rate", type=float)
@@ -537,7 +535,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, *_merged(args))
     except MissingArtifactError as exc:
         log.error("%s", exc)
         return EXIT_MISSING

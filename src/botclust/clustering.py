@@ -68,14 +68,13 @@ class Dendrogram:
 
 
 def distance_matrix(points: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between rows. Inputs with more than
-    two dimensions (e.g. latent sequences shaped (N, T, 1)) are flattened
-    per row first. The result is exactly symmetric with a zero diagonal.
+    """Pairwise Euclidean distances between the rows of points (N, width),
+    one row per user. The result is exactly symmetric with a zero
+    diagonal.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim < 2:
-        raise ValueError(f"points must have at least 2 dimensions, got shape {pts.shape}")
-    pts = pts.reshape(pts.shape[0], -1)
+    if pts.ndim != 2:
+        raise ValueError(f"points must be 2-D (N, width), got shape {pts.shape}")
     n = pts.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")

@@ -103,19 +103,13 @@ def extract_global_features(
 ) -> GlobalFeatureVector:
     """Apply every catalog statistic to each user's latent series.
 
-    latent is the width-1 encoder output, shaped (N, T, 1) or (N, T).
-    Needs T >= 2 so changes and autocorrelations are defined. Columns
-    follow CATALOG order.
+    latent is the uts encoder output, one series per user: (N, T). Needs
+    T >= 2 so changes and autocorrelations are defined. Columns follow
+    CATALOG order.
     """
     series = np.asarray(latent, dtype=np.float64)
-    if series.ndim == 3:
-        if series.shape[2] != 1:
-            raise ValueError(
-                f"expected a width-1 latent series, got depth {series.shape[2]}"
-            )
-        series = series[:, :, 0]
     if series.ndim != 2:
-        raise ValueError(f"latent must be (N, T) or (N, T, 1), got shape {latent.shape}")
+        raise ValueError(f"latent must be (N, T), got shape {series.shape}")
     n, t = series.shape
     if t < 2:
         raise ValueError(f"global features need at least 2 time steps, got {t}")

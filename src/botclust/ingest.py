@@ -439,21 +439,17 @@ def write_tweets_jsonl(records: list[TweetRecord], path: str | Path) -> None:
     ``true``), goes through ``json.dumps`` itself, so the bytes are the
     same either way.
     """
-    plain_ids: dict[str, bool] = {}
+    plain_ids = _Memo(lambda user_id: _PLAIN_ID.fullmatch(user_id) is not None)
     it = iter(records)
     with open(Path(path), "w", encoding="utf-8") as fh:
         while chunk := list(islice(it, CHUNK_ROWS)):
             # Per chunk, so a file of distinct stamps holds few at a time.
-            stamps: dict[datetime, str] = {}
+            stamps = _Memo(_utc_stamp)
             lines = []
             for rec in chunk:
                 user_id, ts, counts = rec.user_id, rec.timestamp, rec.counts()
-                stamp = stamps.get(ts)
-                if stamp is None:
-                    stamp = stamps[ts] = _utc_stamp(ts)
-                plain = type(user_id) is str and plain_ids.get(user_id)
-                if plain is None:
-                    plain = plain_ids[user_id] = _PLAIN_ID.fullmatch(user_id) is not None
+                stamp = stamps[ts]
+                plain = type(user_id) is str and plain_ids[user_id]
                 if plain and tuple(map(type, counts)) == _INT_COUNTS:
                     lines.append(_LINE % (user_id, stamp, *counts))
                 else:

@@ -12,13 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator; identical seed gives an identical stream.
+def seeded_rng(*entropy: int) -> np.random.Generator:
+    """Deterministic generator; identical entropy gives an identical stream.
 
-    PCG64 with numpy's SeedSequence expansion. Streams are reproducible
-    across runs and platforms for a fixed numpy major version.
+    PCG64 with numpy's SeedSequence expansion of the entropy words: one
+    word gives SeedSequence(seed)'s stream, several a stream per index
+    under one seed. Streams are reproducible across runs and platforms
+    for a fixed numpy major version.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
 # The canonical RMSProp constants; only the learning rate is

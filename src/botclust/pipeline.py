@@ -10,7 +10,8 @@ The five named presets pair a representation with a clustering method;
 everything else (features, epochs, seeds, eps) comes from PipelineConfig.
 Each stage (prepare, _train_models, _encode, global_features,
 _make_points, _cluster, _label_and_score) is one function, chained here
-by run_pipeline_from_mts and called one at a time by the CLI steps.
+by run_pipeline_from_mts and called one at a time by the CLI steps; the
+last three are the one tail, _detect, of run-all and of each lobo leg.
 The leave-one-botnet-out harness, lobo_run_from_mts, retrains on a
 reduced population and scores the full one, which is the generalization
 question that matters for detecting botnets that were never seen during
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -71,7 +72,9 @@ from .labeling import (
 from .legs import map_legs
 from .mts import MtsTensor, apply_normalization, extract_mts, minmax_normalize
 
-REPRESENTATIONS = ("uts", "vec", "glob", "glob_vec")
+# The encoders each representation needs, in training order.
+ENCODERS = {"uts": ("uts",), "vec": ("vec",), "glob": ("uts",), "glob_vec": ("uts", "vec")}
+REPRESENTATIONS = tuple(ENCODERS)
 CLUSTER_METHODS = ("dbscan", "ward")
 TASKS = ("binary", "multiclass")
 
@@ -90,24 +93,23 @@ class PipelineConfig:
     cluster_method: str = "ward"
     task: str = "binary"
     features: Optional[tuple[str, ...]] = None   # None -> all tensor features
-    epochs: int = 250
-    learning_rate: Optional[float] = None        # None -> per-variant default
-    latent_dim: int = 300
-    holdout_fraction: float = 0.2
-    clip_norm: float = 5.0
+    # The training settings default as the encoder's own (see _ae_config).
+    epochs: int = AutoencoderConfig.epochs
+    learning_rate: Optional[float] = AutoencoderConfig.learning_rate   # None -> per variant
+    latent_dim: int = AutoencoderConfig.latent_dim
+    holdout_fraction: float = AutoencoderConfig.holdout_fraction
+    clip_norm: float = AutoencoderConfig.clip_norm
     min_pts: int = 4
     eps: Optional[float] = None                  # None -> k-distance knee
     n_clusters: Optional[int] = None             # ward cut; None -> task default
     genuine_cluster: Optional[int] = None
-    seed: int = 0
+    seed: int = AutoencoderConfig.seed
 
     def __post_init__(self):
-        if self.representation not in REPRESENTATIONS:
-            raise ValueError(f"representation must be one of {REPRESENTATIONS}")
-        if self.cluster_method not in CLUSTER_METHODS:
-            raise ValueError(f"cluster_method must be one of {CLUSTER_METHODS}")
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}")
+        for name, choices in (("representation", REPRESENTATIONS),
+                              ("cluster_method", CLUSTER_METHODS), ("task", TASKS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}")
         if self.min_pts < 2:
             raise ValueError(f"min_pts must be >= 2 so the knee heuristic has k >= 1")
         if self.n_clusters is not None and self.n_clusters < 1:
@@ -147,10 +149,6 @@ def derive_seed(seed: int, stream: int) -> int:
     """Stable child seed for an auxiliary random stream (second encoder,
     per-leg reruns) that will not collide with nearby base seeds."""
     return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
-
-
-# The encoders each representation needs, in training order.
-ENCODERS = {"uts": ("uts",), "vec": ("vec",), "glob": ("uts",), "glob_vec": ("uts", "vec")}
 
 
 @dataclass
@@ -228,16 +226,13 @@ def prepare(
     return mts, true
 
 
+# The encoder settings PipelineConfig carries under the same names.
+_TRAINING_FIELDS = tuple(f.name for f in fields(AutoencoderConfig) if f.name != "variant")
+
+
 def _ae_config(config: PipelineConfig, variant: str, seed: int) -> AutoencoderConfig:
-    return AutoencoderConfig(
-        variant=variant,
-        latent_dim=config.latent_dim,
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        holdout_fraction=config.holdout_fraction,
-        seed=seed,
-        clip_norm=config.clip_norm,
-    )
+    settings = {name: getattr(config, name) for name in _TRAINING_FIELDS}
+    return AutoencoderConfig(**dict(settings, variant=variant, seed=seed))
 
 
 def _train_models(
@@ -306,12 +301,30 @@ def _make_points(
     user_ids: tuple[str, ...],
 ) -> tuple[np.ndarray, Optional[tuple[GlobalFeatureVector, GlobalFeatureVector]]]:
     """The clustering matrix, plus the feature tables it came from."""
-    if config.representation == "uts":
-        return latents["uts"].reshape(len(user_ids), -1), None
-    if config.representation == "vec":
-        return latents["vec"], None
+    if config.representation in ("uts", "vec"):
+        return latents[config.representation], None
     tables = global_features(config, latents, user_ids)
     return tables[1].values, tables
+
+
+def check_population(config: PipelineConfig, n_users: int,
+                     n_classes: Optional[int]) -> Optional[int]:
+    """Fail on a clustering setting that n_users users cannot meet, so an
+    analysis fails before it trains: the k-distance knee (eps unset) needs
+    at least min_pts users, and a Ward cut at most one cluster per user.
+    Returns the Ward cut size: n_clusters, by default 2 for binary and
+    n_classes for multiclass; None for DBSCAN."""
+    if config.cluster_method == "dbscan":
+        if config.eps is None and n_users < config.min_pts:
+            raise ValueError(f"min_pts={config.min_pts} needs at least {config.min_pts} users for "
+                             f"the k-distance knee, got N={n_users}; set eps or lower min_pts")
+        return None
+    k = config.n_clusters
+    if k is None:
+        k = 2 if config.task == "binary" else max(n_classes, 1)
+    if k > n_users:
+        raise ValueError(f"a Ward cut at n_clusters={k} needs at least {k} users, got N={n_users}")
+    return k
 
 
 def _cluster(
@@ -320,10 +333,11 @@ def _cluster(
     user_ids: tuple[str, ...],
     n_classes: Optional[int],
 ) -> Clustering:
-    """DBSCAN at the configured or knee eps, or a Ward cut at n_clusters
-    (default 2 for binary, n_classes for multiclass). A binary two-way
-    cut also gets its polarity scores at min_pts; this is the only place
-    the N x N distance matrix lives."""
+    """DBSCAN at the configured or knee eps, or a Ward cut at the size
+    check_population gives. A binary two-way cut also gets its polarity
+    scores at min_pts; this is the only place the N x N distance matrix
+    lives."""
+    k = check_population(config, len(user_ids), n_classes)
     dist = distance_matrix(points)
     if config.cluster_method == "dbscan":
         eps = config.eps
@@ -331,9 +345,6 @@ def _cluster(
             eps, _curve = kdist_knee_eps(dist, config.min_pts - 1)
         return Clustering(dbscan(dist, eps, config.min_pts, user_ids=user_ids), eps=eps)
     dendro = ward_agglomerative(dist)
-    k = config.n_clusters
-    if k is None:
-        k = 2 if config.task == "binary" else max(n_classes, 1)
     assignment = cut_dendrogram(dendro, k, user_ids=user_ids)
     polarity = None
     if config.task == "binary" and k == 2:
@@ -362,6 +373,21 @@ def _label_and_score(
     return pred, prf_metrics(true_labels, pred, n_classes)
 
 
+def _detect(config: PipelineConfig, latents: dict[str, np.ndarray], user_ids: tuple[str, ...],
+            true_labels: np.ndarray, n_classes: int, **trained) -> PipelineResult:
+    """Points, clusters, labels and scores of a population's latents: the
+    tail of run_pipeline_from_mts and of each lobo leg. trained holds the
+    models and train reports the result carries, if any."""
+    points, features = _make_points(config, latents, user_ids)
+    clustering = _cluster(config, points, user_ids, n_classes)
+    pred, metrics = _label_and_score(
+        config, clustering.assignment, clustering.polarity, true_labels, n_classes
+    )
+    return PipelineResult(config=config, user_ids=user_ids, true_labels=true_labels,
+                          pred_labels=pred, clustering=clustering, metrics=metrics,
+                          latents=latents, points=points, features=features, **trained)
+
+
 def run_pipeline_from_mts(
     mts_raw: MtsTensor,
     true_labels: np.ndarray,
@@ -374,6 +400,7 @@ def run_pipeline_from_mts(
         raise ValueError(
             f"true labels shape {true_labels.shape} != ({mts_raw.n_users},)"
         )
+    check_population(config, mts_raw.n_users, n_classes)
     user_ids = tuple(mts_raw.user_ids)
     if config.features is not None and config.features != mts_raw.feature_names:
         mts_raw = mts_raw.select_features(config.features)
@@ -381,24 +408,8 @@ def run_pipeline_from_mts(
     # does) trains without the raw tensor.
     models, reports, latents = _train_models(config, (mts_raw, mts_raw := None)[0],
                                              config.seed, encoded=True)
-    points, features = _make_points(config, latents, user_ids)
-    clustering = _cluster(config, points, user_ids, n_classes)
-    pred, metrics = _label_and_score(
-        config, clustering.assignment, clustering.polarity, true_labels, n_classes
-    )
-    return PipelineResult(
-        config=config,
-        user_ids=user_ids,
-        true_labels=true_labels,
-        pred_labels=pred,
-        clustering=clustering,
-        metrics=metrics,
-        models=models,
-        train_reports=reports,
-        latents=latents,
-        points=points,
-        features=features,
-    )
+    return _detect(config, latents, user_ids, true_labels, n_classes,
+                   models=models, train_reports=reports)
 
 
 @dataclass
@@ -452,9 +463,9 @@ def lobo_run_from_mts(
     if bot_classes is None:
         bot_classes = sorted(c for c in labels.supports() if c != GENUINE_CLASS)
     check_bot_classes(bot_classes)
-
-    user_ids = tuple(mts_raw.user_ids)
     n_classes = labels.num_classes
+    check_population(config, mts_raw.n_users, n_classes)
+    user_ids = tuple(mts_raw.user_ids)
 
     def leg(keep: Optional[np.ndarray], seed: int) -> float:
         """Weighted F1 on the full population of encoders trained on the
@@ -462,12 +473,8 @@ def lobo_run_from_mts(
         # The user subset goes unnamed, so _train_models frees it once normalized.
         models = _train_models(config, mts_raw if keep is None else mts_raw.select_users(keep),
                                seed)[0]
-        points, _features = _make_points(config, _encode(models, mts_raw), user_ids)
-        clustering = _cluster(config, points, user_ids, n_classes)
-        _pred, metrics = _label_and_score(
-            config, clustering.assignment, clustering.polarity, true, n_classes
-        )
-        return metrics.weighted_f1
+        result = _detect(config, _encode(models, mts_raw), user_ids, true, n_classes)
+        return result.metrics.weighted_f1
 
     jobs = {None: (None, config.seed)}
     for cid in bot_classes:

@@ -15,7 +15,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .ingest import FEATURE_NAMES, GENUINE_CLASS, LabelTable, TweetRecord
+from .ingest import FEATURE_NAMES, GENUINE_CLASS, LabelTable, TweetRecord, _Memo
+from .numerics import seeded_rng
 
 DAY0 = datetime(2023, 1, 1, tzinfo=timezone.utc)
 
@@ -100,26 +101,18 @@ class SynthConfig:
             raise ValueError(f"template class ids must be 1..K, got {class_ids}")
 
 
-def _user_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
-
-
-class _Slots(dict):
-    """(day, tweet index) -> the tweet's timestamp, built on first use and
-    shared by every record of one generated data set at that slot."""
-
-    def __missing__(self, key):
-        day, j = key
-        ts = self[key] = DAY0 + timedelta(days=day, hours=9 + j % 12, minutes=j // 12)
-        return ts
+def _slot_time(slot: tuple[int, int]) -> datetime:
+    """The timestamp of a user's j-th tweet on a day, for slot (day, j)."""
+    day, j = slot
+    return DAY0 + timedelta(days=day, hours=9 + j % 12, minutes=j // 12)
 
 
 # Each user's draws are pinned in kind and order: changing either changes
 # every population. ``random()`` gives ``uniform()``'s 0 + 1*U, and six
 # scalar ``poisson`` calls the six elementwise draws of ``poisson(means)``.
 def _genuine_tweets(user_id: str, index: int, cfg: SynthConfig,
-                    slots: _Slots) -> list[TweetRecord]:
-    rng = _user_rng(cfg.seed, index)
+                    slots: _Memo) -> list[TweetRecord]:
+    rng = seeded_rng(cfg.seed, index)
     lo, hi = cfg.genuine_activity_range
     p_active = rng.uniform(lo, hi)
     means = rng.uniform(cfg.genuine_mean_range[0], cfg.genuine_mean_range[1],
@@ -138,8 +131,8 @@ def _genuine_tweets(user_id: str, index: int, cfg: SynthConfig,
 
 
 def _bot_tweets(user_id: str, index: int, template: BotTemplate, cfg: SynthConfig,
-                slots: _Slots) -> list[TweetRecord]:
-    rng = _user_rng(cfg.seed, index)
+                slots: _Memo) -> list[TweetRecord]:
+    rng = seeded_rng(cfg.seed, index)
     means = np.asarray(template.feature_means)
     stamps, jitters = [], []
     for day in range(cfg.n_days):
@@ -163,7 +156,8 @@ def generate_dataset(cfg: SynthConfig) -> tuple[list[TweetRecord], LabelTable]:
     first, then each botnet)."""
     records: list[TweetRecord] = []
     labels: dict[str, int] = {}
-    slots = _Slots()
+    # One timestamp per slot, shared by every record at that slot.
+    slots = _Memo(_slot_time)
     index = 0
     for i in range(cfg.n_genuine):
         uid = f"gen_{i:04d}"

@@ -464,8 +464,10 @@ def test_train_uts_report_and_shapes():
     latent, recon = forward_autoencoder(model, data.values)
     assert latent.shape == (6, 8, 1)
     assert recon.shape == data.values.shape
+    # encode gives one row per user: the width-1 hidden sequence as (N, T)
     enc = encode(model, data)
-    assert np.array_equal(enc, latent)
+    assert enc.shape == (6, 8)
+    assert np.array_equal(enc, latent[:, :, 0])
 
 
 def test_train_reports_grad_norm_and_clipping():

@@ -57,11 +57,10 @@ def test_distance_matrix_hand_values():
     assert np.all(np.diag(dist) == 0.0)
 
 
-def test_distance_matrix_flattens_higher_dims():
-    x = seeded_rng(1).normal(size=(4, 5, 3))
-    a = distance_matrix(x)
-    b = distance_matrix(x.reshape(4, 15))
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("shape", [(4,), (4, 5, 3)])
+def test_distance_matrix_takes_2d_points_only(shape):
+    with pytest.raises(ValueError, match=r"points must be 2-D \(N, width\)"):
+        distance_matrix(np.zeros(shape))
 
 
 def test_kdist_knee_separates_blob_scale_from_outlier_scale():

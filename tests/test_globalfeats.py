@@ -30,7 +30,7 @@ def test_stats_match_direct_formulas():
     rng = seeded_rng(5)
     for t_len in (2, 7, 31, 64):
         series = rng.normal(size=t_len)
-        feats = extract_global_features(series[np.newaxis, :, np.newaxis])
+        feats = extract_global_features(series[np.newaxis])
         ref = oracle_series_stats(series)
         for j, name in enumerate(CATALOG):
             assert feats.values[0, j] == pytest.approx(ref[name], rel=1e-9, abs=1e-9), (
@@ -56,7 +56,7 @@ def test_stats_over_many_rows_match_oracle_and_row_calls():
 
 
 def test_constant_series_degenerate_stats_are_zero():
-    feats = extract_global_features(np.full((1, 10, 1), 2.5))
+    feats = extract_global_features(np.full((1, 10), 2.5))
     by_name = dict(zip(feats.column_names, feats.values[0]))
     assert by_name["mean"] == 2.5
     assert by_name["std"] == 0.0
@@ -71,7 +71,7 @@ def test_constant_series_degenerate_stats_are_zero():
 
 
 def test_autocorr_lag_beyond_length_is_zero():
-    feats = extract_global_features(np.arange(5.0)[np.newaxis, :, np.newaxis])
+    feats = extract_global_features(np.arange(5.0)[np.newaxis])
     by_name = dict(zip(feats.column_names, feats.values[0]))
     assert by_name["autocorr_lag7"] == 0.0
     assert by_name["autocorr_lag30"] == 0.0
@@ -80,7 +80,7 @@ def test_autocorr_lag_beyond_length_is_zero():
 
 def test_alternating_series_counts():
     series = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    feats = extract_global_features(series[np.newaxis, :, np.newaxis])
+    feats = extract_global_features(series[np.newaxis])
     by_name = dict(zip(feats.column_names, feats.values[0]))
     assert by_name["mean"] == 0.0
     assert by_name["mean_crossings"] == 5.0
@@ -90,18 +90,15 @@ def test_alternating_series_counts():
     assert by_name["autocorr_lag1"] == pytest.approx(-1.0)
 
 
-def test_accepts_2d_and_3d_input():
-    rng = seeded_rng(6)
-    x = rng.normal(size=(4, 12))
-    a = extract_global_features(x)
-    b = extract_global_features(x[:, :, np.newaxis])
-    assert np.array_equal(a.values, b.values)
-    assert a.values.shape == (4, 19)
-
-
 def test_rejects_too_short_series():
-    with pytest.raises(ValueError):
-        extract_global_features(np.zeros((2, 1, 1)))
+    with pytest.raises(ValueError, match="at least 2 time steps"):
+        extract_global_features(np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("shape", [(12,), (4, 12, 1)])
+def test_takes_one_series_per_row_only(shape):
+    with pytest.raises(ValueError, match=r"latent must be \(N, T\)"):
+        extract_global_features(np.zeros(shape))
 
 
 def test_zscore_hand_values():
@@ -141,7 +138,7 @@ def test_concat_rejects_row_mismatch():
 
 def test_features_csv_roundtrip_exact(tmp_path):
     rng = seeded_rng(7)
-    feats = extract_global_features(rng.normal(size=(5, 20, 1)), user_ids=[f"u{i}" for i in range(5)])
+    feats = extract_global_features(rng.normal(size=(5, 20)), user_ids=[f"u{i}" for i in range(5)])
     z = zscore_standardize(feats)
     p = tmp_path / "f.csv"
     save_features_csv(z, p)

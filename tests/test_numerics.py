@@ -19,6 +19,15 @@ def test_seeded_rng_reproducible():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("entropy", [(0,), (7,), (2**40,), (42, 0), (42, 79), (1, 2, 3)])
+def test_seeded_rng_is_the_seed_sequence_of_its_words(entropy):
+    # One word gives the stream of SeedSequence(word), which training has
+    # always used; several give SeedSequence([words]), synth's per-user streams.
+    seq = np.random.SeedSequence(entropy[0] if len(entropy) == 1 else list(entropy))
+    want = np.random.Generator(np.random.PCG64(seq)).integers(0, 2**63, size=8)
+    assert np.array_equal(seeded_rng(*entropy).integers(0, 2**63, size=8), want)
+
+
 def test_rmsprop_single_step_hand_values():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([2.0])}

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from botclust.cli import main
-from botclust.ingest import build_timelines
-from botclust.mts import extract_mts
+from botclust.cli import _load_latents, _save_latents, main
+from botclust.ingest import build_timelines, write_tweets_jsonl
+from botclust.mts import MtsTensor, extract_mts, load_tensor, save_tensor
 from botclust.pipeline import (
     PRESETS,
     PipelineConfig,
@@ -161,6 +161,34 @@ def test_trained_legs_encode_as_the_serial_encode(small_dataset):
     assert _train_models(cfg, mts, cfg.seed)[2] == {}
 
 
+def test_latents_are_rows_and_their_files_keep_the_tensor_layout(small_dataset, tmp_path):
+    # encode gives one row per user; the files hold a uts series as
+    # (N, T, 1), one feature over T days, and a vec latent as (N, 1, L).
+    records, labels = small_dataset
+    mts = extract_mts(build_timelines(records))
+    cfg = apply_preset(PipelineConfig(task="binary", **FAST), "Glob_Vec_Hier")
+    latents = _train_models(cfg, mts, cfg.seed, encoded=True)[2]
+    n, t, width = mts.n_users, mts.n_days, FAST["latent_dim"]
+    assert latents["uts"].shape == (n, t) and latents["vec"].shape == (n, width)
+    _save_latents(tmp_path, latents, mts.user_ids, mts.day_min)
+    layouts = {"uts": (latents["uts"][:, :, np.newaxis], ("latent",)),
+               "vec": (latents["vec"][:, np.newaxis, :], tuple(f"latent.{j}" for j in range(width)))}
+    for variant, (values, names) in layouts.items():
+        path = tmp_path / f"latent_{variant}.tensor"
+        stored = load_tensor(path)
+        assert stored.values.shape == values.shape and stored.feature_names == names
+        assert (stored.kind, stored.day_min) == (f"latent_{variant}", mts.day_min)
+        reference = tmp_path / f"reference_{variant}.tensor"
+        save_tensor(MtsTensor(values=values, user_ids=list(mts.user_ids), feature_names=names,
+                              day_min=mts.day_min, kind=f"latent_{variant}"), reference)
+        assert path.read_bytes() == reference.read_bytes(), variant
+    loaded, user_ids = _load_latents(tmp_path, ("uts", "vec"))
+    assert user_ids == tuple(mts.user_ids)
+    for variant, latent in latents.items():
+        assert loaded[variant].shape == latent.shape
+        assert np.array_equal(loaded[variant], latent), variant
+
+
 def test_pipeline_deterministic_per_seed(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=5, **FAST), "Glob_Hier")
@@ -214,8 +242,6 @@ def _cli(*args):
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory, small_dataset):
     """A synth dataset written once for the whole CLI flow."""
-    from botclust.ingest import write_tweets_jsonl
-
     records, labels = small_dataset
     root = tmp_path_factory.mktemp("cli")
     tweets = root / "tweets.jsonl"
@@ -417,6 +443,45 @@ def test_cli_duplicate_features_is_usage_error(cli_workspace, tmp_path, caplog):
               "--features", "num_urls,num_urls", "--epochs", 2)
     assert rc == 2
     assert "repeat" in caplog.text
+
+
+def test_cli_unknown_features_is_usage_error_before_parse(cli_workspace, tmp_path, caplog):
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path / "bogus"
+    rc = _cli("run-all", "--outdir", out, "--tweets", tweets, "--labels", labels_csv,
+              "--features", "num_urls,bogus", "--epochs", 2)
+    assert rc == 2
+    assert "configuration error: unknown features ['bogus']" in caplog.text
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def three_user_workspace(small_dataset, tmp_path_factory):
+    """One genuine user and one user of each botnet."""
+    records, labels = small_dataset
+    keep = {"gen_0000": 0, "bot1_0000": 1, "bot2_0000": 2}
+    root = tmp_path_factory.mktemp("three")
+    write_tweets_jsonl([r for r in records if r.user_id in keep], root / "tweets.jsonl")
+    (root / "labels.csv").write_text(
+        "user_id,class_id\n" + "".join(f"{uid},{cid}\n" for uid, cid in keep.items()))
+    return root, root / "tweets.jsonl", root / "labels.csv"
+
+
+@pytest.mark.parametrize("command", ["run-all", "lobo"])
+@pytest.mark.parametrize("workspace, flags, message", [
+    ("three_user_workspace", ("--variant-preset", "UTS_DBSCAN", "--task", "multiclass"),
+     "min_pts=4 needs at least 4 users for the k-distance knee, got N=3"),
+    ("cli_workspace", ("--variant-preset", "Glob_Hier", "--n-clusters", 50),
+     "a Ward cut at n_clusters=50 needs at least 50 users, got N=32"),
+])
+def test_cli_setting_the_population_cannot_meet_fails_before_training(
+        request, tmp_path, caplog, command, workspace, flags, message):
+    root, tweets, labels_csv = request.getfixturevalue(workspace)
+    out = tmp_path / "o"
+    assert _cli(command, "--outdir", out, "--tweets", tweets, "--labels", labels_csv,
+                *flags, "--epochs", 2) == 4
+    assert message in caplog.text
+    assert not list(out.glob("model_*"))
 
 
 def test_cli_unreadable_tweets_is_data_error(tmp_path):

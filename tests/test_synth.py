@@ -141,7 +141,7 @@ def test_botnets_tighter_than_genuine_in_raw_series_space():
     records, labels = generate_dataset(SynthConfig())
     mts = extract_mts(build_timelines(records))
     true = np.array([labels.labels[u] for u in mts.user_ids])
-    dist = distance_matrix(mts.values)
+    dist = distance_matrix(mts.values.reshape(mts.n_users, -1))
 
     def mean_within(class_id):
         idx = np.flatnonzero(true == class_id)
