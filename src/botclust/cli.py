@@ -164,7 +164,9 @@ def _merged(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
     unknown = [name for name in config.features or () if name not in FEATURE_NAMES]
     if unknown:
         raise ConfigError(f"unknown features {unknown}; valid: {list(FEATURE_NAMES)}")
-    paths = {key: getattr(args, key, None) or file_cfg.get(key) for key in _PATH_KEYS}
+    paths = {}
+    for key in _PATH_KEYS:
+        paths[key] = getattr(args, key, None) or file_cfg.get(key)
     paths["outdir"] = Path(paths["outdir"] or "out")
     paths["format"] = paths["format"] or "jsonl"
     return paths, config

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -106,10 +106,12 @@ class PipelineConfig:
     seed: int = AutoencoderConfig.seed
 
     def __post_init__(self):
-        for name, choices in (("representation", REPRESENTATIONS),
-                              ("cluster_method", CLUSTER_METHODS), ("task", TASKS)):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"{name} must be one of {choices}")
+        if self.representation not in REPRESENTATIONS:
+            raise ValueError(f"representation must be one of {REPRESENTATIONS}")
+        if self.cluster_method not in CLUSTER_METHODS:
+            raise ValueError(f"cluster_method must be one of {CLUSTER_METHODS}")
+        if self.task not in TASKS:
+            raise ValueError(f"task must be one of {TASKS}")
         if self.min_pts < 2:
             raise ValueError(f"min_pts must be >= 2 so the knee heuristic has k >= 1")
         if self.n_clusters is not None and self.n_clusters < 1:
@@ -226,13 +228,16 @@ def prepare(
     return mts, true
 
 
-# The encoder settings PipelineConfig carries under the same names.
-_TRAINING_FIELDS = tuple(f.name for f in fields(AutoencoderConfig) if f.name != "variant")
-
-
 def _ae_config(config: PipelineConfig, variant: str, seed: int) -> AutoencoderConfig:
-    settings = {name: getattr(config, name) for name in _TRAINING_FIELDS}
-    return AutoencoderConfig(**dict(settings, variant=variant, seed=seed))
+    return AutoencoderConfig(
+        variant=variant,
+        latent_dim=config.latent_dim,
+        learning_rate=config.learning_rate,
+        epochs=config.epochs,
+        holdout_fraction=config.holdout_fraction,
+        seed=seed,
+        clip_norm=config.clip_norm,
+    )
 
 
 def _train_models(
@@ -373,8 +378,14 @@ def _label_and_score(
     return pred, prf_metrics(true_labels, pred, n_classes)
 
 
-def _detect(config: PipelineConfig, latents: dict[str, np.ndarray], user_ids: tuple[str, ...],
-            true_labels: np.ndarray, n_classes: int, **trained) -> PipelineResult:
+def _detect(
+    config: PipelineConfig,
+    latents: dict[str, np.ndarray],
+    user_ids: tuple[str, ...],
+    true_labels: np.ndarray,
+    n_classes: int,
+    **trained,
+) -> PipelineResult:
     """Points, clusters, labels and scores of a population's latents: the
     tail of run_pipeline_from_mts and of each lobo leg. trained holds the
     models and train reports the result carries, if any."""
@@ -383,9 +394,18 @@ def _detect(config: PipelineConfig, latents: dict[str, np.ndarray], user_ids: tu
     pred, metrics = _label_and_score(
         config, clustering.assignment, clustering.polarity, true_labels, n_classes
     )
-    return PipelineResult(config=config, user_ids=user_ids, true_labels=true_labels,
-                          pred_labels=pred, clustering=clustering, metrics=metrics,
-                          latents=latents, points=points, features=features, **trained)
+    return PipelineResult(
+        config=config,
+        user_ids=user_ids,
+        true_labels=true_labels,
+        pred_labels=pred,
+        clustering=clustering,
+        metrics=metrics,
+        latents=latents,
+        points=points,
+        features=features,
+        **trained,
+    )
 
 
 def run_pipeline_from_mts(
