@@ -61,6 +61,7 @@ from .pipeline import (
     _train_models,
     apply_preset,
     check_bot_classes,
+    check_population,
     config_hash,
     global_features,
     lobo_run_from_mts,
@@ -306,9 +307,10 @@ def cmd_extract(args, paths: dict, config: PipelineConfig) -> int:
 
 def cmd_train(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
-    # The loaded tensor goes unnamed, so _train_models frees it once normalized.
-    models, reports, _ = _train_models(config, load_tensor(_require(out / A_MTS, "extract")),
-                                       config.seed)
+    mts = load_tensor(_require(out / A_MTS, "extract"))
+    check_population(config, mts.n_users, None)
+    # Handed over unnamed, so _train_models frees the tensor once normalized.
+    models, reports, _ = _train_models(config, (mts, mts := None)[0], config.seed)
     _save_models(out, config, models, reports)
     for variant, report in reports.items():
         final = f"final train MSE {report.train_mse[-1]:.6f}" if report.train_mse else "0 epochs"
@@ -323,12 +325,11 @@ def cmd_encode(args, paths: dict, config: PipelineConfig) -> int:
         for variant in ENCODERS[config.representation]
     }
     mts = load_tensor(_require(out / A_MTS, "extract"))
+    check_population(config, mts.n_users, None)
     latents = _encode(models, mts)
     _save_latents(out, latents, mts.user_ids, mts.day_min)
     for variant, latent in latents.items():
-        # The summary line names a uts series by its width-1 hidden sequence.
-        shape = latent.shape + (1,) if variant == "uts" else latent.shape
-        print(f"encode: latent shape {shape} -> {out / _latent_name(variant)}")
+        print(f"encode: latent shape {latent.shape} -> {out / _latent_name(variant)}")
     return EXIT_OK
 
 
@@ -338,6 +339,7 @@ def cmd_features(args, paths: dict, config: PipelineConfig) -> int:
                           "vec clusters its latent directly, so run `botclust cluster`")
     out = _outdir(paths)
     latents, user_ids = _load_latents(out, ENCODERS[config.representation])
+    check_population(config, len(user_ids), None)
     tables = global_features(config, latents, user_ids)
     _save_features(out, tables)
     print(

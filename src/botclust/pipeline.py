@@ -23,7 +23,10 @@ encoders in _train_models, and the base run plus one leg per bot class
 in lobo_run_from_mts. In run_pipeline_from_mts each training leg also
 encodes the tensor it trained on, so no serial _encode follows the legs.
 Each leg is seeded on its own, so results are byte-identical to a one-CPU
-run, which runs every leg in-process.
+run, which runs every leg in-process, at the same BLAS thread count: the
+vec encoder's dense products change their last bits with it, and 57 of
+the 306 artifacts tests/test_artifact_digests.py pins differ between one
+and two OpenBLAS threads.
 
 Stages let go of inputs they no longer read: _train_models drops the raw
 tensor once it is normalized, so a caller that hands over its only
@@ -318,13 +321,16 @@ def check_population(config: PipelineConfig, n_users: int,
     analysis fails before it trains: the k-distance knee (eps unset) needs
     at least min_pts users, and a Ward cut at most one cluster per user.
     Returns the Ward cut size: n_clusters, by default 2 for binary and
-    n_classes for multiclass; None for DBSCAN."""
+    n_classes for multiclass; None for DBSCAN, and for a multiclass cut
+    at the class count when n_classes is None (not known, so unchecked)."""
     if config.cluster_method == "dbscan":
         if config.eps is None and n_users < config.min_pts:
             raise ValueError(f"min_pts={config.min_pts} needs at least {config.min_pts} users for "
                              f"the k-distance knee, got N={n_users}; set eps or lower min_pts")
         return None
     k = config.n_clusters
+    if k is None and config.task == "multiclass" and n_classes is None:
+        return None
     if k is None:
         k = 2 if config.task == "binary" else max(n_classes, 1)
     if k > n_users:

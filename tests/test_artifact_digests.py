@@ -40,6 +40,8 @@ from pathlib import Path
 
 import pytest
 
+from botclust.cli import main
+
 PINNED = Path(__file__).with_name("artifact_digests.json")
 DATA_SEEDS = (42, 7)
 SYNTH_SEEDS = (1, 42, 51)
@@ -98,8 +100,6 @@ def digest(path: Path) -> str:
 def run_flow(cwd: Path, commands) -> dict:
     """Run commands in cwd with --outdir out; their exit codes, stdout
     lines and artifact digests."""
-    from botclust.cli import main
-
     os.chdir(cwd)
     codes, stdout = [], io.StringIO()
     for args in commands:

@@ -17,6 +17,7 @@ from botclust.pipeline import (
     _label_and_score,
     _train_models,
     apply_preset,
+    check_population,
     config_hash,
     derive_seed,
     lobo_run_from_mts,
@@ -482,6 +483,46 @@ def test_cli_setting_the_population_cannot_meet_fails_before_training(
                 *flags, "--epochs", 2) == 4
     assert message in caplog.text
     assert not list(out.glob("model_*"))
+
+
+@pytest.fixture(scope="module")
+def forty_one_user_workspace(tmp_path_factory):
+    """`synth --n-genuine 1` (41 users) taken through extract, a 1-epoch
+    train and encode."""
+    out = tmp_path_factory.mktemp("n41")
+    assert _cli("synth", "--outdir", out, "--n-genuine", 1) == 0
+    assert _cli("extract", "--outdir", out, "--tweets", out / "tweets.jsonl") == 0
+    for step in ("train", "encode"):
+        assert _cli(step, "--outdir", out, "--variant-preset", "UTS_DBSCAN", "--epochs", 1) == 0
+    return out
+
+
+@pytest.mark.parametrize("step, product", [
+    ("train", "model_*"), ("encode", "latent_*"), ("features", "global_features*"),
+])
+@pytest.mark.parametrize("flags, message", [
+    (("--variant-preset", "Glob_Hier", "--n-clusters", 50),
+     "a Ward cut at n_clusters=50 needs at least 50 users, got N=41"),
+    (("--variant-preset", "UTS_DBSCAN", "--min-pts", 60),
+     "min_pts=60 needs at least 60 users for the k-distance knee, got N=41"),
+])
+def test_cli_step_rejects_setting_the_population_cannot_meet(
+        forty_one_user_workspace, tmp_path, caplog, step, product, flags, message):
+    out = tmp_path / "o"
+    shutil.copytree(forty_one_user_workspace, out)
+    for path in out.glob(product):
+        path.unlink()
+    assert _cli(step, "--outdir", out, *flags, "--epochs", 1) == 4
+    assert message in caplog.text
+    assert not list(out.glob(product))
+
+
+def test_check_population_leaves_an_unknown_class_count_unchecked():
+    cfg = replace(apply_preset(PipelineConfig(), "Glob_Hier"), task="multiclass")
+    assert check_population(cfg, 41, None) is None
+    assert check_population(cfg, 41, 3) == 3
+    with pytest.raises(ValueError, match="n_clusters=50 needs at least 50 users, got N=41"):
+        check_population(replace(cfg, n_clusters=50), 41, None)
 
 
 def test_cli_unreadable_tweets_is_data_error(tmp_path):
