@@ -11,8 +11,8 @@ Flows, at --epochs 20, for each synth data seed in DATA_SEEDS:
   run-all on every preset, binary and multiclass;
   the five-step UTS_DBSCAN flow and the six-step Glob_Vec_Hier flow,
   binary and multiclass (a multiclass Ward cut at --n-clusters 3);
-  lobo (Glob_Hier binary, UTS_DBSCAN multiclass) and importance
-  (Glob_Hier binary);
+  lobo (Glob_Hier binary, UTS_DBSCAN and Glob_Vec_Hier multiclass) and
+  importance (Glob_Hier binary, Glob_Vec_Hier multiclass);
 plus synth itself at SYNTH_SEEDS and DATA_SEEDS.
 
 The child runs at one BLAS thread: the vec encoder's dense products
@@ -71,7 +71,9 @@ def flows():
                          *(inputs if step in INPUT_STEPS else [])] for step in steps])
         for command, preset, task in (("lobo", "Glob_Hier", "binary"),
                                       ("lobo", "UTS_DBSCAN", "multiclass"),
-                                      ("importance", "Glob_Hier", "binary")):
+                                      ("lobo", "Glob_Vec_Hier", "multiclass"),
+                                      ("importance", "Glob_Hier", "binary"),
+                                      ("importance", "Glob_Vec_Hier", "multiclass")):
             yield (f"seed{seed}/{command}/{preset}/{task}", seed,
                    [[command, "--variant-preset", preset, "--task", task, *EPOCHS, *inputs]])
 
