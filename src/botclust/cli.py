@@ -5,11 +5,13 @@ can be driven stepwise (extract, train, encode, features, cluster,
 evaluate) or in one shot (run-all). A step only loads its input
 artifacts, calls the pipeline stage that run-all chains, and saves the
 result with the saver run-all uses, so for the same settings both flows
-write the same bytes. Settings merge with precedence
+write the same bytes; run-all, and each leg of lobo and importance, is
+one pipeline.run_pipeline_from_mts call. Settings merge with precedence
 flag > config file > default; --variant-preset expands to a
 representation plus clustering method before explicit flags apply.
-main resolves them once, before any command runs, so a bad setting
-exits 2 before any input is read or --outdir is made.
+main resolves them once, before any command runs, so a bad setting, or
+one that run-all, lobo or importance can never score, exits 2 before
+any input is read or --outdir is made.
 
 Commands hold only what they still read while they train: run-all,
 importance and lobo read their inputs through _read_inputs, which turns
@@ -33,7 +35,6 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,6 @@ from .clustering import load_assignment_csv, save_assignment_csv, save_dendrogra
 from .globalfeats import load_features_csv, save_features_csv
 from .ingest import (FEATURE_NAMES, LabelTable, ParseError, load_labels, parse_tweets,
                      write_tweets_jsonl)
-from .labeling import feature_importance
 from .legs import last_workers
 from .mts import MtsTensor, load_tensor, save_tensor
 from .pipeline import (
@@ -62,8 +62,10 @@ from .pipeline import (
     apply_preset,
     check_bot_classes,
     check_population,
+    check_scorable,
     config_hash,
     global_features,
+    importance_run_from_mts,
     lobo_run_from_mts,
     prepare,
     run_pipeline_from_mts,
@@ -158,6 +160,8 @@ def _merged(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
             if isinstance(keys.get("features"), str):
                 keys["features"] = [f.strip() for f in keys["features"].split(",") if f.strip()]
             config = PipelineConfig.from_dict({**config.to_dict(), **keys})
+        if args.command in ("run-all", "lobo", "importance"):   # each scores every run
+            check_scorable(config)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     # Every tensor the commands read holds tweet features; a library
@@ -165,6 +169,9 @@ def _merged(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
     unknown = [name for name in config.features or () if name not in FEATURE_NAMES]
     if unknown:
         raise ConfigError(f"unknown features {unknown}; valid: {list(FEATURE_NAMES)}")
+    if args.command == "importance" and len(config.features or FEATURE_NAMES) < 2:
+        raise ConfigError(f"importance leaves out one feature at a time, so it needs at "
+                          f"least 2, got {list(config.features)}")
     paths = {}
     for key in _PATH_KEYS:
         paths[key] = getattr(args, key, None) or file_cfg.get(key)
@@ -298,10 +305,7 @@ def cmd_extract(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     mts, _ = prepare(parse_tweets(_input(paths, "tweets"), format=paths["format"]), None, config)
     save_tensor(mts, out / A_MTS)
-    print(
-        f"extract: wrote {out / A_MTS} "
-        f"(N={mts.n_users}, T={mts.n_days}, D={mts.n_features})"
-    )
+    print(f"extract: wrote {out / A_MTS} (N={mts.n_users}, T={mts.n_days}, D={mts.n_features})")
     return EXIT_OK
 
 
@@ -310,7 +314,7 @@ def cmd_train(args, paths: dict, config: PipelineConfig) -> int:
     mts = load_tensor(_require(out / A_MTS, "extract"))
     check_population(config, mts.n_users, None)
     # Handed over unnamed, so _train_models frees the tensor once normalized.
-    models, reports, _ = _train_models(config, (mts, mts := None)[0], config.seed)
+    models, reports, _ = _train_models(config, (mts, mts := None)[0])
     _save_models(out, config, models, reports)
     for variant, report in reports.items():
         final = f"final train MSE {report.train_mse[-1]:.6f}" if report.train_mse else "0 epochs"
@@ -384,21 +388,10 @@ def cmd_importance(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
-
-    def runner(feats: tuple[str, ...]) -> float:
-        result = run_pipeline_from_mts(
-            mts, true, labels.num_classes, replace(config, features=tuple(feats))
-        )
-        return result.metrics.weighted_f1
-
-    report = feature_importance(runner, mts.feature_names)
+    report = importance_run_from_mts(mts, true, labels.num_classes, config)
     _write_report(out / A_IMPORTANCE, report.to_dict(), config, _timing(started))
-    ranked = sorted(
-        zip(report.feature_names, report.importance), key=lambda p: -p[1]
-    )
-    print(
-        f"importance: top {ranked[0][0]} ({ranked[0][1]:.3f}) -> {out / A_IMPORTANCE}"
-    )
+    top, share = max(zip(report.feature_names, report.importance), key=lambda p: p[1])
+    print(f"importance: top {top} ({share:.3f}) -> {out / A_IMPORTANCE}")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
@@ -59,15 +59,9 @@ class MtsTensor:
         return np.all(self.values == SENTINEL, axis=2)
 
     def select_users(self, indices) -> "MtsTensor":
+        """Row subset; fancy indexing copies, so the rows are held once."""
         idx = list(indices)
-        return MtsTensor(
-            values=self.values[idx].copy(),
-            user_ids=[self.user_ids[i] for i in idx],
-            feature_names=self.feature_names,
-            day_min=self.day_min,
-            normalized=self.normalized,
-            kind=self.kind,
-        )
+        return replace(self, values=self.values[idx], user_ids=[self.user_ids[i] for i in idx])
 
     def select_features(self, names: tuple[str, ...]) -> "MtsTensor":
         """Column subset preserving sentinel semantics (mask is per day)."""
@@ -75,14 +69,8 @@ class MtsTensor:
         if missing:
             raise ValueError(f"unknown features {missing}")
         cols = [self.feature_names.index(n) for n in names]
-        return MtsTensor(
-            values=self.values[:, :, cols].copy(),
-            user_ids=list(self.user_ids),
-            feature_names=tuple(names),
-            day_min=self.day_min,
-            normalized=self.normalized,
-            kind=self.kind,
-        )
+        return replace(self, values=self.values[:, :, cols], feature_names=tuple(names),
+                       user_ids=list(self.user_ids))
 
 
 @dataclass
@@ -157,15 +145,11 @@ def minmax_normalize(mts: MtsTensor) -> tuple[MtsTensor, NormalizationParams]:
     """
     if mts.normalized:
         raise ValueError("tensor is already normalized")
-    active = ~mts.sentinel_mask()
-    d = mts.n_features
-    mins = np.zeros(d)
-    maxs = np.zeros(d)
-    for j in range(d):
-        col = mts.values[:, :, j][active]
-        if col.size:
-            mins[j] = col.min()
-            maxs[j] = col.max()
+    active = ~mts.sentinel_mask()[:, :, np.newaxis]
+    mins, maxs = np.zeros(mts.n_features), np.zeros(mts.n_features)
+    if active.any():   # the mask is per day: every feature has values, or none has
+        mins = mts.values.min(axis=(0, 1), where=active, initial=np.inf)
+        maxs = mts.values.max(axis=(0, 1), where=active, initial=-np.inf)
     params = NormalizationParams(feature_names=mts.feature_names, mins=mins, maxs=maxs)
     return apply_normalization(mts, params), params
 
@@ -182,23 +166,13 @@ def apply_normalization(mts: MtsTensor, params: NormalizationParams) -> MtsTenso
         raise ValueError(
             f"feature mismatch: tensor has {mts.feature_names}, params have {params.feature_names}"
         )
-    active = ~mts.sentinel_mask()
-    out = mts.values.copy()
+    inactive = mts.sentinel_mask()
     span = params.maxs - params.mins
-    for j in range(mts.n_features):
-        col = out[:, :, j]
-        if span[j] == 0.0:
-            col[active] = 0.0
-        else:
-            col[active] = (col[active] - params.mins[j]) / span[j]
-    return MtsTensor(
-        values=out,
-        user_ids=list(mts.user_ids),
-        feature_names=mts.feature_names,
-        day_min=mts.day_min,
-        normalized=True,
-        kind=mts.kind,
-    )
+    out = mts.values - params.mins
+    np.divide(out, span, out=out, where=span != 0.0)
+    out[:, :, span == 0.0] = 0.0
+    out[inactive] = SENTINEL
+    return replace(mts, values=out, user_ids=list(mts.user_ids), normalized=True)
 
 
 def write_container(path: str | Path, magic: bytes, header: dict, arrays) -> None:

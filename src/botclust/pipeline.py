@@ -9,23 +9,24 @@ Representations
 The five named presets pair a representation with a clustering method;
 everything else (features, epochs, seeds, eps) comes from PipelineConfig.
 Each stage (prepare, _train_models, _encode, global_features,
-_make_points, _cluster, _label_and_score) is one function, chained here
-by run_pipeline_from_mts and called one at a time by the CLI steps; the
-last three are the one tail, _detect, of run-all and of each lobo leg.
-The leave-one-botnet-out harness, lobo_run_from_mts, retrains on a
-reduced population and scores the full one, which is the generalization
-question that matters for detecting botnets that were never seen during
-training. Each analysis has one entry point, and each starts from the
-raw tensor that prepare builds from a tweet table.
+_make_points, _cluster, _label_and_score) is one function, called one
+at a time by the CLI steps and chained only by run_pipeline_from_mts:
+run-all and every leg of both analyses are one call of it each. The
+leave-one-botnet-out harness, lobo_run_from_mts, retrains on a reduced
+population and scores the full one, which is the generalization question
+that matters for detecting botnets that were never seen during training;
+importance_run_from_mts reruns without one feature at a time. Each
+analysis starts from the raw tensor that prepare builds from a tweet table.
 
 Independent legs run side by side through legs.map_legs: glob_vec's two
-encoders in _train_models, and the base run plus one leg per bot class
-in lobo_run_from_mts. In run_pipeline_from_mts each training leg also
+encoders in _train_models, the base run plus one leg per bot class in
+lobo_run_from_mts, and the full run plus one leg per left-out feature in
+importance_run_from_mts. A training leg that trained on every user also
 encodes the tensor it trained on, so no serial _encode follows the legs.
 Each leg is seeded on its own, so results are byte-identical to a one-CPU
 run, which runs every leg in-process, at the same BLAS thread count: the
 vec encoder's dense products change their last bits with it, and 57 of
-the 306 artifacts tests/test_artifact_digests.py pins differ between one
+the 310 artifacts tests/test_artifact_digests.py pins differ between one
 and two OpenBLAS threads.
 
 Stages let go of inputs they no longer read: _train_models drops the raw
@@ -66,9 +67,11 @@ from .globalfeats import (
 )
 from .ingest import FEATURE_NAMES, GENUINE_CLASS, LabelTable, TweetTable
 from .labeling import (
+    ImportanceReport,
     MetricsReport,
     assign_labels_binary,
     assign_labels_multiclass,
+    feature_importance,
     local_density_scores,
     prf_metrics,
 )
@@ -123,7 +126,7 @@ class PipelineConfig:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
         for variant in ENCODERS[self.representation]:
             # epochs, learning_rate, holdout_fraction and latent_dim, by the encoder's rules
-            _ae_config(self, variant, self.seed)
+            _ae_config(self, variant)
         if self.features is not None:
             self.features = tuple(self.features)
             if len(set(self.features)) != len(self.features):
@@ -189,7 +192,6 @@ class Clustering:
 
 @dataclass
 class PipelineResult:
-    config: PipelineConfig
     user_ids: tuple[str, ...]
     true_labels: np.ndarray
     pred_labels: np.ndarray
@@ -201,14 +203,6 @@ class PipelineResult:
     points: Optional[np.ndarray] = None
     # (raw statistics, clustering table) for the glob representations
     features: Optional[tuple[GlobalFeatureVector, GlobalFeatureVector]] = None
-
-    @property
-    def assignment(self) -> ClusterAssignment:
-        return self.clustering.assignment
-
-    @property
-    def dendrogram(self) -> Optional[Dendrogram]:
-        return self.clustering.dendrogram
 
 
 def truth_vector(labels: LabelTable, user_ids) -> np.ndarray:
@@ -231,14 +225,18 @@ def prepare(
     return mts, true
 
 
-def _ae_config(config: PipelineConfig, variant: str, seed: int) -> AutoencoderConfig:
+def _ae_config(config: PipelineConfig, variant: str) -> AutoencoderConfig:
+    """A variant's encoder settings. A second encoder (the vec one of
+    glob_vec) trains from a derived seed, so the one pipeline seed pins
+    both models."""
+    stream = ENCODERS[config.representation].index(variant)
     return AutoencoderConfig(
         variant=variant,
         latent_dim=config.latent_dim,
         learning_rate=config.learning_rate,
         epochs=config.epochs,
         holdout_fraction=config.holdout_fraction,
-        seed=seed,
+        seed=derive_seed(config.seed, stream) if stream else config.seed,
         clip_norm=config.clip_norm,
     )
 
@@ -246,20 +244,17 @@ def _ae_config(config: PipelineConfig, variant: str, seed: int) -> AutoencoderCo
 def _train_models(
     config: PipelineConfig,
     mts_raw: MtsTensor,
-    seed: int,
     encoded: bool = False,
 ) -> tuple[dict[str, AutoencoderModel], dict[str, TrainReport], dict[str, np.ndarray]]:
     """Min-max fit a raw tensor and train the encoder(s) a representation
-    needs; each model keeps the fitted statistics. A second encoder (the
-    vec one of glob_vec) trains from a derived seed so both models are
-    pinned by the one pipeline seed. The encoders share only the input,
-    so they train side by side (see legs.map_legs). With encoded, each
-    leg also returns its model's latent of the tensor it trained on, the
-    one _encode would give: minmax_normalize's output is bitwise
-    apply_normalization with the fitted statistics. Otherwise the latents
-    are empty. The raw tensor is not read after its normalization, so a
-    caller that passes its only reference (train and run-all do) frees it
-    before training."""
+    needs; each model keeps the fitted statistics. The encoders share only
+    the input, so they train side by side (see legs.map_legs). With
+    encoded, each leg also returns its model's latent of the tensor it
+    trained on, the one _encode would give: minmax_normalize's output is
+    bitwise apply_normalization with the fitted statistics. Otherwise the
+    latents are empty. The raw tensor is not read after its normalization,
+    so a caller that passes its only reference (train and run-all do)
+    frees it before training."""
     norm, params = minmax_normalize(mts_raw)
     del mts_raw
 
@@ -268,8 +263,7 @@ def _train_models(
         return model, report, encode(model, norm) if encoded else None
 
     variants = ENCODERS[config.representation]
-    jobs = [(_ae_config(config, variant, derive_seed(seed, stream) if stream else seed),)
-            for stream, variant in enumerate(variants)]
+    jobs = [(_ae_config(config, variant),) for variant in variants]
     models, reports, latents = {}, {}, {}
     for variant, (model, report, latent) in zip(variants, map_legs(leg, jobs)):
         models[variant], reports[variant] = model, report
@@ -338,6 +332,16 @@ def check_population(config: PipelineConfig, n_users: int,
     return k
 
 
+def check_scorable(config: PipelineConfig) -> None:
+    """Fail on a setting no run can score, before anything trains: the
+    polarity rule names the genuine side of a binary Ward cut at two
+    clusters only, so another cut size needs genuine_cluster."""
+    if (config.task == "binary" and config.cluster_method == "ward"
+            and config.n_clusters not in (None, 2) and config.genuine_cluster is None):
+        raise ValueError(f"polarity rule needs exactly 2 clusters, got {config.n_clusters}; "
+                         "pass genuine_cluster explicitly")
+
+
 def _cluster(
     config: PipelineConfig,
     points: np.ndarray,
@@ -384,58 +388,41 @@ def _label_and_score(
     return pred, prf_metrics(true_labels, pred, n_classes)
 
 
-def _detect(
-    config: PipelineConfig,
-    latents: dict[str, np.ndarray],
-    user_ids: tuple[str, ...],
-    true_labels: np.ndarray,
-    n_classes: int,
-    **trained,
-) -> PipelineResult:
-    """Points, clusters, labels and scores of a population's latents: the
-    tail of run_pipeline_from_mts and of each lobo leg. trained holds the
-    models and train reports the result carries, if any."""
-    points, features = _make_points(config, latents, user_ids)
-    clustering = _cluster(config, points, user_ids, n_classes)
-    pred, metrics = _label_and_score(
-        config, clustering.assignment, clustering.polarity, true_labels, n_classes
-    )
-    return PipelineResult(
-        config=config,
-        user_ids=user_ids,
-        true_labels=true_labels,
-        pred_labels=pred,
-        clustering=clustering,
-        metrics=metrics,
-        latents=latents,
-        points=points,
-        features=features,
-        **trained,
-    )
-
-
 def run_pipeline_from_mts(
     mts_raw: MtsTensor,
     true_labels: np.ndarray,
     n_classes: int,
     config: PipelineConfig,
+    train_rows: Optional[np.ndarray] = None,
 ) -> PipelineResult:
-    """Run detection and scoring on an already-extracted raw tensor."""
+    """Train, encode, cluster, label and score an already-extracted raw
+    tensor. With train_rows, the encoders (and their min-max statistics)
+    see only those rows' users, and every user is encoded, as in each
+    leave-one-botnet-out leg."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
     if true_labels.shape != (mts_raw.n_users,):
-        raise ValueError(
-            f"true labels shape {true_labels.shape} != ({mts_raw.n_users},)"
-        )
+        raise ValueError(f"true labels shape {true_labels.shape} != ({mts_raw.n_users},)")
     check_population(config, mts_raw.n_users, n_classes)
+    check_scorable(config)
     user_ids = tuple(mts_raw.user_ids)
     if config.features is not None and config.features != mts_raw.feature_names:
         mts_raw = mts_raw.select_features(config.features)
-    # Handed on unnamed, so a caller that passed its only reference (run-all
-    # does) trains without the raw tensor.
-    models, reports, latents = _train_models(config, (mts_raw, mts_raw := None)[0],
-                                             config.seed, encoded=True)
-    return _detect(config, latents, user_ids, true_labels, n_classes,
-                   models=models, train_reports=reports)
+    # What training reads goes unnamed, so it is freed once normalized: the
+    # user subset, or the raw tensor if the caller passed its only reference.
+    if train_rows is None:
+        models, reports, latents = _train_models(config, (mts_raw, mts_raw := None)[0],
+                                                 encoded=True)
+    else:
+        models, reports, _ = _train_models(config, mts_raw.select_users(train_rows))
+        latents = _encode(models, mts_raw)
+    points, features = _make_points(config, latents, user_ids)
+    clustering = _cluster(config, points, user_ids, n_classes)
+    pred, metrics = _label_and_score(config, clustering.assignment, clustering.polarity,
+                                     true_labels, n_classes)
+    return PipelineResult(user_ids=user_ids, true_labels=true_labels, pred_labels=pred,
+                          clustering=clustering, metrics=metrics, models=models,
+                          train_reports=reports, latents=latents, points=points,
+                          features=features)
 
 
 @dataclass
@@ -450,13 +437,7 @@ class LoboReport:
         return {
             "base_weighted_f1": self.base_f1,
             "task": self.task,
-            "excluded": {
-                str(cid): {
-                    "weighted_f1": vals["weighted_f1"],
-                    "pct_change": vals["pct_change"],
-                }
-                for cid, vals in sorted(self.entries.items())
-            },
+            "excluded": {str(cid): dict(vals) for cid, vals in sorted(self.entries.items())},
         }
 
 
@@ -480,36 +461,29 @@ def lobo_run_from_mts(
     encode, cluster, label and score the FULL population of the raw
     tensor, whose rows have the class ids in true.
 
-    Each leg runs from a seed derived per excluded class. Excluding a
-    class with no members degenerates to the base run by construction,
-    so it is reported as exactly 0 change without retraining. The base
-    run and the retrained legs are independent, so they run side by side
-    (see legs.map_legs); the report is the same as a sequential run's.
+    Each leg is one run_pipeline_from_mts call, from a seed derived per
+    excluded class. Excluding a class with no members is the base run, so
+    it is reported as exactly 0 change without retraining. The legs are
+    independent, so they run side by side (see legs.map_legs); the report
+    is the same as a sequential run's.
     """
     if bot_classes is None:
         bot_classes = sorted(c for c in labels.supports() if c != GENUINE_CLASS)
     check_bot_classes(bot_classes)
     n_classes = labels.num_classes
     check_population(config, mts_raw.n_users, n_classes)
-    user_ids = tuple(mts_raw.user_ids)
 
-    def leg(keep: Optional[np.ndarray], seed: int) -> float:
-        """Weighted F1 on the full population of encoders trained on the
-        users in keep (None: all of them)."""
-        # The user subset goes unnamed, so _train_models frees it once normalized.
-        models = _train_models(config, mts_raw if keep is None else mts_raw.select_users(keep),
-                               seed)[0]
-        result = _detect(config, _encode(models, mts_raw), user_ids, true, n_classes)
-        return result.metrics.weighted_f1
+    def leg(leg_config: PipelineConfig, keep: Optional[np.ndarray]) -> float:
+        return run_pipeline_from_mts(mts_raw, true, n_classes, leg_config, keep).metrics.weighted_f1
 
-    jobs = {None: (None, config.seed)}
+    jobs = {None: (config, None)}
     for cid in bot_classes:
         keep = np.flatnonzero(true != cid)
         if keep.size == mts_raw.n_users:
             continue
         if keep.size < 2:
             raise ValueError(f"excluding class {cid} leaves fewer than 2 users")
-        jobs[cid] = (keep, derive_seed(config.seed, cid))
+        jobs[cid] = (replace(config, seed=derive_seed(config.seed, cid)), keep)
     retrained = dict(zip(jobs, map_legs(leg, jobs.values())))
     base_f1 = retrained.pop(None)
     if base_f1 == 0.0:
@@ -519,3 +493,20 @@ def lobo_run_from_mts(
         f1 = retrained.get(cid, base_f1)
         entries[cid] = {"weighted_f1": f1, "pct_change": 100.0 * (f1 - base_f1) / base_f1}
     return LoboReport(base_f1=base_f1, task=config.task, entries=entries)
+
+
+def importance_run_from_mts(
+    mts_raw: MtsTensor,
+    true: np.ndarray,
+    n_classes: int,
+    config: PipelineConfig,
+) -> ImportanceReport:
+    """Leave-one-feature-out importance (see labeling.feature_importance):
+    run_pipeline_from_mts on the raw tensor with all of its features, and
+    once without each one."""
+
+    def leg(features: tuple[str, ...]) -> float:
+        leg_config = replace(config, features=features)
+        return run_pipeline_from_mts(mts_raw, true, n_classes, leg_config).metrics.weighted_f1
+
+    return feature_importance(leg, mts_raw.feature_names)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from botclust.clustering import NOISE, ClusterAssignment, Dendrogram
+from botclust.mts import MtsTensor, NormalizationParams
 from botclust.ingest import (
     FEATURE_NAMES,
     GENUINE_CLASS,
@@ -648,3 +649,50 @@ def loop_assign_labels_multiclass(assignment, true_labels):
         winner = min(c for c, v in counts.items() if v == top)
         out[members] = winner
     return out
+
+
+# The per-feature min-max loops the package ran before its normalization
+# went to masked whole-tensor reductions, frozen as they were. The package
+# must return equal statistics and equal tensors, bit for bit.
+
+
+def loop_minmax_normalize(mts):
+    if mts.normalized:
+        raise ValueError("tensor is already normalized")
+    active = ~mts.sentinel_mask()
+    d = mts.n_features
+    mins = np.zeros(d)
+    maxs = np.zeros(d)
+    for j in range(d):
+        col = mts.values[:, :, j][active]
+        if col.size:
+            mins[j] = col.min()
+            maxs[j] = col.max()
+    params = NormalizationParams(feature_names=mts.feature_names, mins=mins, maxs=maxs)
+    return loop_apply_normalization(mts, params), params
+
+
+def loop_apply_normalization(mts, params):
+    if mts.normalized:
+        raise ValueError("tensor is already normalized")
+    if params.feature_names != mts.feature_names:
+        raise ValueError(
+            f"feature mismatch: tensor has {mts.feature_names}, params have {params.feature_names}"
+        )
+    active = ~mts.sentinel_mask()
+    out = mts.values.copy()
+    span = params.maxs - params.mins
+    for j in range(mts.n_features):
+        col = out[:, :, j]
+        if span[j] == 0.0:
+            col[active] = 0.0
+        else:
+            col[active] = (col[active] - params.mins[j]) / span[j]
+    return MtsTensor(
+        values=out,
+        user_ids=list(mts.user_ids),
+        feature_names=mts.feature_names,
+        day_min=mts.day_min,
+        normalized=True,
+        kind=mts.kind,
+    )

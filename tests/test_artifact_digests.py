@@ -16,7 +16,7 @@ Flows, at --epochs 20, for each synth data seed in DATA_SEEDS:
 plus synth itself at SYNTH_SEEDS and DATA_SEEDS.
 
 The child runs at one BLAS thread: the vec encoder's dense products
-change their last bits with the thread count, and 57 of the 306 digests
+change their last bits with the thread count, and 57 of the 310 digests
 differ between one and two OpenBLAS threads. The digests were taken with
 numpy 2.4.6 and OpenBLAS 0.3.31, so another numpy or BLAS build can fail
 this test without any fault in the code. On a mismatch the test writes

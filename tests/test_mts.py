@@ -13,6 +13,7 @@ from botclust.mts import (
     minmax_normalize,
     save_tensor,
 )
+from oracles import loop_apply_normalization, loop_minmax_normalize
 
 
 def _rec(user, day, hour=12, **counts):
@@ -164,6 +165,48 @@ def test_apply_normalization_uses_external_stats():
     assert out.values[0, 0, 0] == pytest.approx(2.0)
 
 
+def _random_tensor(rng, n, t, scale=10.0, inactive=0.3):
+    """Counts with a share of sentinel days; feature 2 is constant (3.0)
+    on active days and feature 4 is fractional."""
+    values = np.floor(rng.exponential(scale, size=(n, t, 5)))
+    values[:, :, 2] = 3.0
+    values[:, :, 4] *= 0.37
+    values[rng.random((n, t)) < inactive] = SENTINEL
+    return MtsTensor(values=values, user_ids=[f"u{i}" for i in range(n)],
+                     feature_names=tuple(f"f{j}" for j in range(5)), day_min=None)
+
+
+def _same_normalization(got, want):
+    (norm, params), (loop_norm, loop_params) = got, want
+    assert norm.values.tobytes() == loop_norm.values.tobytes()
+    assert params.mins.tobytes() == loop_params.mins.tobytes()
+    assert params.maxs.tobytes() == loop_params.maxs.tobytes()
+    assert (norm.user_ids, norm.feature_names, norm.normalized, norm.kind) == \
+        (loop_norm.user_ids, loop_norm.feature_names, loop_norm.normalized, loop_norm.kind)
+
+
+def test_normalization_equals_the_per_feature_loops_bit_for_bit():
+    rng = np.random.default_rng(3)
+    fitted = _random_tensor(rng, 40, 30)
+    _same_normalization(minmax_normalize(fitted), loop_minmax_normalize(fitted))
+    params = minmax_normalize(fitted)[1]
+    assert params.mins[2] == params.maxs[2] == 3.0
+    # A tensor of sentinels only: min = max = 0, and every day stays -1.
+    empty = _random_tensor(rng, 4, 6, inactive=1.0)
+    norm, empty_params = minmax_normalize(empty)
+    _same_normalization((norm, empty_params), loop_minmax_normalize(empty))
+    assert np.all(norm.values == SENTINEL) and not np.any(empty_params.maxs)
+    # Unseen users beyond the fitted range, both ways: scaled with the
+    # fitted statistics, outside [0, 1], as the loop scales them.
+    unseen = _random_tensor(rng, 12, 30, scale=40.0)
+    unseen.values[unseen.values == 3.0] = 7.0
+    unseen.values[0, 0] = -0.5
+    out = apply_normalization(unseen, params)
+    assert out.values.max() > 1.0 and out.values[0, 0, 0] < 0.0
+    assert np.all(out.values[:, :, 2][~unseen.sentinel_mask()] == 0.0)
+    _same_normalization((out, params), (loop_apply_normalization(unseen, params), params))
+
+
 def test_normalize_twice_rejected():
     records = _hand_fixture()
     mts = extract_mts(build_timelines(records))
@@ -196,3 +239,7 @@ def test_select_users_preserves_rows():
     assert sub.user_ids == ["carol", "alice"]
     assert np.array_equal(sub.values[0], mts.values[2])
     assert np.array_equal(sub.values[1], mts.values[0])
+    assert not np.shares_memory(sub.values, mts.values)
+    cols = mts.select_features(("favorite_count", "num_urls"))
+    assert np.array_equal(cols.values, mts.values[:, :, [5, 0]])
+    assert not np.shares_memory(cols.values, mts.values)

@@ -93,9 +93,9 @@ def test_run_pipeline_binary_ward(small_dataset):
     res = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     assert res.pred_labels.shape == res.true_labels.shape
     assert set(np.unique(res.pred_labels)) <= {0, 1}
-    assert res.assignment.n_clusters == 2
+    assert res.clustering.assignment.n_clusters == 2
     assert res.metrics.confusion.shape == (2, 2)
-    assert res.dendrogram is not None
+    assert res.clustering.dendrogram is not None
     assert "uts" in res.models
 
 
@@ -108,8 +108,8 @@ def test_cluster_report_polarity_scores_name_genuine(small_dataset):
     assert len(scores) == 2 and min(scores) > 0
     assert polarity["ratio"] == max(scores) / min(scores)
     genuine = 1 + int(np.argmax(scores))
-    assert np.all(res.pred_labels[res.assignment.members(genuine)] == 0)
-    assert np.all(res.pred_labels[res.assignment.members(3 - genuine)] == 1)
+    assert np.all(res.pred_labels[res.clustering.assignment.members(genuine)] == 0)
+    assert np.all(res.pred_labels[res.clustering.assignment.members(3 - genuine)] == 1)
     assert res.clustering.polarity == scores
     # A multiclass cut at two clusters names clusters by vote, not polarity.
     multiclass = replace(cfg, task="multiclass", n_clusters=2)
@@ -155,11 +155,11 @@ def test_trained_legs_encode_as_the_serial_encode(small_dataset):
     records, labels = small_dataset
     mts = extract_mts(build_timelines(records))
     cfg = apply_preset(PipelineConfig(task="binary", seed=2, **FAST), "Glob_Vec_Hier")
-    models, reports, latents = _train_models(cfg, mts, cfg.seed, encoded=True)
+    models, reports, latents = _train_models(cfg, mts, encoded=True)
     assert set(latents) == {"uts", "vec"}
     for variant, latent in _encode(models, mts).items():
         assert np.array_equal(latents[variant], latent), variant
-    assert _train_models(cfg, mts, cfg.seed)[2] == {}
+    assert _train_models(cfg, mts)[2] == {}
 
 
 def test_latents_are_rows_and_their_files_keep_the_tensor_layout(small_dataset, tmp_path):
@@ -168,7 +168,7 @@ def test_latents_are_rows_and_their_files_keep_the_tensor_layout(small_dataset, 
     records, labels = small_dataset
     mts = extract_mts(build_timelines(records))
     cfg = apply_preset(PipelineConfig(task="binary", **FAST), "Glob_Vec_Hier")
-    latents = _train_models(cfg, mts, cfg.seed, encoded=True)[2]
+    latents = _train_models(cfg, mts, encoded=True)[2]
     n, t, width = mts.n_users, mts.n_days, FAST["latent_dim"]
     assert latents["uts"].shape == (n, t) and latents["vec"].shape == (n, width)
     _save_latents(tmp_path, latents, mts.user_ids, mts.day_min)
@@ -472,7 +472,8 @@ def three_user_workspace(small_dataset, tmp_path_factory):
 @pytest.mark.parametrize("workspace, flags, message", [
     ("three_user_workspace", ("--variant-preset", "UTS_DBSCAN", "--task", "multiclass"),
      "min_pts=4 needs at least 4 users for the k-distance knee, got N=3"),
-    ("cli_workspace", ("--variant-preset", "Glob_Hier", "--n-clusters", 50),
+    # A binary cut at other than two clusters is scored only with --genuine-cluster.
+    ("cli_workspace", ("--variant-preset", "Glob_Hier", "--n-clusters", 50, "--genuine-cluster", 1),
      "a Ward cut at n_clusters=50 needs at least 50 users, got N=32"),
 ])
 def test_cli_setting_the_population_cannot_meet_fails_before_training(
@@ -750,6 +751,38 @@ def test_cli_bad_bot_classes_is_usage_error_before_parse(tmp_path, caplog, class
                 "--labels", tmp_path / "nope.csv", "--bot-classes", classes) == 2
     assert f"--bot-classes {classes!r}: {message}" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    *((command, ("--variant-preset", "Glob_Hier", "--n-clusters", 3),
+       "polarity rule needs exactly 2 clusters, got 3; pass genuine_cluster explicitly")
+      for command in ("run-all", "lobo", "importance")),
+    ("importance", ("--features", "num_urls"),
+     "importance leaves out one feature at a time, so it needs at least 2, got ['num_urls']"),
+])
+def test_cli_setting_no_run_can_score_is_usage_error_before_parse(tmp_path, caplog, command,
+                                                                  flags, message):
+    # The tweets file does not exist: the setting fails first, with exit 2, not 4.
+    out = tmp_path / "o"
+    assert _cli(command, "--outdir", out, "--tweets", tmp_path / "nope.jsonl",
+                "--labels", tmp_path / "nope.csv", *flags) == 2
+    assert f"configuration error: {message}" in caplog.text
+    assert not out.exists()
+
+
+def test_cli_binary_three_way_cut_is_scored_with_genuine_cluster(cli_workspace, ward_workspace,
+                                                                 tmp_path, caplog):
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path / "w"
+    shutil.copytree(ward_workspace, out)
+    assert _cli("cluster", "--outdir", out, *_BINARY_WARD, "--n-clusters", 3) == 0
+    assert _cli("evaluate", "--outdir", out, "--labels", labels_csv, *_BINARY_WARD) == 2
+    assert "records no polarity scores" in caplog.text
+    assert _cli("evaluate", "--outdir", out, "--labels", labels_csv, *_BINARY_WARD,
+                "--n-clusters", 3, "--genuine-cluster", 3) == 0
+    assert _cli("run-all", "--outdir", tmp_path / "r", "--tweets", tweets, "--labels", labels_csv,
+                *_BINARY_WARD, "--n-clusters", 3, "--genuine-cluster", 3) == 0
+    assert (out / "confusion.csv").read_bytes() == (tmp_path / "r" / "confusion.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command, preset, report, legs", [
