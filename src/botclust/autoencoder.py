@@ -33,7 +33,9 @@ per train call. Training reads the rows of the normalized tensor in
 place and makes no permuted copy of it; the encoder's backward gathers
 its input after the decoder's, the training peak. Models and reports
 equal one pass per split bit for bit, except where a split is a single
-row: that product is a gemv, which sums in another order.
+row: that product is a gemv, which sums in another order. The model's
+layer arrays are the only copy of the weights: each epoch's RMSProp
+step updates them and their accumulators in place.
 
 All gradients are hand-derived backpropagation through time; the test
 suite checks every layer against central finite differences.
@@ -75,10 +77,6 @@ class _Layer:
 
     def blocks(self, prefix: str) -> dict[str, np.ndarray]:
         return {f"{prefix}.{name}": getattr(self, name) for name in self.BLOCKS}
-
-    def load_blocks(self, prefix: str, blocks: dict[str, np.ndarray]) -> None:
-        for name in self.BLOCKS:
-            setattr(self, name, blocks[f"{prefix}.{name}"])
 
 
 @dataclass
@@ -435,14 +433,6 @@ class AutoencoderModel:
         out.update(self.decoder.blocks("decoder"))
         return out
 
-    def set_params(self, blocks: dict[str, np.ndarray]) -> None:
-        self.encoder.load_blocks("encoder", blocks)
-        self.decoder.load_blocks("decoder", blocks)
-        if self.enc_dense is not None:
-            self.enc_dense.load_blocks("enc_dense", blocks)
-        if self.dec_dense is not None:
-            self.dec_dense.load_blocks("dec_dense", blocks)
-
 
 def init_model(config: AutoencoderConfig, seq_len: int, input_dim: int,
                rng: np.random.Generator | None,
@@ -559,7 +549,8 @@ def train(
     one forward pass over both splits), the gradient norm before clipping
     and whether clipping fired, then the last epoch's latent saturation
     and stall ratio. The holdout curve is monitored only; there is no
-    early stopping. Both splits are read from data in place.
+    early stopping. Both splits are read from data in place, and the
+    optimizer steps the model's own weight arrays in place.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized tensor; run minmax_normalize first")
@@ -588,7 +579,6 @@ def train(
     clipped: list[bool] = []
     started = time.perf_counter()
     for epoch in range(config.epochs):
-        model.set_params(params)
         latent, recon, caches = _forward_cached(model, x, n_train, buffers, order)
         # The gradient's buffer takes the gathered training rows, then
         # the difference in place.
@@ -604,14 +594,13 @@ def train(
         norms.append(global_norm(grads))
         step_grads = clip_global_norm(grads, config.clip_norm)
         clipped.append(step_grads is not grads)
-        params = rmsprop_step(params, step_grads, opt)
+        rmsprop_step(params, step_grads, opt)
     saturation = stall = None
     if config.epochs:
         saturation = float(np.mean(np.abs(latent) > 0.99))
         x_train = x[train_rows]
         baseline = mse_loss(np.broadcast_to(x_train.mean(axis=(0, 1)), x_train.shape), x_train)
         stall = loss / baseline if baseline > 0.0 else None
-    model.set_params(params)
     report = TrainReport(
         train_mse=train_curve,
         holdout_mse=hold_curve,
@@ -679,15 +668,14 @@ def load_model(path) -> AutoencoderModel:
     norm = NormalizationParams.from_dict(header["norm_params"]) if header["norm_params"] else None
     model = init_model(config, seq_len=header["seq_len"], input_dim=header["input_dim"],
                        rng=None, norm_params=norm)
-    layout = {name: list(block.shape) for name, block in model.params_dict().items()}
+    blocks = model.params_dict()
+    layout = {name: list(block.shape) for name, block in blocks.items()}
     if {entry["name"]: entry["shape"] for entry in header["blocks"]} != layout:
         raise ValueError(f"{path}: checkpoint blocks do not match a {config.variant} model "
                          f"with T={model.seq_len}, D={model.input_dim}")
-    blocks = {}
     offset = 0
     for entry in header["blocks"]:
-        count = int(np.prod(entry["shape"]))
-        blocks[entry["name"]] = body[offset:offset + count].reshape(entry["shape"])
-        offset += count
-    model.set_params(blocks)
+        block = blocks[entry["name"]]
+        block[...] = body[offset:offset + block.size].reshape(block.shape)
+        offset += block.size
     return model

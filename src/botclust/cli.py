@@ -390,8 +390,11 @@ def cmd_importance(args, paths: dict, config: PipelineConfig) -> int:
     started = time.perf_counter()
     report = importance_run_from_mts(mts, true, labels.num_classes, config)
     _write_report(out / A_IMPORTANCE, report.to_dict(), config, _timing(started))
+    # importances are non-negative, so a top share of 0 means every one is 0
     top, share = max(zip(report.feature_names, report.importance), key=lambda p: p[1])
-    print(f"importance: top {top} ({share:.3f}) -> {out / A_IMPORTANCE}")
+    summary = (f"top {top} ({share:.3f})" if share > 0 else
+               f"no feature carries weight, baseline weighted_f1={report.baseline_f1:.4f}")
+    print(f"importance: {summary} -> {out / A_IMPORTANCE}")
     return EXIT_OK
 
 

@@ -59,13 +59,6 @@ class Dendrogram:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Dendrogram":
-        return cls(
-            n_leaves=d["n_leaves"],
-            merges=[(int(a), int(b), float(h), int(s)) for a, b, h, s in d["merges"]],
-        )
-
 
 def distance_matrix(points: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances between the rows of points (N, width),

@@ -41,30 +41,29 @@ def rmsprop_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: RmspropState,
-) -> dict[str, np.ndarray]:
-    """One RMSProp update over named parameter blocks.
+) -> None:
+    """One RMSProp update over named parameter blocks, in place.
 
     v <- rho*v + (1-rho)*g^2 ; theta <- theta - lr * g / (sqrt(v) + eps).
-    Accumulators live in ``state.v`` keyed like ``params`` and are updated
-    in place; missing blocks start at zero. Returns the new parameters.
+    Each block of ``params`` and its accumulator in ``state.v`` (keyed
+    like ``params``; a missing one starts at zero) is stepped in place,
+    so every array keeps its identity.
     """
     if set(params) != set(grads):
         missing = set(params) ^ set(grads)
         raise ValueError(f"parameter/gradient key mismatch: {sorted(missing)}")
-    out: dict[str, np.ndarray] = {}
-    for name in params:
+    for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in block '{name}'")
-        if g.shape != params[name].shape:
-            raise ValueError(f"shape mismatch in block '{name}': {params[name].shape} vs {g.shape}")
+        if g.shape != p.shape:
+            raise ValueError(f"shape mismatch in block '{name}': {p.shape} vs {g.shape}")
         v = state.v.get(name)
         if v is None:
-            v = np.zeros_like(params[name])
-        v = RMSPROP_RHO * v + (1.0 - RMSPROP_RHO) * g * g
-        state.v[name] = v
-        out[name] = params[name] - state.learning_rate * g / (np.sqrt(v) + RMSPROP_EPSILON)
-    return out
+            v = state.v[name] = np.zeros_like(p)
+        v *= RMSPROP_RHO
+        v += (1.0 - RMSPROP_RHO) * g * g
+        p -= state.learning_rate * g / (np.sqrt(v) + RMSPROP_EPSILON)
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:

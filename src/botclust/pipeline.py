@@ -375,13 +375,11 @@ def _label_and_score(
     n_classes: int,
 ) -> tuple[np.ndarray, MetricsReport]:
     """Account labels and scores. A binary Ward partition is named by its
-    polarity scores (Clustering.polarity) unless genuine_cluster is set;
-    other partitions read neither."""
+    polarity scores (Clustering.polarity) unless genuine_cluster is set
+    (check_scorable refuses a cut with neither); other partitions read
+    neither."""
     if config.task == "binary":
         truth = (true_labels != GENUINE_CLASS).astype(np.int64)
-        if config.cluster_method == "ward" and polarity is None and config.genuine_cluster is None:
-            raise ValueError(f"polarity rule needs exactly 2 clusters, got "
-                             f"{assignment.n_clusters}; pass genuine_cluster explicitly")
         pred = assign_labels_binary(assignment, polarity, config.genuine_cluster)
         return pred, prf_metrics(truth, pred, 2)
     pred = assign_labels_multiclass(assignment, true_labels)

@@ -18,6 +18,7 @@ import numpy as np
 
 from botclust.clustering import NOISE, ClusterAssignment, Dendrogram
 from botclust.mts import MtsTensor, NormalizationParams
+from botclust.numerics import RMSPROP_EPSILON, RMSPROP_RHO
 from botclust.ingest import (
     FEATURE_NAMES,
     GENUINE_CLASS,
@@ -696,3 +697,28 @@ def loop_apply_normalization(mts, params):
         normalized=True,
         kind=mts.kind,
     )
+
+
+# The RMSProp step as it was before it updated its blocks in place: it
+# returned new parameter arrays and rebound each accumulator. The package
+# must step to the same values, bit for bit.
+
+
+def out_of_place_rmsprop_step(params, grads, state):
+    if set(params) != set(grads):
+        missing = set(params) ^ set(grads)
+        raise ValueError(f"parameter/gradient key mismatch: {sorted(missing)}")
+    out = {}
+    for name in params:
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in block '{name}'")
+        if g.shape != params[name].shape:
+            raise ValueError(f"shape mismatch in block '{name}': {params[name].shape} vs {g.shape}")
+        v = state.v.get(name)
+        if v is None:
+            v = np.zeros_like(params[name])
+        v = RMSPROP_RHO * v + (1.0 - RMSPROP_RHO) * g * g
+        state.v[name] = v
+        out[name] = params[name] - state.learning_rate * g / (np.sqrt(v) + RMSPROP_EPSILON)
+    return out

@@ -20,9 +20,9 @@ change their last bits with the thread count, and 57 of the 310 digests
 differ between one and two OpenBLAS threads. The digests were taken with
 numpy 2.4.6 and OpenBLAS 0.3.31, so another numpy or BLAS build can fail
 this test without any fault in the code. On a mismatch the test writes
-the actual record under its tmp_path and names it; after a change meant
-to move outputs, copy that file over the pinned one and say why in
-CHANGES.md.
+the actual record under its tmp_path and names it and the numpy and
+BLAS build it ran on; after a change meant to move outputs, copy that
+file over the pinned one and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import sys
 from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from botclust.cli import main
@@ -143,6 +144,13 @@ def differences(pinned: dict, actual: dict) -> list[str]:
     return problems
 
 
+def numeric_build() -> str:
+    """numpy's version and the BLAS it was built with, which the pinned
+    digests depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+
+
 @pytest.mark.slow
 def test_artifact_digests_match_pinned(tmp_path):
     actual_path = tmp_path / "artifact_digests.json"
@@ -154,7 +162,8 @@ def test_artifact_digests_match_pinned(tmp_path):
     assert child.returncode == 0, child.stderr[-4000:]
     actual = json.loads(actual_path.read_text())
     problems = differences(json.loads(PINNED.read_text()), actual)
-    assert not problems, "\n".join([*problems, f"actual digests written to {actual_path}"])
+    assert not problems, "\n".join([*problems, f"actual digests written to {actual_path}",
+                                     f"numeric build: {numeric_build()}"])
 
 
 if __name__ == "__main__":

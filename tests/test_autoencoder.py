@@ -62,6 +62,16 @@ def unflatten_blocks(vec: np.ndarray, layout: list[tuple[str, tuple]]) -> dict[s
     return out
 
 
+def write_blocks(blocks: dict[str, np.ndarray], vec: np.ndarray) -> None:
+    """Write a vector packed by flatten_blocks back into the named blocks
+    themselves, so the layer that owns them sees the new values."""
+    offset = 0
+    for name in sorted(blocks):
+        block = blocks[name]
+        block[...] = vec[offset:offset + block.size].reshape(block.shape)
+        offset += block.size
+
+
 def lstm_forward(layer, sequence, return_sequence=True):
     """Single-sequence LSTM pass: (T, input) to (T, hidden) or (hidden,)."""
     hidden, _ = lstm_forward_cached(layer, np.asarray(sequence)[np.newaxis])
@@ -102,16 +112,16 @@ def lstm_grad_max_rel_err(rng, input_size, hidden_size, t_len, n_seq=2,
     probe = rng.normal(size=out_shape)
 
     blocks = layer.blocks("l")
-    vec0, layout = flatten_blocks(blocks)
+    vec0, _ = flatten_blocks(blocks)
 
     def loss(vec):
-        layer.load_blocks("l", unflatten_blocks(vec, layout))
+        write_blocks(blocks, vec)
         hidden, _ = lstm_forward_cached(layer, x)
         out = hidden if return_sequence else hidden[:, -1]
         return float(np.sum(out * probe))
 
     numeric = finite_diff_grad(loss, vec0)
-    layer.load_blocks("l", unflatten_blocks(vec0, layout))
+    write_blocks(blocks, vec0)
     _, cache = lstm_forward_cached(layer, x)
     grads, _ = lstm_backward(layer, cache, probe, return_sequence=return_sequence)
     analytic, _ = flatten_blocks({f"l.{k}": v for k, v in grads.items()})
@@ -122,15 +132,16 @@ def dense_grad_max_rel_err(rng, input_size, output_size, n=3):
     layer = DenseLayerParams.init(input_size, output_size, rng)
     x = rng.normal(size=(n, input_size))
     probe = rng.normal(size=(n, output_size))
-    vec0, layout = flatten_blocks(layer.blocks("d"))
+    blocks = layer.blocks("d")
+    vec0, _ = flatten_blocks(blocks)
 
     def loss(vec):
-        layer.load_blocks("d", unflatten_blocks(vec, layout))
+        write_blocks(blocks, vec)
         y, _ = dense_forward_cached(layer, x)
         return float(np.sum(y * probe))
 
     numeric = finite_diff_grad(loss, vec0)
-    layer.load_blocks("d", unflatten_blocks(vec0, layout))
+    write_blocks(blocks, vec0)
     _, cache = dense_forward_cached(layer, x)
     grads, _ = dense_backward(layer, cache, probe)
     analytic, _ = flatten_blocks({f"d.{k}": v for k, v in grads.items()})
@@ -373,7 +384,6 @@ def _split_pass_train(config, data):
     opt = RmspropState(learning_rate=config.resolved_lr())
     curves = {"train_mse": [], "holdout_mse": [], "grad_norm": []}
     for _ in range(config.epochs):
-        model.set_params(params)
         _, recon, caches = _forward_cached(model, x_train)
         curves["train_mse"].append(mse_loss(recon, x_train))
         curves["holdout_mse"].append(mse_loss(forward_autoencoder(model, x_hold)[1], x_hold))
@@ -381,8 +391,7 @@ def _split_pass_train(config, data):
         d_recon *= 2.0 / recon.size
         grads = _backward(model, caches, d_recon)
         curves["grad_norm"].append(global_norm(grads))
-        params = rmsprop_step(params, clip_global_norm(grads, config.clip_norm), opt)
-    model.set_params(params)
+        rmsprop_step(params, clip_global_norm(grads, config.clip_norm), opt)
     return model, curves
 
 

@@ -313,6 +313,8 @@ def test_dendrogram_json_roundtrip(tmp_path):
     dend = ward_agglomerative(distance_matrix(rng.normal(size=(6, 2))))
     p = tmp_path / "dend.json"
     save_dendrogram_json(dend, p)
-    back = Dendrogram.from_dict(json.loads(p.read_text()))
+    doc = json.loads(p.read_text())
+    back = Dendrogram(n_leaves=doc["n_leaves"],
+                      merges=[(int(a), int(b), float(h), int(s)) for a, b, h, s in doc["merges"]])
     assert back.n_leaves == dend.n_leaves
     assert back.merges == dend.merges

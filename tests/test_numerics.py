@@ -8,7 +8,7 @@ from botclust.numerics import (
     seeded_rng,
 )
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, out_of_place_rmsprop_step
 
 
 def test_seeded_rng_reproducible():
@@ -32,20 +32,20 @@ def test_rmsprop_single_step_hand_values():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([2.0])}
     state = RmspropState(learning_rate=0.1)
-    out = rmsprop_step(params, grads, state)
+    assert rmsprop_step(params, grads, state) is None
     # v = 0.9*0 + 0.1*4 = 0.4 ; w = 1 - 0.1*2/(sqrt(0.4)+1e-8)
     expected_v = 0.4
     expected_w = 1.0 - 0.1 * 2.0 / (np.sqrt(expected_v) + 1e-8)
     assert state.v["w"][0] == pytest.approx(expected_v, abs=0, rel=1e-15)
-    assert out["w"][0] == pytest.approx(expected_w, abs=0, rel=1e-15)
+    assert params["w"][0] == pytest.approx(expected_w, abs=0, rel=1e-15)
 
 
 def test_rmsprop_second_step_accumulates():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([2.0])}
     state = RmspropState(learning_rate=0.1)
-    params = rmsprop_step(params, grads, state)
-    params = rmsprop_step(params, {"w": np.array([1.0])}, state)
+    rmsprop_step(params, grads, state)
+    rmsprop_step(params, {"w": np.array([1.0])}, state)
     expected_v = 0.9 * 0.4 + 0.1 * 1.0
     assert state.v["w"][0] == pytest.approx(expected_v, rel=1e-15)
 
@@ -60,6 +60,34 @@ def test_rmsprop_nonfinite_gradient_raises():
     state = RmspropState(learning_rate=0.1)
     with pytest.raises(FloatingPointError):
         rmsprop_step({"a": np.zeros(1)}, {"a": np.array([np.nan])}, state)
+
+
+def test_rmsprop_steps_in_place_as_the_out_of_place_step():
+    """Seven steps over blocks of several shapes, one step with a zero
+    gradient and one with clipped gradients, equal the former out-of-place
+    step bit for bit; every parameter and accumulator array stays the
+    same object throughout."""
+    rng = seeded_rng(29)
+    shapes = {"enc.W": (6, 4), "enc.U": (1, 4), "enc.b": (4,), "dense.W": (30, 7), "dense.b": (7,)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    ref_params = {name: p.copy() for name, p in params.items()}
+    state, ref_state = RmspropState(learning_rate=0.05), RmspropState(learning_rate=0.05)
+    blocks, accumulators = dict(params), {}
+    for step in range(7):
+        grads = {name: rng.normal(scale=3.0, size=shape) for name, shape in shapes.items()}
+        if step == 2:
+            grads = {name: np.zeros(shape) for name, shape in shapes.items()}
+        if step == 4:
+            clipped = clip_global_norm(grads, 1.0)
+            assert clipped is not grads
+            grads = clipped
+        rmsprop_step(params, grads, state)
+        ref_params = out_of_place_rmsprop_step(ref_params, grads, ref_state)
+        accumulators = accumulators or dict(state.v)
+        for name in shapes:
+            assert np.array_equal(params[name], ref_params[name]), (step, name)
+            assert np.array_equal(state.v[name], ref_state.v[name]), (step, name)
+            assert params[name] is blocks[name] and state.v[name] is accumulators[name]
 
 
 def test_clip_global_norm_scales_jointly():

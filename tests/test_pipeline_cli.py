@@ -18,6 +18,7 @@ from botclust.pipeline import (
     _train_models,
     apply_preset,
     check_population,
+    check_scorable,
     config_hash,
     derive_seed,
     lobo_run_from_mts,
@@ -121,7 +122,7 @@ def test_cluster_report_polarity_scores_name_genuine(small_dataset):
     clustering = _cluster(three, res.points, res.user_ids, None)
     assert clustering.polarity is None
     with pytest.raises(ValueError, match="exactly 2 clusters, got 3"):
-        _label_and_score(three, clustering.assignment, None, res.true_labels, 3)
+        check_scorable(three)
     pred, _ = _label_and_score(replace(three, genuine_cluster=3), clustering.assignment, None,
                                res.true_labels, 3)
     assert np.array_equal(pred == 0, clustering.assignment.labels == 3)
@@ -783,6 +784,29 @@ def test_cli_binary_three_way_cut_is_scored_with_genuine_cluster(cli_workspace, 
     assert _cli("run-all", "--outdir", tmp_path / "r", "--tweets", tweets, "--labels", labels_csv,
                 *_BINARY_WARD, "--n-clusters", 3, "--genuine-cluster", 3) == 0
     assert (out / "confusion.csv").read_bytes() == (tmp_path / "r" / "confusion.csv").read_bytes()
+
+
+@pytest.mark.parametrize("importance, summary", [
+    ((0.0,) * 6, "no feature carries weight, baseline weighted_f1=0.8750"),
+    ((0.0, 0.25, 0.0, 0.75, 0.0, 0.0), "top retweet_count (0.750)"),
+], ids=["all-zero", "weighted"])
+def test_importance_summary_names_a_feature_only_with_weight(cli_workspace, tmp_path, monkeypatch,
+                                                            capsys, importance, summary):
+    from botclust import cli
+    from botclust.ingest import FEATURE_NAMES
+    from botclust.labeling import ImportanceReport
+
+    def fake_run(mts_raw, true, n_classes, config):
+        return ImportanceReport(feature_names=FEATURE_NAMES, baseline_f1=0.875,
+                                ratios=np.ones(6), importance=np.array(importance))
+
+    monkeypatch.setattr(cli, "importance_run_from_mts", fake_run)
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path / "imp"
+    assert _cli("importance", "--outdir", out, "--tweets", tweets, "--labels", labels_csv,
+                "--variant-preset", "Glob_Hier") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"importance: {summary} -> {out / 'importance_report.json'}"]
 
 
 @pytest.mark.parametrize("command, preset, report, legs", [
