@@ -490,6 +490,7 @@ def test_train_reports_grad_norm_and_clipping():
     doc = tight.to_dict()
     assert doc["grad_norm"] == tight.grad_norm and doc["clipped"] == tight.clipped
     assert "grad_norm" not in doc["timing"]
+    assert doc["timing"]["cpu_time_s"] >= 0.0 and doc["timing"]["wall_time_s"] >= 0.0
 
 
 def test_train_reports_saturation_and_stall_ratio():

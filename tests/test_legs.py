@@ -18,6 +18,26 @@ def cpus(monkeypatch):
     return set_cpus
 
 
+@pytest.fixture
+def placements(monkeypatch):
+    """Log the mask of every sched_setaffinity call; a forked leg that
+    returns the log returns the calls made in its own process."""
+    log = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: log.append(set(mask)))
+    return log
+
+
+def _placed_leg(log):
+    """A leg that sleeps the longer the earlier its job, and returns the
+    CPU it was placed on, the masks set in it and when it ran."""
+    def leg(i):
+        started = time.monotonic()
+        time.sleep(0.02 * (5 - i))
+        (cpu,) = log[0]
+        return cpu, log, started, time.monotonic()
+    return leg
+
+
 def _square_late_first(i):
     time.sleep(0.02 * (4 - i))   # later jobs finish first
     return i * i, os.getpid()
@@ -63,13 +83,45 @@ def test_nested_call_in_worker_runs_inline(cpus):
 def test_one_cpu_starts_no_process(cpus, monkeypatch):
     cpus(1)
 
-    def no_fork():
-        raise AssertionError("a process was started")
+    def refuse(*_args):
+        raise AssertionError("a process was started or placed")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
     assert map_legs(lambda a, b: (a + b, os.getpid()), [(1, 2), (3, 4)]) == [
         (3, os.getpid()), (7, os.getpid())]
     assert last_workers() == 1
+    cpus(2)
+    assert map_legs(lambda a: (a, os.getpid()), [(5,)]) == [(5, os.getpid())]
+    assert last_workers() == 1
+
+
+def test_running_legs_start_on_distinct_cpus_and_keep_the_inherited_mask(cpus, placements):
+    cpus(3)
+    results = map_legs(_placed_leg(placements), [(i,) for i in range(3)])
+    assert sorted(cpu for cpu, *_ in results) == [0, 1, 2]
+    for cpu, log, _start, _end in results:
+        assert log == [{cpu}, {0, 1, 2}]   # placed, then the inherited mask back
+    assert placements == []                # the caller is never moved
+
+
+def test_queued_legs_take_a_freed_cpu(cpus, placements):
+    cpus(2)
+    results = map_legs(_placed_leg(placements), [(i,) for i in range(5)])
+    assert [cpu for cpu, *_ in results[:2]] == [0, 1]
+    for i, (cpu, log, start, end) in enumerate(results):
+        assert log == [{cpu}, {0, 1}]
+        for other_cpu, _log, other_start, other_end in results[:i]:
+            if start < other_end and other_start < end:   # ran at the same time
+                assert cpu != other_cpu
+        if i >= 2:   # a queued leg starts on a CPU an earlier leg has given back
+            assert any(other_cpu == cpu and other_end < start
+                       for other_cpu, _log, _s, other_end in results[:i])
+
+
+def test_leg_ends_with_the_callers_mask():
+    mask = os.sched_getaffinity(0)
+    assert map_legs(lambda _i: os.sched_getaffinity(0), [(0,), (1,)]) == [mask, mask]
 
 
 def test_runtime_warning_in_worker_fails_the_call(cpus):

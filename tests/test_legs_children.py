@@ -65,3 +65,14 @@ def test_leg_traceback_is_the_cause(cpus):
     cause = info.value.__cause__
     assert isinstance(cause, LegTraceback)
     assert 'raise ValueError("bad leg")' in str(cause)
+
+
+def test_failed_placement_runs_the_leg_where_it_started(cpus, monkeypatch):
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")   # as for a CPU outside the cpuset
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    cpus(2)
+    jobs = [(k,) for k in range(4)]
+    assert map_legs(lambda k: k * k + 1, jobs) == [k * k + 1 for (k,) in jobs]
+    assert _no_children_left()
