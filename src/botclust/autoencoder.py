@@ -71,9 +71,13 @@ def _xavier(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> np.nd
 
 
 class _Layer:
-    """Checkpoint blocks of a layer: its parameter arrays named in BLOCKS."""
+    """A layer's parameter arrays, named in BLOCKS; its sizes are read from them."""
 
     BLOCKS: tuple[str, ...] = ()
+
+    @property
+    def input_size(self) -> int:
+        return self.W.shape[0]
 
     def blocks(self, prefix: str) -> dict[str, np.ndarray]:
         return {f"{prefix}.{name}": getattr(self, name) for name in self.BLOCKS}
@@ -91,17 +95,13 @@ class LstmLayerParams(_Layer):
 
     BLOCKS = ("W", "U", "b")
 
-    input_size: int
-    hidden_size: int
     W: np.ndarray
     U: np.ndarray
     b: np.ndarray
 
-    def __post_init__(self):
-        h4 = 4 * self.hidden_size
-        for name, shape in (("W", (self.input_size, h4)), ("U", (self.hidden_size, h4)), ("b", (h4,))):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
+    @property
+    def hidden_size(self) -> int:
+        return self.U.shape[0]
 
     @classmethod
     def init(cls, input_size: int, hidden_size: int,
@@ -113,7 +113,7 @@ class LstmLayerParams(_Layer):
         u = np.concatenate([_xavier(rng, hidden_size, hidden_size) for _ in GATE_ORDER], axis=1)
         b = np.zeros(4 * hidden_size)
         b[hidden_size:2 * hidden_size] = 1.0
-        return cls(input_size=input_size, hidden_size=hidden_size, W=w, U=u, b=b)
+        return cls(W=w, U=u, b=b)
 
 
 @dataclass
@@ -122,20 +122,13 @@ class DenseLayerParams(_Layer):
 
     BLOCKS = ("W", "b")
 
-    input_size: int
-    output_size: int
     W: np.ndarray
     b: np.ndarray
 
     @classmethod
     def init(cls, input_size: int, output_size: int,
              rng: np.random.Generator | None) -> "DenseLayerParams":
-        return cls(
-            input_size=input_size,
-            output_size=output_size,
-            W=_xavier(rng, input_size, output_size),
-            b=np.zeros(output_size),
-        )
+        return cls(W=_xavier(rng, input_size, output_size), b=np.zeros(output_size))
 
 
 class MissingCacheError(RuntimeError):
@@ -390,9 +383,9 @@ class TrainReport:
     checks of the last epoch (None without epochs): latent_saturation,
     the share of training-latent entries with |value| > 0.99, and
     stall_ratio, the last training MSE over the MSE of predicting every
-    entry by its feature's mean over the training split. The timing
-    block holds the epoch loop's wall time and this process's CPU time
-    over it; a training that shared its CPU shows wall well above CPU."""
+    entry by its feature's mean over the training split. timing holds the
+    epoch loop's wall time and this process's CPU time over it (a training
+    that shared its CPU shows wall well above CPU); to_dict leaves it out."""
 
     train_mse: list[float]
     holdout_mse: list[float]
@@ -402,20 +395,16 @@ class TrainReport:
     stall_ratio: Optional[float]
     final_epoch: int
     seed: int
-    wall_time_s: float
-    cpu_time_s: float
+    timing: dict[str, float]
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["timing"] = {"wall_time_s": doc.pop("wall_time_s"), "cpu_time_s": doc.pop("cpu_time_s")}
-        return doc
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timing"}
 
 
 @dataclass
 class AutoencoderModel:
     config: AutoencoderConfig
     seq_len: int
-    input_dim: int
     encoder: LstmLayerParams
     decoder: LstmLayerParams
     enc_dense: Optional[DenseLayerParams] = None
@@ -425,6 +414,10 @@ class AutoencoderModel:
     @property
     def variant(self) -> str:
         return self.config.variant
+
+    @property
+    def input_dim(self) -> int:
+        return self.encoder.input_size
 
     def params_dict(self) -> dict[str, np.ndarray]:
         out = {}
@@ -449,16 +442,7 @@ def init_model(config: AutoencoderConfig, seq_len: int, input_dim: int,
         enc_dense = DenseLayerParams.init(seq_len, config.latent_dim, rng)
         dec_dense = DenseLayerParams.init(config.latent_dim, seq_len, rng)
     decoder = LstmLayerParams.init(1, input_dim, rng)
-    return AutoencoderModel(
-        config=config,
-        seq_len=seq_len,
-        input_dim=input_dim,
-        encoder=encoder,
-        decoder=decoder,
-        enc_dense=enc_dense,
-        dec_dense=dec_dense,
-        norm_params=norm_params,
-    )
+    return AutoencoderModel(config, seq_len, encoder, decoder, enc_dense, dec_dense, norm_params)
 
 
 def _forward_cached(model: AutoencoderModel, x: np.ndarray, n_train: int | None = None,
@@ -512,8 +496,7 @@ def forward_autoencoder(model: AutoencoderModel, batch: np.ndarray) -> tuple[np.
 
 
 def _backward(model: AutoencoderModel, caches: dict, d_recon: np.ndarray) -> dict[str, np.ndarray]:
-    n = d_recon.shape[0]
-    t = model.seq_len
+    n, t = d_recon.shape[:2]
     dec_grads, d_dec_in = lstm_backward(model.decoder, caches["decoder"], d_recon)
     grads = {f"decoder.{k}": v for k, v in dec_grads.items()}
     if model.variant == "uts":
@@ -613,8 +596,8 @@ def train(
         stall_ratio=stall,
         final_epoch=config.epochs,
         seed=config.seed,
-        wall_time_s=time.perf_counter() - started,
-        cpu_time_s=time.process_time() - cpu_started,
+        timing={"wall_time_s": time.perf_counter() - started,
+                "cpu_time_s": time.process_time() - cpu_started},
     )
     return model, report
 

@@ -267,9 +267,9 @@ def _recorded_polarity(out: Path) -> list[float]:
 def _save_models(out: Path, config: PipelineConfig, models: dict, reports: dict) -> None:
     for variant, model in models.items():
         save_model(model, out / _model_name(variant))
-        doc = reports[variant].to_dict()
-        timing = doc.pop("timing")
-        _write_report(out / f"train_report_{variant}.json", {"train": doc}, config, timing)
+        report = reports[variant]
+        _write_report(out / f"train_report_{variant}.json", {"train": report.to_dict()}, config,
+                      report.timing)
 
 
 def _save_latents(out: Path, latents: dict[str, np.ndarray], user_ids, day_min) -> None:
@@ -283,11 +283,14 @@ def _save_features(out: Path, tables) -> None:
     save_features_csv(table, out / A_FEATS)
 
 
-def _save_clustering(out: Path, config: PipelineConfig, clustering: Clustering) -> None:
+def _save_clustering(out: Path, config: PipelineConfig, clustering: Clustering) -> dict:
+    """Write the clustering's artifacts; returns its report."""
     save_assignment_csv(clustering.assignment, out / A_CLUSTERS)
     if clustering.dendrogram is not None:
         save_dendrogram_json(clustering.dendrogram, out / A_DENDRO)
-    _write_report(out / A_CLUSTER_REP, clustering.report(config), config)
+    report = clustering.report(config)
+    _write_report(out / A_CLUSTER_REP, report, config)
+    return report
 
 
 def _save_scores(out: Path, config: PipelineConfig, metrics, timing: dict | None = None) -> None:
@@ -359,9 +362,7 @@ def cmd_cluster(args, paths: dict, config: PipelineConfig) -> int:
         raise ConfigError("ward multiclass clustering needs n_clusters (flag --n-clusters)")
     out = _outdir(paths)
     points, user_ids = _load_points(config, out)
-    clustering = _cluster(config, points, user_ids, n_classes=None)
-    _save_clustering(out, config, clustering)
-    report = clustering.report(config)
+    report = _save_clustering(out, config, _cluster(config, points, user_ids, n_classes=None))
     print(f"cluster: {report['n_clusters']} clusters, {report['n_noise']} noise -> {out / A_CLUSTERS}")
     return EXIT_OK
 

@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .ingest import _open_text, _utf8_lines
+
 log = logging.getLogger(__name__)
 
 NOISE = 0
@@ -24,25 +26,31 @@ NOISE = 0
 
 @dataclass
 class ClusterAssignment:
-    """Cluster labels per user: 1..n_clusters, with 0 reserved for noise."""
+    """Cluster labels per user: 1..n_clusters, with 0 reserved for noise.
+    The count and the noise flag are read from the labels, so they cannot
+    disagree with them; an id below the largest may have no members. The
+    user ids default to "0".."N-1"."""
 
     labels: np.ndarray
-    user_ids: tuple[str, ...]
-    n_clusters: int
-    has_noise: bool
+    user_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.user_ids is None:
+            self.user_ids = tuple(str(i) for i in range(len(self.labels)))
         if self.labels.shape != (len(self.user_ids),):
-            raise ValueError(
-                f"labels shape {self.labels.shape} != ({len(self.user_ids)},)"
-            )
-        present = set(self.labels.tolist())
-        allowed = set(range(1, self.n_clusters + 1))
-        if self.has_noise:
-            allowed.add(NOISE)
-        if not present <= allowed:
-            raise ValueError(f"unexpected cluster labels {sorted(present - allowed)}")
+            raise ValueError(f"labels shape {self.labels.shape} != ({len(self.user_ids)},)")
+        if np.any(self.labels < NOISE):
+            raise ValueError(f"cluster labels must not be negative, got {self.labels.min()}")
+
+    @property
+    def n_clusters(self) -> int:
+        """The largest cluster id; 0 when every point is noise."""
+        return int(self.labels.max(initial=NOISE))
+
+    @property
+    def has_noise(self) -> bool:
+        return bool(np.any(self.labels == NOISE))
 
     def members(self, cluster_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster_id)
@@ -135,8 +143,6 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int,
         raise ValueError(f"eps must be non-negative, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be at least 1, got {min_pts}")
-    if user_ids is None:
-        user_ids = tuple(str(i) for i in range(n))
     within = dist <= eps
     core = within.sum(axis=1) >= min_pts
     within &= core  # each row now marks only its core neighbours
@@ -154,12 +160,7 @@ def dbscan(dist: np.ndarray, eps: float, min_pts: int,
     if border.any():
         # argmax finds each border point's first True: its lowest-index core neighbour.
         labels[border] = labels[within[border].argmax(axis=1)]
-    return ClusterAssignment(
-        labels=labels,
-        user_ids=user_ids,
-        n_clusters=next_id - 1,
-        has_noise=bool(np.any(labels == NOISE)),
-    )
+    return ClusterAssignment(labels, user_ids)
 
 
 def ward_agglomerative(dist: np.ndarray) -> Dendrogram:
@@ -224,8 +225,6 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int,
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    if user_ids is None:
-        user_ids = tuple(str(i) for i in range(n))
     # Both children of merge m point at its id n+m; jumping every pointer
     # to its parent's parent until none moves leaves each leaf at its root.
     parent = np.arange(2 * n - k)
@@ -236,12 +235,7 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int,
         parent = up
     _, smallest, inverse = np.unique(parent[:n], return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(smallest))  # clusters ordered by smallest member
-    return ClusterAssignment(
-        labels=rank[inverse] + 1,
-        user_ids=user_ids,
-        n_clusters=smallest.size,
-        has_noise=False,
-    )
+    return ClusterAssignment(rank[inverse] + 1, user_ids)
 
 
 def save_assignment_csv(assignment: ClusterAssignment, path) -> None:
@@ -253,8 +247,9 @@ def save_assignment_csv(assignment: ClusterAssignment, path) -> None:
 
 
 def load_assignment_csv(path) -> ClusterAssignment:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    """save_assignment_csv's file; a byte that is not UTF-8 is a ParseError."""
+    with _open_text(path) as fh:
+        reader = csv.reader(_utf8_lines(fh))
         header = next(reader, None)
         if header != ["user_id", "cluster_id"]:
             raise ValueError(f"{path}: expected header user_id,cluster_id")
@@ -276,15 +271,7 @@ def load_assignment_csv(path) -> ClusterAssignment:
                                  f"line {lines[rec[0]]}")
             lines[rec[0]] = line_no
             labels.append(label)
-        user_ids = list(lines)
-    arr = np.asarray(labels, dtype=np.int64)
-    n_clusters = int(arr.max()) if arr.size and arr.max() > 0 else 0
-    return ClusterAssignment(
-        labels=arr,
-        user_ids=tuple(user_ids),
-        n_clusters=n_clusters,
-        has_noise=bool(np.any(arr == NOISE)),
-    )
+    return ClusterAssignment(labels, tuple(lines))
 
 
 def save_dendrogram_json(dendrogram: Dendrogram, path) -> None:

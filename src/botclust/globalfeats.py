@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import _open_text, _utf8_lines
+
 
 CATALOG = (
     "mean", "std", "variance", "skewness", "kurtosis", "min", "max", "median",
@@ -174,8 +176,9 @@ def save_features_csv(features: GlobalFeatureVector, path) -> None:
 
 
 def load_features_csv(path) -> GlobalFeatureVector:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    """save_features_csv's file; a byte that is not UTF-8 is a ParseError."""
+    with _open_text(path) as fh:
+        reader = csv.reader(_utf8_lines(fh))
         header = next(reader, None)
         if not header or header[0] != "user_id":
             raise ValueError(f"{path}: expected a user_id-first header")

@@ -6,7 +6,8 @@ Timestamps are normalized to UTC; the day boundary sits at 00:00:00 UTC.
 Each tweets or labels file is read once, with ``errors="surrogateescape"``:
 a byte that is not UTF-8 becomes a lone surrogate, which valid UTF-8
 never decodes to, and raises ParseError when its line is reached in line
-order, so a bad row before it is still the error reported.
+order, so a bad row before it is still the error reported. Every
+ParseError names the file and the line.
 
 ``parse_tweets`` reads a file straight into a ``TweetTable`` without a
 per-tweet object. A JSONL file is read in blocks of about BLOCK_CHARS
@@ -33,6 +34,7 @@ import json
 import logging
 import re
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import islice
@@ -107,11 +109,12 @@ _INT_COUNTS = (int,) * len(FEATURE_NAMES)
 
 
 class ParseError(ValueError):
-    """Structurally malformed input row; carries the 1-based line number."""
+    """Structurally malformed input row; carries the 1-based line number
+    and the path of its file, which ``_open_text`` sets."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+        self.line_no, self.path = line_no, None
 
 
 class TweetRecord(NamedTuple):
@@ -313,10 +316,17 @@ def _add_canonical_block(builder: _TableBuilder, text: str, ordinals: _Memo,
     return n
 
 
-def _open_text(path: Path):
+@contextmanager
+def _open_text(path):
     """``path`` for one read as UTF-8, each byte that is not UTF-8 kept as
-    a lone surrogate for ``_check_utf8`` to report."""
-    return open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+    a lone surrogate for ``_check_utf8`` to report. A ParseError raised
+    while it is open names the file: ``<path>: line N: ...``."""
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            yield fh
+    except ParseError as exc:
+        exc.path, exc.args = path, (f"{path}: {exc}",)
+        raise
 
 
 def _check_utf8(line: str, line_no: int) -> None:
@@ -389,8 +399,8 @@ def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
     iteration splits them and decoded row by row, with the same result.
     Structurally malformed rows (undecodable, missing fields, bad
     timestamps, counts that are not integers or do not fit a float64)
-    raise ParseError with the offending line number; the first such line
-    in the file is the one reported.
+    raise ParseError with the file and the offending line number; the
+    first such line in the file is the one reported.
     Rows with negative counts are dropped with a logged diagnostic and
     parsing continues. A file with no rows left raises ValueError.
     """
@@ -503,7 +513,7 @@ def _label_table(lines, path: Path) -> LabelTable:
 def load_labels(path: str | Path) -> LabelTable:
     """Read the `user_id,class_id` CSV into a validated LabelTable.
 
-    A byte that is not UTF-8 raises ParseError with its line number, unless
+    A byte that is not UTF-8 raises ParseError with its file and line, unless
     a bad row comes before it."""
     path = Path(path)
     with _open_text(path) as fh:

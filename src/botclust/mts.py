@@ -64,12 +64,17 @@ class MtsTensor:
         return replace(self, values=self.values[idx], user_ids=[self.user_ids[i] for i in idx])
 
     def select_features(self, names: tuple[str, ...]) -> "MtsTensor":
-        """Column subset preserving sentinel semantics (mask is per day)."""
+        """Column subset preserving sentinel semantics (mask is per day);
+        the tensor itself when names are its features in order. The copy
+        is C-ordered, as extract_mts's tensor is, so a sum over it runs in
+        the same order (a[:, :, cols] would put the feature axis first)."""
+        if tuple(names) == self.feature_names:
+            return self
         missing = [n for n in names if n not in self.feature_names]
         if missing:
             raise ValueError(f"unknown features {missing}")
         cols = [self.feature_names.index(n) for n in names]
-        return replace(self, values=self.values[:, :, cols], feature_names=tuple(names),
+        return replace(self, values=self.values.take(cols, axis=2), feature_names=tuple(names),
                        user_ids=list(self.user_ids))
 
 
@@ -100,40 +105,24 @@ class NormalizationParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationParams":
-        return cls(
-            feature_names=tuple(d["feature_names"]),
-            mins=np.array(d["mins"], dtype=np.float64),
-            maxs=np.array(d["maxs"], dtype=np.float64),
-        )
+        return cls(tuple(d["feature_names"]), d["mins"], d["maxs"])
 
 
-def extract_mts(table: TweetTable, features: tuple[str, ...] = FEATURE_NAMES) -> MtsTensor:
-    """Aggregate per-tweet counts into the daily N x T x D tensor.
+def extract_mts(table: TweetTable) -> MtsTensor:
+    """Aggregate per-tweet counts into the daily N x T x 6 tensor of the
+    count features in FEATURE_NAMES order (select_features takes a subset).
 
-    For each user and day, the tensor holds the sum of the chosen counts
-    over that day's tweets; days without tweets get the -1 sentinel in
-    every feature. Rows follow the table's user order.
+    For each user and day, the tensor holds the sum of the counts over
+    that day's tweets; days without tweets get the -1 sentinel in every
+    feature. Rows follow the table's user order.
     """
-    if not features:
-        raise ValueError("features must be a non-empty subset of the six count features")
-    bad = [f for f in features if f not in FEATURE_NAMES]
-    if bad:
-        raise ValueError(f"unknown features {bad}; valid: {list(FEATURE_NAMES)}")
-    if len(set(features)) != len(features):
-        raise ValueError(f"features must not repeat a name, got {list(features)}")
     n, t = len(table.user_ids), table.num_days
-    cols = [FEATURE_NAMES.index(name) for name in features]
-    values = np.zeros((n, t, len(features)))
-    np.add.at(values, (table.rows, table.days), table.counts[:, cols])
+    values = np.zeros((n, t, len(FEATURE_NAMES)))
+    np.add.at(values, (table.rows, table.days), table.counts)
     active = np.zeros((n, t), dtype=bool)
     active[table.rows, table.days] = True
     values[~active] = SENTINEL
-    return MtsTensor(
-        values=values,
-        user_ids=list(table.user_ids),
-        feature_names=tuple(features),
-        day_min=table.day_min,
-    )
+    return MtsTensor(values, list(table.user_ids), FEATURE_NAMES, table.day_min)
 
 
 def minmax_normalize(mts: MtsTensor) -> tuple[MtsTensor, NormalizationParams]:

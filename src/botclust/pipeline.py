@@ -26,7 +26,7 @@ encodes the tensor it trained on, so no serial _encode follows the legs.
 Each leg is seeded on its own, so results are byte-identical to a one-CPU
 run, which runs every leg in-process, at the same BLAS thread count: the
 vec encoder's dense products change their last bits with it, and 57 of
-the 310 artifacts tests/test_artifact_digests.py pins differ between one
+the 342 artifacts tests/test_artifact_digests.py pins differ between one
 and two OpenBLAS threads.
 
 Stages let go of inputs they no longer read: _train_models drops the raw
@@ -65,7 +65,7 @@ from .globalfeats import (
     extract_global_features,
     zscore_standardize,
 )
-from .ingest import FEATURE_NAMES, GENUINE_CLASS, LabelTable, TweetTable
+from .ingest import GENUINE_CLASS, LabelTable, TweetTable
 from .labeling import (
     ImportanceReport,
     MetricsReport,
@@ -98,7 +98,7 @@ class PipelineConfig:
     representation: str = "uts"
     cluster_method: str = "ward"
     task: str = "binary"
-    features: Optional[tuple[str, ...]] = None   # None -> all tensor features
+    features: Optional[tuple[str, ...]] = None   # None or empty -> all tensor features
     # The training settings default as the encoder's own (see _ae_config).
     epochs: int = AutoencoderConfig.epochs
     learning_rate: Optional[float] = AutoencoderConfig.learning_rate   # None -> per variant
@@ -127,14 +127,11 @@ class PipelineConfig:
         for variant in ENCODERS[self.representation]:
             # epochs, learning_rate, holdout_fraction and latent_dim, by the encoder's rules
             _ae_config(self, variant)
-        if self.features is not None:
-            self.features = tuple(self.features)
-            if len(set(self.features)) != len(self.features):
-                raise ValueError(f"features must not repeat a name, got {list(self.features)}")
+        self.features = tuple(self.features or ()) or None
+        if self.features and len(set(self.features)) != len(self.features):
+            raise ValueError(f"features must not repeat a name, got {list(self.features)}")
 
     def to_dict(self) -> dict:
-        # An empty feature list is written null, as it always has been, so
-        # config hashes stay put.
         return dict(asdict(self), features=list(self.features) if self.features else None)
 
     @classmethod
@@ -169,7 +166,6 @@ class Clustering:
     assignment: ClusterAssignment
     eps: Optional[float] = None                  # DBSCAN radius used
     dendrogram: Optional[Dendrogram] = None
-    cut_k: Optional[int] = None                  # Ward cut size used
     polarity: Optional[list[float]] = None       # local-density score per cluster
 
     def report(self, config: PipelineConfig) -> dict:
@@ -182,7 +178,7 @@ class Clustering:
         if self.dendrogram is None:
             doc.update(eps=self.eps, min_pts=config.min_pts)
         else:
-            doc["cut_k"] = self.cut_k
+            doc["cut_k"] = self.assignment.n_clusters
         if (scores := self.polarity) is not None:
             # The polarity rule's margin: genuine is the larger score.
             doc["polarity"] = {"local_density": scores,
@@ -220,9 +216,14 @@ def prepare(
 ) -> tuple[MtsTensor, Optional[np.ndarray]]:
     """Tweet table -> raw daily tensor of the configured features, plus
     the truth vector in tensor row order when labels are given."""
-    mts = extract_mts(tweets, features=config.features or FEATURE_NAMES)
+    mts = _configured_features(config, extract_mts(tweets))
     true = None if labels is None else truth_vector(labels, mts.user_ids)
     return mts, true
+
+
+def _configured_features(config: PipelineConfig, mts_raw: MtsTensor) -> MtsTensor:
+    """The configured features of a raw tensor: all of them when unset."""
+    return mts_raw if config.features is None else mts_raw.select_features(config.features)
 
 
 def _ae_config(config: PipelineConfig, variant: str) -> AutoencoderConfig:
@@ -246,8 +247,9 @@ def _train_models(
     mts_raw: MtsTensor,
     encoded: bool = False,
 ) -> tuple[dict[str, AutoencoderModel], dict[str, TrainReport], dict[str, np.ndarray]]:
-    """Min-max fit a raw tensor and train the encoder(s) a representation
-    needs; each model keeps the fitted statistics. The encoders share only
+    """Min-max fit the configured features of a raw tensor (see
+    _configured_features) and train the encoder(s) a representation needs;
+    each model keeps the fitted statistics. The encoders share only
     the input, so they train side by side (see legs.map_legs). With
     encoded, each leg also returns its model's latent of the tensor it
     trained on, the one _encode would give: minmax_normalize's output is
@@ -255,7 +257,7 @@ def _train_models(
     latents are empty. The raw tensor is not read after its normalization,
     so a caller that passes its only reference (train and run-all do)
     frees it before training."""
-    norm, params = minmax_normalize(mts_raw)
+    norm, params = minmax_normalize(_configured_features(config, mts_raw))
     del mts_raw
 
     def leg(ae_config: AutoencoderConfig):
@@ -273,13 +275,15 @@ def _train_models(
 
 
 def _encode(models: dict[str, AutoencoderModel], mts_raw: MtsTensor) -> dict[str, np.ndarray]:
-    """Each model's latent of a raw tensor, scaled with that model's own
-    statistics (so users unseen in training get the training scale)."""
+    """Each model's latent of a raw tensor: the features the model trained
+    on (its norm_params.feature_names), scaled with its own statistics, so
+    users unseen in training get the training scale."""
     latents: dict[str, np.ndarray] = {}
     for variant, model in models.items():
-        if model.norm_params is None:
+        if (params := model.norm_params) is None:
             raise ValueError(f"{variant} model lacks normalization statistics")
-        latents[variant] = encode(model, apply_normalization(mts_raw, model.norm_params))
+        latents[variant] = encode(model, apply_normalization(
+            mts_raw.select_features(params.feature_names), params))
     return latents
 
 
@@ -364,7 +368,7 @@ def _cluster(
     polarity = None
     if config.task == "binary" and k == 2:
         polarity = local_density_scores(assignment, dist, config.min_pts)
-    return Clustering(assignment, dendrogram=dendro, cut_k=k, polarity=polarity)
+    return Clustering(assignment, dendrogram=dendro, polarity=polarity)
 
 
 def _label_and_score(
@@ -403,8 +407,6 @@ def run_pipeline_from_mts(
     check_population(config, mts_raw.n_users, n_classes)
     check_scorable(config)
     user_ids = tuple(mts_raw.user_ids)
-    if config.features is not None and config.features != mts_raw.feature_names:
-        mts_raw = mts_raw.select_features(config.features)
     # What training reads goes unnamed, so it is freed once normalized: the
     # user subset, or the raw tensor if the caller passed its only reference.
     if train_rows is None:

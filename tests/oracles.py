@@ -558,12 +558,7 @@ def loop_dbscan(dist, eps, min_pts, user_ids=None):
         core_neighbors = np.flatnonzero(within[point] & core)
         if core_neighbors.size:
             labels[point] = labels[core_neighbors[0]]
-    return ClusterAssignment(
-        labels=labels,
-        user_ids=user_ids,
-        n_clusters=next_id - 1,
-        has_noise=bool(np.any(labels == NOISE)),
-    )
+    return ClusterAssignment(labels, user_ids)
 
 
 def loop_ward_agglomerative(dist):
@@ -626,12 +621,7 @@ def loop_cut_dendrogram(dendrogram, k, user_ids=None):
     labels = np.zeros(n, dtype=np.int64)
     for cluster_id, root in enumerate(sorted(roots, key=lambda r: min(roots[r])), start=1):
         labels[roots[root]] = cluster_id
-    return ClusterAssignment(
-        labels=labels,
-        user_ids=user_ids,
-        n_clusters=len(roots),
-        has_noise=False,
-    )
+    return ClusterAssignment(labels, user_ids)
 
 
 def loop_assign_labels_multiclass(assignment, true_labels):

@@ -13,10 +13,12 @@ Flows, at --epochs 20, for each synth data seed in DATA_SEEDS:
   binary and multiclass (a multiclass Ward cut at --n-clusters 3);
   lobo (Glob_Hier binary, UTS_DBSCAN and Glob_Vec_Hier multiclass) and
   importance (Glob_Hier binary, Glob_Vec_Hier multiclass);
+  UTS_DBSCAN binary with --features FEATURES, as run-all and as the
+  five steps, where extract writes all six features and train selects;
 plus synth itself at SYNTH_SEEDS and DATA_SEEDS.
 
 The child runs at one BLAS thread: the vec encoder's dense products
-change their last bits with the thread count, and 57 of the 310 digests
+change their last bits with the thread count, and 57 of the 342 digests
 differ between one and two OpenBLAS threads. The digests were taken with
 numpy 2.4.6 and OpenBLAS 0.3.31, so another numpy or BLAS build can fail
 this test without any fault in the code. On a mismatch the test writes
@@ -54,6 +56,7 @@ STEPS = {
 }
 INPUT_STEPS = ("extract", "evaluate")   # the steps that read --tweets/--labels
 EPOCHS = ("--epochs", "20")
+FEATURES = ("--features", "num_urls,num_hashtags,num_mentions")
 
 
 def flows():
@@ -77,6 +80,11 @@ def flows():
                                       ("importance", "Glob_Vec_Hier", "multiclass")):
             yield (f"seed{seed}/{command}/{preset}/{task}", seed,
                    [[command, "--variant-preset", preset, "--task", task, *EPOCHS, *inputs]])
+        for flow, steps in (("run-all", ("run-all",)), ("steps", STEPS["UTS_DBSCAN"])):
+            yield (f"seed{seed}/features/{flow}/UTS_DBSCAN/binary", seed,
+                   [[step, "--variant-preset", "UTS_DBSCAN", "--task", "binary", *EPOCHS,
+                     *(FEATURES if step != "extract" else []),
+                     *(inputs if step in ("run-all", *INPUT_STEPS) else [])] for step in steps])
 
 
 TIMING_KEY = '"timing": '

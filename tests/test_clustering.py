@@ -248,7 +248,8 @@ def test_dbscan_equals_the_loop_version(kind, min_pts):
     for eps in (0.0, knee / 2, knee, 2 * knee, float(dist.max())):
         out, ref = dbscan(dist, eps, min_pts), loop_dbscan(dist, eps, min_pts)
         assert np.array_equal(out.labels, ref.labels), eps
-        assert (out.n_clusters, out.has_noise) == (ref.n_clusters, ref.has_noise), eps
+        # ids run 1..n_clusters without a gap
+        assert out.n_clusters == len(set(out.labels.tolist()) - {NOISE}), eps
 
 
 def test_cut_dendrogram_labels_by_smallest_member():
@@ -283,20 +284,22 @@ def test_cut_dendrogram_extremes_and_refinement():
 
 
 def test_assignment_validation():
-    with pytest.raises(ValueError):
-        ClusterAssignment(
-            labels=np.array([0, 1, 3]), user_ids=("a", "b", "c"),
-            n_clusters=2, has_noise=True,
-        )
+    with pytest.raises(ValueError, match="must not be negative, got -1"):
+        ClusterAssignment(labels=np.array([0, 1, -1]), user_ids=("a", "b", "c"))
+    with pytest.raises(ValueError, match="labels shape"):
+        ClusterAssignment(labels=np.array([0, 1]), user_ids=("a", "b", "c"))
+
+
+def test_assignment_counts_come_from_the_labels():
+    gap = ClusterAssignment(labels=np.array([3, 1, 3]), user_ids=("a", "b", "c"))
+    assert (gap.n_clusters, gap.has_noise) == (3, False)
+    assert gap.members(2).size == 0
+    noise = ClusterAssignment(labels=np.array([NOISE, NOISE]), user_ids=("a", "b"))
+    assert (noise.n_clusters, noise.has_noise) == (0, True)
 
 
 def test_assignment_csv_roundtrip(tmp_path):
-    out = ClusterAssignment(
-        labels=np.array([1, NOISE, 2]),
-        user_ids=("a", "b", "c"),
-        n_clusters=2,
-        has_noise=True,
-    )
+    out = ClusterAssignment(labels=np.array([1, NOISE, 2]), user_ids=("a", "b", "c"))
     p = tmp_path / "clusters.csv"
     save_assignment_csv(out, p)
     text = p.read_text().splitlines()

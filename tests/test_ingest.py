@@ -222,7 +222,7 @@ def test_undecodable_row_is_line_numbered_and_exit_4(tmp_path, caplog, line, mes
         parse_tweets(p)
     assert err.value.line_no == 2
     assert main(["extract", "--outdir", str(tmp_path / "out"), "--tweets", str(p)]) == 4
-    assert "line 2" in caplog.text
+    assert f"input error: {p}: line 2: {message}" in caplog.text
 
 
 @pytest.mark.parametrize(
@@ -233,9 +233,9 @@ def test_damaged_count_is_parse_error_and_exit_4(tmp_path, caplog, raw):
     _write_jsonl(p, [_row(), _row(retweet_count=raw)])
     with pytest.raises(ParseError, match="line 2: count 'retweet_count'") as err:
         parse_tweets(p)
-    assert err.value.line_no == 2
+    assert (err.value.path, err.value.line_no) == (p, 2)
     assert main(["extract", "--outdir", str(tmp_path / "out"), "--tweets", str(p)]) == 4
-    assert "line 2" in caplog.text
+    assert f"input error: {p}: line 2: count 'retweet_count'" in caplog.text
 
 
 def test_count_beyond_int64_extracts(tmp_path):
@@ -317,7 +317,8 @@ def _assert_matches_rowwise(path, caplog, format="jsonl"):
     got, got_log = _outcome(parse_tweets, path, format, caplog)
     if isinstance(expected, ParseError):
         assert isinstance(got, ParseError), got
-        assert (got.line_no, str(got)) == (expected.line_no, str(expected))
+        # The oracle reads no file through _open_text, so its error names none.
+        assert (got.line_no, str(got)) == (expected.line_no, f"{path}: {expected}")
     elif isinstance(expected, UnicodeDecodeError):
         # The row-wise parse lets the decoder's error through; the parse
         # names the line of the first byte that is not UTF-8.
@@ -536,7 +537,7 @@ def test_undecodable_byte_is_line_numbered_and_exit_4(tmp_path, caplog, format):
     assert err.value.line_no == 301
     assert main(["extract", "--outdir", str(tmp_path / "out"), "--tweets", str(p),
                  "--format", format]) == 4
-    assert "line 301" in caplog.text
+    assert f"input error: {p}: line 301: byte 0xff" in caplog.text
 
 
 @pytest.mark.parametrize("format", ["jsonl", "csv"])
@@ -714,7 +715,7 @@ def test_load_labels_undecodable_byte_is_line_numbered_and_exit_4(tmp_path, capl
     tweets.write_text(_line() + "\n")
     assert main(["run-all", "--outdir", str(tmp_path / "out"), "--tweets", str(tweets),
                  "--labels", str(p)]) == 4
-    assert "line 301" in caplog.text
+    assert f"input error: {p}: line 301: byte 0xff" in caplog.text
     # A bad row before the byte, in the same decoded block, comes first.
     p.write_bytes(b"user_id,class_id\n" + rows + b"u298,x\n\xff\n")
     with pytest.raises(ParseError, match="line 300: class id is not an integer"):

@@ -16,14 +16,7 @@ from oracles import loop_assign_labels_multiclass
 
 
 def _assignment(labels):
-    labels = np.asarray(labels)
-    pos = labels[labels != NOISE]
-    return ClusterAssignment(
-        labels=labels,
-        user_ids=tuple(f"u{i}" for i in range(len(labels))),
-        n_clusters=int(pos.max()) if pos.size else 0,
-        has_noise=bool(np.any(labels == NOISE)),
-    )
+    return ClusterAssignment(labels=labels, user_ids=tuple(f"u{i}" for i in range(len(labels))))
 
 
 # ---------------------------------------------------------------- metrics
@@ -215,18 +208,22 @@ def test_multiclass_equals_the_loop_version_with_empty_clusters_and_ties():
     for trial in range(200):
         n = int(rng.integers(1, 30))
         n_clusters = int(rng.integers(0, 8))
-        # Draw from a subset of the ids, so some clusters stay empty.
+        # Draw from a subset of the ids, so some ids below the largest
+        # (the gaps) name empty clusters.
         ids = rng.choice(n_clusters + 1, size=int(rng.integers(1, n_clusters + 2)),
                          replace=False)
-        labels = rng.choice(ids, size=n)
-        assignment = ClusterAssignment(
-            labels=labels, user_ids=tuple(f"u{i}" for i in range(n)),
-            n_clusters=n_clusters, has_noise=bool(np.any(labels == NOISE)),
-        )
+        assignment = _assignment(rng.choice(ids, size=n))
         # Few users over up to four classes: tied votes are common.
         true = rng.integers(0, int(rng.integers(1, 5)), size=n)
         out = assign_labels_multiclass(assignment, true)
         assert np.array_equal(out, loop_assign_labels_multiclass(assignment, true)), trial
+    # Cluster 2 of labels {1, 3} is empty.
+    gap = _assignment([1, 3, 3, 1, 3])
+    true = np.array([2, 1, 1, 0, 2])
+    assert gap.n_clusters == 3 and gap.members(2).size == 0
+    out = assign_labels_multiclass(gap, true)
+    assert list(out) == [0, 1, 1, 0, 1]
+    assert np.array_equal(out, loop_assign_labels_multiclass(gap, true))
 
 
 def test_multiclass_rejects_negative_class_id():

@@ -152,8 +152,6 @@ def test_glob_vec_identical_on_one_and_two_cpus(cpus):
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
         ra, rb = one.train_reports[variant].to_dict(), two.train_reports[variant].to_dict()
-        ra.pop("timing")
-        rb.pop("timing")
         assert ra == rb
     assert np.array_equal(one.points, two.points)
     assert np.array_equal(one.pred_labels, two.pred_labels)

@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from botclust.ingest import TweetRecord, build_timelines
+from botclust.ingest import FEATURE_NAMES, TweetRecord, build_timelines
 from botclust.mts import (
     SENTINEL,
     MtsTensor,
@@ -13,6 +13,7 @@ from botclust.mts import (
     minmax_normalize,
     save_tensor,
 )
+from botclust.pipeline import PipelineConfig
 from oracles import loop_apply_normalization, loop_minmax_normalize
 
 
@@ -75,9 +76,12 @@ def test_extract_mts_hand_tensor_exact():
     assert mts.sentinel_mask()[0, 1]
 
 
-def test_extract_mts_feature_subset():
+def test_select_features_subset():
     records = _hand_fixture()
-    mts = extract_mts(build_timelines(records), features=("retweet_count", "num_urls"))
+    full = extract_mts(build_timelines(records))
+    assert full.feature_names == FEATURE_NAMES
+    assert full.select_features(FEATURE_NAMES) is full
+    mts = full.select_features(("retweet_count", "num_urls"))
     assert mts.feature_names == ("retweet_count", "num_urls")
     assert np.array_equal(mts.values[0, 0], np.array([1.0, 3.0]))
     assert np.array_equal(mts.values[2, 3], np.array([6.0, 0.0]))
@@ -85,14 +89,14 @@ def test_extract_mts_feature_subset():
     assert np.array_equal(mts.values[1, 0], np.array([SENTINEL, SENTINEL]))
 
 
-def test_extract_mts_rejects_unknown_feature():
-    with pytest.raises(ValueError):
-        extract_mts(build_timelines(_hand_fixture()), features=("num_urls", "bogus"))
+def test_select_features_rejects_unknown_feature():
+    with pytest.raises(ValueError, match=r"unknown features \['bogus'\]"):
+        extract_mts(build_timelines(_hand_fixture())).select_features(("num_urls", "bogus"))
 
 
-def test_extract_mts_rejects_duplicate_feature():
+def test_config_rejects_duplicate_feature():
     with pytest.raises(ValueError, match="repeat"):
-        extract_mts(build_timelines(_hand_fixture()), features=("num_urls", "num_urls"))
+        PipelineConfig(features=("num_urls", "num_urls"))
 
 
 def test_extract_mts_ignores_record_order():
@@ -242,4 +246,5 @@ def test_select_users_preserves_rows():
     assert not np.shares_memory(sub.values, mts.values)
     cols = mts.select_features(("favorite_count", "num_urls"))
     assert np.array_equal(cols.values, mts.values[:, :, [5, 0]])
+    assert cols.values.flags["C_CONTIGUOUS"]
     assert not np.shares_memory(cols.values, mts.values)

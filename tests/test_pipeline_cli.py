@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from botclust.autoencoder import load_model
 from botclust.cli import _load_latents, _save_latents, main
 from botclust.ingest import build_timelines, write_tweets_jsonl
 from botclust.mts import MtsTensor, extract_mts, load_tensor, save_tensor
@@ -556,6 +557,23 @@ def test_cli_step_flow_equals_run_all(cli_workspace, tmp_path, preset, task):
         assert (steps / name).read_bytes() == (whole / name).read_bytes(), name
 
 
+def test_cli_steps_select_features_from_the_full_tensor(cli_workspace, tmp_path, capsys):
+    # extract writes all six features; train selects --features from them
+    # and encode reads the model's own, so both write what run-all does.
+    root, tweets, labels_csv = cli_workspace
+    flags = ["--variant-preset", "Glob_Vec_Hier", "--features", "num_urls,num_hashtags",
+             "--seed", 2, "--epochs", FAST["epochs"], "--latent-dim", FAST["latent_dim"]]
+    whole, steps = tmp_path / "whole", tmp_path / "steps"
+    assert _cli("run-all", "--outdir", whole, "--tweets", tweets, "--labels", labels_csv, *flags) == 0
+    assert _cli("extract", "--outdir", steps, "--tweets", tweets) == 0
+    assert "D=6)" in capsys.readouterr().out
+    for name in ("train", "encode"):
+        assert _cli(name, "--outdir", steps, *flags) == 0, name
+    assert load_model(steps / "model_uts.ckpt").input_dim == 2
+    for name in ("model_uts.ckpt", "model_vec.ckpt", "latent_uts.tensor", "latent_vec.tensor"):
+        assert (steps / name).read_bytes() == (whole / name).read_bytes(), name
+
+
 @pytest.fixture(scope="module")
 def trained_workspace(cli_workspace, tmp_path_factory):
     root, tweets, labels_csv = cli_workspace
@@ -651,12 +669,14 @@ def test_cli_bad_encoder_setting_is_usage_error_before_parse(tmp_path, caplog, f
 
 
 @pytest.mark.parametrize("artifact, body, message", [
-    ("clusters.csv", "user_id,cluster_id\nu0,1\nu1\n", "line 3: expected 2 columns, got 1"),
-    ("clusters.csv", "user_id,cluster_id\nu0,1\nu1,x\n", "line 3: cluster id is not an integer: 'x'"),
-    ("clusters.csv", "user_id,cluster_id\nu0,1\nu1,2\nu0,2\n", "line 4: user id 'u0' repeats line 2"),
-    ("clusters.csv", "user_id,cluster_id\nu0,1\nu1,-1\n", "line 3: cluster id -1 is negative"),
-    ("global_features.csv", "user_id,mean\nu0,0.5\nu1\n", "line 3: expected 2 columns, got 1"),
-    ("global_features.csv", "user_id,mean\nu0,0.5\nu1,x\n", "line 3: could not convert"),
+    ("clusters.csv", b"user_id,cluster_id\nu0,1\nu1\n", "line 3: expected 2 columns, got 1"),
+    ("clusters.csv", b"user_id,cluster_id\nu0,1\nu1,x\n", "line 3: cluster id is not an integer: 'x'"),
+    ("clusters.csv", b"user_id,cluster_id\nu0,1\nu1,2\nu0,2\n", "line 4: user id 'u0' repeats line 2"),
+    ("clusters.csv", b"user_id,cluster_id\nu0,1\nu1,-1\n", "line 3: cluster id -1 is negative"),
+    ("clusters.csv", b"user_id,cluster_id\nu0,1\nu\xff,2\n", "line 3: byte 0xff is not UTF-8"),
+    ("global_features.csv", b"user_id,mean\nu0,0.5\nu1\n", "line 3: expected 2 columns, got 1"),
+    ("global_features.csv", b"user_id,mean\nu0,0.5\nu1,x\n", "line 3: could not convert"),
+    ("global_features.csv", b"user_id,mean\nu0,0.5\nu\xff,0.1\n", "line 3: byte 0xff is not UTF-8"),
 ])
 def test_cli_damaged_csv_artifact_is_data_error(tmp_path, caplog, artifact, body, message):
     # Each file is damaged for the step that reads it: evaluate reads the
@@ -664,7 +684,7 @@ def test_cli_damaged_csv_artifact_is_data_error(tmp_path, caplog, artifact, body
     out = tmp_path / "o"
     out.mkdir()
     (out / "cluster_report.json").write_text('{"polarity": {"local_density": [1.0, 2.0]}}')
-    (out / artifact).write_text(body)
+    (out / artifact).write_bytes(body)
     (tmp_path / "labels.csv").write_text("user_id,class_id\nu0,0\nu1,1\n")
     step = {"clusters.csv": ("evaluate", "--labels", tmp_path / "labels.csv"),
             "global_features.csv": ("cluster",)}[artifact]
