@@ -53,6 +53,7 @@ from typing import Optional
 
 import numpy as np
 
+from .ingest import reading
 from .mts import MtsTensor, NormalizationParams, read_container, write_container
 from .numerics import RmspropState, clip_global_norm, global_norm, rmsprop_step, seeded_rng
 
@@ -639,30 +640,31 @@ def save_model(model: AutoencoderModel, path) -> None:
     write_container(path, _CKPT_MAGIC, header, [blocks[n] for n in names])
 
 
-def _checkpoint_size(path, header: dict) -> int:
+def _checkpoint_size(header: dict) -> int:
     version = header["version"]
     if version == 1:
-        raise ValueError(f"{path}: checkpoint version 1 is no longer supported; retrain")
+        raise ValueError("checkpoint version 1 is no longer supported; retrain")
     if version != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+        raise ValueError(f"unsupported checkpoint version {version!r}")
     return sum(int(np.prod(entry["shape"])) for entry in header["blocks"])
 
 
 def load_model(path) -> AutoencoderModel:
-    header, body = read_container(path, _CKPT_MAGIC, "model checkpoint",
-                                  lambda h: _checkpoint_size(path, h))
-    config = AutoencoderConfig.from_dict(header["config"])
-    norm = NormalizationParams.from_dict(header["norm_params"]) if header["norm_params"] else None
-    model = init_model(config, seq_len=header["seq_len"], input_dim=header["input_dim"],
-                       rng=None, norm_params=norm)
-    blocks = model.params_dict()
-    layout = {name: list(block.shape) for name, block in blocks.items()}
-    if {entry["name"]: entry["shape"] for entry in header["blocks"]} != layout:
-        raise ValueError(f"{path}: checkpoint blocks do not match a {config.variant} model "
-                         f"with T={model.seq_len}, D={model.input_dim}")
-    offset = 0
-    for entry in header["blocks"]:
-        block = blocks[entry["name"]]
-        block[...] = body[offset:offset + block.size].reshape(block.shape)
-        offset += block.size
-    return model
+    with reading(path):
+        header, body = read_container(path, _CKPT_MAGIC, "model checkpoint", _checkpoint_size)
+        config = AutoencoderConfig.from_dict(header["config"])
+        norm = header["norm_params"]
+        norm = NormalizationParams.from_dict(norm) if norm else None
+        model = init_model(config, seq_len=header["seq_len"], input_dim=header["input_dim"],
+                           rng=None, norm_params=norm)
+        blocks = model.params_dict()
+        layout = {name: list(block.shape) for name, block in blocks.items()}
+        if {entry["name"]: entry["shape"] for entry in header["blocks"]} != layout:
+            raise ValueError(f"checkpoint blocks do not match a {config.variant} model "
+                             f"with T={model.seq_len}, D={model.input_dim}")
+        offset = 0
+        for entry in header["blocks"]:
+            block = blocks[entry["name"]]
+            block[...] = body[offset:offset + block.size].reshape(block.shape)
+            offset += block.size
+        return model

@@ -42,7 +42,7 @@ import numpy as np
 from .autoencoder import load_model, save_model
 from .clustering import load_assignment_csv, save_assignment_csv, save_dendrogram_json
 from .globalfeats import load_features_csv, save_features_csv
-from .ingest import (FEATURE_NAMES, LabelTable, ParseError, load_labels, parse_tweets,
+from .ingest import (FEATURE_NAMES, LabelTable, ParseError, load_labels, parse_tweets, reading,
                      write_tweets_jsonl)
 from .legs import last_workers
 from .mts import MtsTensor, load_tensor, save_tensor
@@ -251,14 +251,15 @@ def _load_points(config: PipelineConfig, out: Path) -> tuple[np.ndarray, tuple[s
 def _recorded_polarity(out: Path) -> list[float]:
     """The polarity scores `cluster` recorded for a binary two-way Ward cut."""
     path = _require(out / A_CLUSTER_REP, "cluster")
-    try:
-        polarity = json.loads(path.read_text()).get("polarity")
-    except (ValueError, AttributeError) as exc:   # not JSON, or not an object
-        raise ValueError(f"{path}: {exc}") from None
-    if polarity is None:
-        raise ConfigError(f"{path} records no polarity scores (only a binary two-way Ward "
-                          "cut does); pass --genuine-cluster")
-    return polarity["local_density"]
+    with reading(path):
+        report = json.loads(path.read_text())
+        if not isinstance(report, dict):
+            raise ValueError("not a JSON object")
+        if report.get("polarity") is not None:
+            first, second = map(float, report["polarity"]["local_density"])
+            return [first, second]
+    raise ConfigError(f"{path} records no polarity scores (only a binary two-way Ward "
+                      "cut does); pass --genuine-cluster")
 
 
 # Savers shared by the step subcommands and run-all, so both flows write

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ingest import _open_text, _utf8_lines
+from .ingest import _open_text, _utf8_lines, reading
 
 log = logging.getLogger(__name__)
 
@@ -248,30 +248,27 @@ def save_assignment_csv(assignment: ClusterAssignment, path) -> None:
 
 def load_assignment_csv(path) -> ClusterAssignment:
     """save_assignment_csv's file; a byte that is not UTF-8 is a ParseError."""
-    with _open_text(path) as fh:
+    with reading(path), _open_text(path) as fh:
         reader = csv.reader(_utf8_lines(fh))
         header = next(reader, None)
         if header != ["user_id", "cluster_id"]:
-            raise ValueError(f"{path}: expected header user_id,cluster_id")
+            raise ValueError("expected header user_id,cluster_id")
         lines = {}   # user id -> its line
         labels = []
         for line_no, rec in enumerate(reader, start=2):
             if len(rec) != 2:
-                raise ValueError(f"{path}: line {line_no}: expected 2 columns, got {len(rec)}")
+                raise ValueError(f"line {line_no}: expected 2 columns, got {len(rec)}")
             try:
                 label = int(rec[1])
             except ValueError:
-                raise ValueError(f"{path}: line {line_no}: cluster id is not an integer: "
-                                 f"{rec[1]!r}") from None
+                raise ValueError(f"line {line_no}: cluster id is not an integer: {rec[1]!r}") from None
             if label < NOISE:
-                raise ValueError(f"{path}: line {line_no}: cluster id {label} is negative "
-                                 f"(0 marks noise)")
+                raise ValueError(f"line {line_no}: cluster id {label} is negative (0 marks noise)")
             if rec[0] in lines:
-                raise ValueError(f"{path}: line {line_no}: user id {rec[0]!r} repeats "
-                                 f"line {lines[rec[0]]}")
+                raise ValueError(f"line {line_no}: user id {rec[0]!r} repeats line {lines[rec[0]]}")
             lines[rec[0]] = line_no
             labels.append(label)
-    return ClusterAssignment(labels, tuple(lines))
+        return ClusterAssignment(labels, tuple(lines))
 
 
 def save_dendrogram_json(dendrogram: Dendrogram, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import _open_text, _utf8_lines
+from .ingest import _open_text, _utf8_lines, reading
 
 
 CATALOG = (
@@ -177,25 +177,23 @@ def save_features_csv(features: GlobalFeatureVector, path) -> None:
 
 def load_features_csv(path) -> GlobalFeatureVector:
     """save_features_csv's file; a byte that is not UTF-8 is a ParseError."""
-    with _open_text(path) as fh:
+    with reading(path), _open_text(path) as fh:
         reader = csv.reader(_utf8_lines(fh))
         header = next(reader, None)
         if not header or header[0] != "user_id":
-            raise ValueError(f"{path}: expected a user_id-first header")
+            raise ValueError("expected a user_id-first header")
         columns = tuple(header[1:])
-        user_ids = []
-        rows = []
+        user_ids, rows = [], []
         for line_no, rec in enumerate(reader, start=2):
             if len(rec) != len(header):
-                raise ValueError(f"{path}: line {line_no}: expected {len(header)} columns, "
-                                 f"got {len(rec)}")
+                raise ValueError(f"line {line_no}: expected {len(header)} columns, got {len(rec)}")
             try:
                 rows.append([float(v) for v in rec[1:]])
             except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+                raise ValueError(f"line {line_no}: {exc}") from None
             user_ids.append(rec[0])
-    return GlobalFeatureVector(
-        values=np.asarray(rows, dtype=np.float64).reshape(len(user_ids), len(columns)),
-        user_ids=tuple(user_ids),
-        column_names=columns,
-    )
+        return GlobalFeatureVector(
+            values=np.asarray(rows, dtype=np.float64).reshape(len(user_ids), len(columns)),
+            user_ids=tuple(user_ids),
+            column_names=columns,
+        )

@@ -6,8 +6,10 @@ Timestamps are normalized to UTC; the day boundary sits at 00:00:00 UTC.
 Each tweets or labels file is read once, with ``errors="surrogateescape"``:
 a byte that is not UTF-8 becomes a lone surrogate, which valid UTF-8
 never decodes to, and raises ParseError when its line is reached in line
-order, so a bad row before it is still the error reported. Every
-ParseError names the file and the line.
+order, so a bad row before it is still the error reported. ``reading``
+alone names a damaged file: every reader of an input or an artifact runs
+its whole load under it, checks that build the result included, so each
+error the load raises reads ``<path>: …``.
 
 ``parse_tweets`` reads a file straight into a ``TweetTable`` without a
 per-tweet object. A JSONL file is read in blocks of about BLOCK_CHARS
@@ -37,6 +39,7 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
@@ -110,7 +113,7 @@ _INT_COUNTS = (int,) * len(FEATURE_NAMES)
 
 class ParseError(ValueError):
     """Structurally malformed input row; carries the 1-based line number
-    and the path of its file, which ``_open_text`` sets."""
+    and the path of its file, which ``reading`` sets."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -203,9 +206,9 @@ def _parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc).replace(microsecond=0)
 
 
-def _row_from_fields(fields: dict, line_no: int) -> tuple[str, int, list[float]] | None:
+def _row_from_fields(fields: dict, line_no: int, path: Path) -> tuple[str, int, list[float]] | None:
     """Validate one row into its user id, UTC day ordinal and six counts.
-    Returns None for rows rejected with a diagnostic."""
+    Returns None for rows rejected with a diagnostic naming ``path``."""
     for key in ("user_id", "timestamp", *FEATURE_NAMES):
         if key not in fields or fields[key] is None or fields[key] == "":
             raise ParseError(line_no, f"missing field '{key}'")
@@ -225,8 +228,8 @@ def _row_from_fields(fields: dict, line_no: int) -> tuple[str, int, list[float]]
         counts.append(value)
     negatives = [name for name, value in zip(FEATURE_NAMES, counts) if value < 0]
     if negatives:
-        log.warning("line %d: rejected row for user %s, negative count in %s",
-                    line_no, fields["user_id"], negatives)
+        log.warning("%s: line %d: rejected row for user %s, negative count in %s",
+                    path, line_no, fields["user_id"], negatives)
         return None
     floats = []
     for name, value in zip(FEATURE_NAMES, counts):
@@ -317,16 +320,26 @@ def _add_canonical_block(builder: _TableBuilder, text: str, ordinals: _Memo,
 
 
 @contextmanager
-def _open_text(path):
-    """``path`` for one read as UTF-8, each byte that is not UTF-8 kept as
-    a lone surrogate for ``_check_utf8`` to report. A ParseError raised
-    while it is open names the file: ``<path>: line N: ...``."""
+def reading(path):
+    """Run one load of ``path``; an error raised in it names the file.
+
+    A ParseError keeps its type and line number. Any other ValueError, a
+    KeyError (a key the file lacks) or a TypeError (a field of the wrong
+    type) becomes a ValueError ``<path>: …``; an OSError passes as it is."""
     try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            yield fh
+        yield
     except ParseError as exc:
         exc.path, exc.args = path, (f"{path}: {exc}",)
         raise
+    except KeyError as exc:
+        raise ValueError(f"{path}: has no {exc} key") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+# A file open for one read as UTF-8, each byte that is not UTF-8 kept as a
+# lone surrogate for ``_check_utf8`` to report.
+_open_text = partial(open, encoding="utf-8", errors="surrogateescape", newline="")
 
 
 def _check_utf8(line: str, line_no: int) -> None:
@@ -378,10 +391,10 @@ def _csv_rows(fh) -> Iterator[tuple[int, dict]]:
         yield line_no, row
 
 
-def _add_rows(builder: _TableBuilder, rows: Iterator[tuple[int, dict]]) -> None:
-    """Check decoded (line number, row) pairs with the row validator in
-    line order and add the kept rows, CHUNK_ROWS at a time."""
-    kept = (row for row in (_row_from_fields(fields, line_no) for line_no, fields in rows)
+def _add_rows(builder: _TableBuilder, rows: Iterator[tuple[int, dict]], path: Path) -> None:
+    """Check decoded (line number, row) pairs of ``path`` with the row
+    validator in line order and add the kept rows, CHUNK_ROWS at a time."""
+    kept = (row for row in (_row_from_fields(fields, line_no, path) for line_no, fields in rows)
             if row is not None)
     while chunk := list(islice(kept, CHUNK_ROWS)):
         user_ids, ordinals, counts = zip(*chunk)
@@ -401,16 +414,16 @@ def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
     timestamps, counts that are not integers or do not fit a float64)
     raise ParseError with the file and the offending line number; the
     first such line in the file is the one reported.
-    Rows with negative counts are dropped with a logged diagnostic and
-    parsing continues. A file with no rows left raises ValueError.
+    Rows with negative counts are dropped with a diagnostic naming the file
+    and the line, and parsing continues. A file with no rows left raises ValueError.
     """
     path = Path(path)
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}, expected 'jsonl' or 'csv'")
     builder = _TableBuilder()
-    with _open_text(path) as fh:
+    with reading(path), _open_text(path) as fh:
         if format == "csv":
-            _add_rows(builder, _csv_rows(fh))
+            _add_rows(builder, _csv_rows(fh), path)
         else:
             ordinals, floats = _Memo(_date_ordinal), _Memo(float)
             line_no = 1
@@ -418,10 +431,10 @@ def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
                 n = _add_canonical_block(builder, text, ordinals, floats)
                 if n is None:
                     lines = list(io.StringIO(text, newline=""))
-                    _add_rows(builder, _jsonl_rows(lines, line_no))
+                    _add_rows(builder, _jsonl_rows(lines, line_no), path)
                     n = len(lines)
                 line_no += n
-    return builder.table()
+        return builder.table()
 
 
 def _utc_stamp(ts: datetime) -> str:
@@ -484,37 +497,32 @@ def build_timelines(records: list[TweetRecord]) -> TweetTable:
     return builder.table()
 
 
-def _label_table(lines, path: Path) -> LabelTable:
-    labels: dict[str, int] = {}
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty label file")
-    if [h.strip() for h in header] != ["user_id", "class_id"]:
-        raise ParseError(1, f"expected header 'user_id,class_id', got {header}")
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(line_no, f"expected 2 columns, got {len(row)}")
-        uid, raw_class = row[0].strip(), row[1].strip()
-        try:
-            cid = int(raw_class)
-        except ValueError as exc:
-            raise ParseError(line_no, f"class id is not an integer: {raw_class!r}") from exc
-        if cid < 0:
-            raise ParseError(line_no, f"negative class id {cid}")
-        if uid in labels:
-            raise ParseError(line_no, f"duplicate user_id {uid!r}")
-        labels[uid] = cid
-    return LabelTable(labels=labels)
-
-
 def load_labels(path: str | Path) -> LabelTable:
     """Read the `user_id,class_id` CSV into a validated LabelTable.
 
     A byte that is not UTF-8 raises ParseError with its file and line, unless
     a bad row comes before it."""
-    path = Path(path)
-    with _open_text(path) as fh:
-        return _label_table(_utf8_lines(fh), path)
+    with reading(path), _open_text(path) as fh:
+        labels: dict[str, int] = {}
+        reader = csv.reader(_utf8_lines(fh))
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty label file")
+        if [h.strip() for h in header] != ["user_id", "class_id"]:
+            raise ParseError(1, f"expected header 'user_id,class_id', got {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(line_no, f"expected 2 columns, got {len(row)}")
+            uid, raw_class = row[0].strip(), row[1].strip()
+            try:
+                cid = int(raw_class)
+            except ValueError as exc:
+                raise ParseError(line_no, f"class id is not an integer: {raw_class!r}") from exc
+            if cid < 0:
+                raise ParseError(line_no, f"negative class id {cid}")
+            if uid in labels:
+                raise ParseError(line_no, f"duplicate user_id {uid!r}")
+            labels[uid] = cid
+        return LabelTable(labels=labels)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import FEATURE_NAMES, TweetTable
+from .ingest import FEATURE_NAMES, TweetTable, reading
 
 SENTINEL = -1.0
 
@@ -176,43 +176,30 @@ def write_container(path: str | Path, magic: bytes, header: dict, arrays) -> Non
             fh.write(np.ascontiguousarray(array, dtype="<f8"))   # its buffer, not a bytes copy
 
 
-class _Header(dict):
-    """A decoded container header (or an object nested in it) that names
-    its file when a key is read that it lacks."""
-
-    def __init__(self, where: str, items: dict):
-        super().__init__(items)
-        self.where = where
-
-    def __missing__(self, key):
-        raise ValueError(f"{self.where} has no {key!r} key")
-
-
 def read_container(path: str | Path, magic: bytes, what: str, body_size) -> tuple[dict, np.ndarray]:
     """Read a write_container file as (header, flat float64 body);
     body_size(header) is the number of values the body must hold. A file
-    that is not a `what`, is cut short anywhere, or whose header lacks a
-    key that is read raises ValueError naming the path."""
+    that is not a `what`, is cut short anywhere, or whose header is not
+    UTF-8 JSON raises ValueError; readers run it under ``ingest.reading``."""
 
     def take(fh, n: int, part: str) -> bytes:
         data = fh.read(n)
         if len(data) < n:
-            raise ValueError(f"{path}: truncated {what}: {part} has {len(data)} of {n} bytes")
+            raise ValueError(f"truncated {what}: {part} has {len(data)} of {n} bytes")
         return data
 
     with open(Path(path), "rb") as fh:
         head = fh.read(len(magic))
         if head != magic:
-            raise ValueError(f"{path}: not a {what} (bad magic {head!r})")
+            raise ValueError(f"not a {what} (bad magic {head!r})")
         (header_len,) = struct.unpack("<I", take(fh, 4, "header length"))
-        header = json.loads(take(fh, header_len, "header").decode("utf-8"),
-                            object_hook=lambda items: _Header(f"{path}: {what} header", items))
+        header = json.loads(take(fh, header_len, "header").decode("utf-8"))
         # The body is read straight into its array; a short file is found
         # from its size first, so no array is made for a body that is not there.
         size = body_size(header) * 8
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left < size:
-            raise ValueError(f"{path}: truncated {what}: body has {left} of {size} bytes")
+            raise ValueError(f"truncated {what}: body has {left} of {size} bytes")
         body = np.empty(size // 8, dtype="<f8")
         fh.readinto(body.data.cast("B"))
     return header, body
@@ -233,13 +220,14 @@ def save_tensor(mts: MtsTensor, path: str | Path) -> None:
 
 
 def load_tensor(path: str | Path) -> MtsTensor:
-    header, body = read_container(path, _MAGIC, "tensor file",
-                                  lambda h: h["n"] * h["t"] * h["d"])
-    return MtsTensor(
-        values=body.reshape(header["n"], header["t"], header["d"]),
-        user_ids=list(header["user_ids"]),
-        feature_names=tuple(header["feature_names"]),
-        day_min=date.fromisoformat(header["day_min"]),
-        normalized=header["normalized"],
-        kind=header["kind"],
-    )
+    with reading(path):
+        header, body = read_container(path, _MAGIC, "tensor file",
+                                      lambda h: h["n"] * h["t"] * h["d"])
+        return MtsTensor(
+            values=body.reshape(header["n"], header["t"], header["d"]),
+            user_ids=list(header["user_ids"]),
+            feature_names=tuple(header["feature_names"]),
+            day_min=date.fromisoformat(header["day_min"]),
+            normalized=header["normalized"],
+            kind=header["kind"],
+        )

@@ -196,7 +196,6 @@ class PipelineResult:
     models: dict[str, AutoencoderModel] = field(default_factory=dict)
     train_reports: dict[str, TrainReport] = field(default_factory=dict)
     latents: dict[str, np.ndarray] = field(default_factory=dict)
-    points: Optional[np.ndarray] = None
     # (raw statistics, clustering table) for the glob representations
     features: Optional[tuple[GlobalFeatureVector, GlobalFeatureVector]] = None
 
@@ -421,8 +420,7 @@ def run_pipeline_from_mts(
                                      true_labels, n_classes)
     return PipelineResult(user_ids=user_ids, true_labels=true_labels, pred_labels=pred,
                           clustering=clustering, metrics=metrics, models=models,
-                          train_reports=reports, latents=latents, points=points,
-                          features=features)
+                          train_reports=reports, latents=latents, features=features)
 
 
 @dataclass

@@ -19,9 +19,11 @@ plus synth itself at SYNTH_SEEDS and DATA_SEEDS.
 
 The child runs at one BLAS thread: the vec encoder's dense products
 change their last bits with the thread count, and 57 of the 342 digests
-differ between one and two OpenBLAS threads. The digests were taken with
+differ between one and two OpenBLAS threads. A second test runs one
+Vec_Hier flow as CLI processes with no thread variable set, so the one
+thread botclust sets by default is checked too. The digests were taken with
 numpy 2.4.6 and OpenBLAS 0.3.31, so another numpy or BLAS build can fail
-this test without any fault in the code. On a mismatch the test writes
+these tests without any fault in the code. On a mismatch the first writes
 the actual record under its tmp_path and names it and the numpy and
 BLAS build it ran on; after a change meant to move outputs, copy that
 file over the pinned one and say why in CHANGES.md.
@@ -57,6 +59,7 @@ STEPS = {
 INPUT_STEPS = ("extract", "evaluate")   # the steps that read --tweets/--labels
 EPOCHS = ("--epochs", "20")
 FEATURES = ("--features", "num_urls,num_hashtags,num_mentions")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def flows():
@@ -108,6 +111,10 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def artifact_digests(out: Path) -> dict:
+    return {p.name: digest(p) for p in sorted(out.iterdir())}
+
+
 def run_flow(cwd: Path, commands) -> dict:
     """Run commands in cwd with --outdir out; their exit codes, stdout
     lines and artifact digests."""
@@ -117,7 +124,18 @@ def run_flow(cwd: Path, commands) -> dict:
         with contextlib.redirect_stdout(stdout):
             codes.append(main([*args, "--outdir", "out"]))
     return {"exit_codes": codes, "stdout": stdout.getvalue().splitlines(),
-            "artifacts": {p.name: digest(p) for p in sorted((cwd / "out").iterdir())}}
+            "artifacts": artifact_digests(cwd / "out")}
+
+
+def run_cli_flow(cwd: Path, commands, env: dict) -> dict:
+    """run_flow's record, each command run as its own `python -m botclust.cli`."""
+    codes, stdout = [], []
+    for args in commands:
+        child = subprocess.run([sys.executable, "-m", "botclust.cli", *args, "--outdir", "out"],
+                               cwd=cwd, env=env, capture_output=True, text=True)
+        codes.append(child.returncode)
+        stdout += child.stdout.splitlines()
+    return {"exit_codes": codes, "stdout": stdout, "artifacts": artifact_digests(cwd / "out")}
 
 
 def record(work: Path) -> dict:
@@ -163,7 +181,7 @@ def numeric_build() -> str:
 def test_artifact_digests_match_pinned(tmp_path):
     actual_path = tmp_path / "artifact_digests.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in THREAD_VARS:
         env[var] = "1"
     child = subprocess.run([sys.executable, __file__, str(tmp_path / "work"), str(actual_path)],
                            env=env, capture_output=True, text=True)
@@ -172,6 +190,24 @@ def test_artifact_digests_match_pinned(tmp_path):
     problems = differences(json.loads(PINNED.read_text()), actual)
     assert not problems, "\n".join([*problems, f"actual digests written to {actual_path}",
                                      f"numeric build: {numeric_build()}"])
+
+
+@pytest.mark.slow
+def test_cli_runs_one_blas_thread_by_default(tmp_path):
+    # The CLI started with no thread variable set: botclust sets one BLAS
+    # thread before numpy loads, so a Vec_Hier flow, whose vec products
+    # move with the thread count, writes the pinned digests.
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    name, seed, commands = next(f for f in flows() if f[0] == "seed42/run-all/Vec_Hier/multiclass")
+    synth = tmp_path / "synth"
+    synth.mkdir()
+    actual = {f"synth{seed}": run_cli_flow(synth, [["synth", "--seed", str(seed)]], env)}
+    shutil.copytree(synth / "out", tmp_path / "flow" / "data")
+    actual[name] = run_cli_flow(tmp_path / "flow", commands, env)
+    pinned = json.loads(PINNED.read_text())
+    problems = differences({flow: pinned[flow] for flow in actual}, actual)
+    assert not problems, "\n".join(problems)
 
 
 if __name__ == "__main__":

@@ -317,7 +317,7 @@ def _assert_matches_rowwise(path, caplog, format="jsonl"):
     got, got_log = _outcome(parse_tweets, path, format, caplog)
     if isinstance(expected, ParseError):
         assert isinstance(got, ParseError), got
-        # The oracle reads no file through _open_text, so its error names none.
+        # The oracle reads no file under reading, so its error and warnings name none.
         assert (got.line_no, str(got)) == (expected.line_no, f"{path}: {expected}")
     elif isinstance(expected, UnicodeDecodeError):
         # The row-wise parse lets the decoder's error through; the parse
@@ -327,7 +327,7 @@ def _assert_matches_rowwise(path, caplog, format="jsonl"):
     else:
         assert isinstance(got, TweetTable), got
         assert tables_equal(got, expected)
-    assert got_log == expected_log
+    assert got_log == [f"{path}: {message}" for message in expected_log]
 
 
 # One middle row per case, between two canonical rows. Each must parse to

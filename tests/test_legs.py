@@ -153,7 +153,7 @@ def test_glob_vec_identical_on_one_and_two_cpus(cpus):
         assert all(np.array_equal(a[k], b[k]) for k in a)
         ra, rb = one.train_reports[variant].to_dict(), two.train_reports[variant].to_dict()
         assert ra == rb
-    assert np.array_equal(one.points, two.points)
+    assert np.array_equal(one.features[1].values, two.features[1].values)
     assert np.array_equal(one.pred_labels, two.pred_labels)
 
 

@@ -115,12 +115,12 @@ def test_cluster_report_polarity_scores_name_genuine(small_dataset):
     assert res.clustering.polarity == scores
     # A multiclass cut at two clusters names clusters by vote, not polarity.
     multiclass = replace(cfg, task="multiclass", n_clusters=2)
-    clustering = _cluster(multiclass, res.points, res.user_ids, None)
+    clustering = _cluster(multiclass, res.features[1].values, res.user_ids, None)
     assert clustering.polarity is None
     assert "polarity" not in clustering.report(multiclass)
     # Nor has a binary three-way cut: naming it needs genuine_cluster.
     three = replace(cfg, n_clusters=3)
-    clustering = _cluster(three, res.points, res.user_ids, None)
+    clustering = _cluster(three, res.features[1].values, res.user_ids, None)
     assert clustering.polarity is None
     with pytest.raises(ValueError, match="exactly 2 clusters, got 3"):
         check_scorable(three)
@@ -147,7 +147,7 @@ def test_run_pipeline_vec_and_glob_vec(small_dataset):
     cfg2 = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Vec_Hier")
     res2 = run_pipeline_from_mts(*_prepared(records, labels, cfg2), labels.num_classes, cfg2)
     # z-scored stats (19) concatenated with the vector latent
-    assert res2.points.shape == (32, 19 + FAST["latent_dim"])
+    assert res2.features[1].values.shape == (32, 19 + FAST["latent_dim"])
     assert "uts" in res2.models and "vec" in res2.models
 
 
@@ -198,7 +198,7 @@ def test_pipeline_deterministic_per_seed(small_dataset):
     r1 = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     r2 = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     assert np.array_equal(r1.pred_labels, r2.pred_labels)
-    assert np.array_equal(r1.points, r2.points)
+    assert np.array_equal(r1.features[1].values, r2.features[1].values)
     assert r1.metrics.weighted_f1 == r2.metrics.weighted_f1
 
 
@@ -745,6 +745,61 @@ def test_cli_evaluate_without_recorded_polarity(cli_workspace, ward_workspace, t
         caplog.clear()
         assert _cli("evaluate", "--outdir", out, "--labels", labels_csv, *_BINARY_WARD) == 4
         assert f"{report}: " in caplog.text
+
+
+def _header_edited(edit):
+    """Damage for a container file: edit applied to its JSON header, which
+    edit returns as a new dict or as bytes."""
+    def damage(data):
+        end = 12 + int.from_bytes(data[8:12], "little")
+        header = edit(json.loads(data[12:end]))
+        blob = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+        return data[:8] + len(blob).to_bytes(4, "little") + blob + data[end:]
+    return damage
+
+
+_READ_BY = {   # damaged file -> the command that reads it, run in the file's directory
+    "mts_raw.tensor": ("train", "--epochs", 2),
+    "model_uts.ckpt": ("encode",),
+    "cluster_report.json": ("evaluate", "--labels", "labels.csv", *_BINARY_WARD),
+    "tweets.jsonl": ("extract", "--tweets", "tweets.jsonl"),
+    "labels.csv": ("run-all", "--tweets", "tweets.jsonl", "--labels", "labels.csv"),
+}
+_DAMAGED_INPUTS = {
+    "tensor_n_is_a_string": ("mts_raw.tensor", _header_edited(lambda h: {**h, "n": "4"})),
+    "tensor_header_not_utf8": ("mts_raw.tensor",
+                               _header_edited(lambda h: b"\xff" + json.dumps(h).encode())),
+    "tensor_user_ids_one_short": ("mts_raw.tensor",
+                                  _header_edited(lambda h: {**h, "user_ids": h["user_ids"][1:]})),
+    "checkpoint_shape_is_a_string": ("model_uts.ckpt", _header_edited(
+        lambda h: {**h, "blocks": [{**h["blocks"][0], "shape": "x"}, *h["blocks"][1:]]})),
+    "checkpoint_variant_unknown": ("model_uts.ckpt", _header_edited(
+        lambda h: {**h, "config": {**h["config"], "variant": "xyz"}})),
+    "report_polarity_without_local_density": ("cluster_report.json",
+                                              lambda data: b'{"polarity": {"ratio": 2.0}}'),
+    "report_polarity_one_score": ("cluster_report.json",
+                                  lambda data: b'{"polarity": {"local_density": [1.0]}}'),
+    "tweets_empty": ("tweets.jsonl", lambda data: b""),
+    "labels_not_dense": ("labels.csv", lambda data: b"user_id,class_id\na,0\nb,2\n"),
+}
+
+
+@pytest.mark.parametrize("name, damage", _DAMAGED_INPUTS.values(), ids=_DAMAGED_INPUTS)
+def test_cli_damaged_input_names_its_file(cli_workspace, trained_workspace, tmp_path,
+                                          monkeypatch, caplog, name, damage):
+    # Wherever in the load of a damaged input its error is raised, it
+    # exits 4 and names the file.
+    root, tweets, labels_csv = cli_workspace
+    for source in (trained_workspace / "mts_raw.tensor", trained_workspace / "model_uts.ckpt",
+                   tweets, labels_csv):
+        shutil.copy(source, tmp_path)
+    (tmp_path / "clusters.csv").write_text("user_id,cluster_id\nu0,1\nu1,2\n")
+    path = tmp_path / name
+    path.write_bytes(damage(path.read_bytes() if path.exists() else b""))
+    monkeypatch.chdir(tmp_path)
+    command, *flags = _READ_BY[name]
+    assert _cli(command, "--outdir", ".", *flags) == 4
+    assert f"{name}: " in caplog.text
 
 
 @pytest.mark.parametrize("flags, message", [
