@@ -213,21 +213,19 @@ def lstm_backward(
     layer: LstmLayerParams,
     cache: dict | None,
     d_out: np.ndarray,
-    return_sequence: bool = True,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Full BPTT given the forward cache and upstream hidden-state grads.
 
-    d_out is (N, T, hidden) when return_sequence, else (N, hidden) for the
-    last state only. Returns the parameter gradients keyed W/U/b and the
-    gradient with respect to the input sequence. The cache's arrays may
-    cover more users than the rows of its input x that it names: only
-    their leading n users, those of x[rows], are backpropagated, read as
-    views. x[rows] is gathered when the pass runs and replaces the cache's
-    input and rows. The pass consumes the cache's activations and cells:
-    afterwards the activation buffer holds the gate gradients and the
-    cell buffer the factor dc/dh (a later lstm_forward_cached writes both
-    before reading them), so a cache serves one backward pass; a second
-    raises MissingCacheError.
+    d_out is (N, T, hidden), one gradient per step. Returns the parameter
+    gradients keyed W/U/b and the gradient with respect to the input
+    sequence. The cache's arrays may cover more users than the rows of its
+    input x that it names: only their leading n users, those of x[rows],
+    are backpropagated, read as views. x[rows] is gathered when the pass
+    runs and replaces the cache's input and rows. The pass consumes the
+    cache's activations and cells: afterwards the activation buffer holds
+    the gate gradients and the cell buffer the factor dc/dh (a later
+    lstm_forward_cached writes both before reading them), so a cache
+    serves one backward pass; a second raises MissingCacheError.
     """
     if cache is None or "acts" not in cache:
         raise MissingCacheError("lstm_backward needs a fresh cache from lstm_forward_cached")
@@ -235,18 +233,11 @@ def lstm_backward(
     n, t, d = x.shape
     h = layer.hidden_size
     d_out = np.asarray(d_out, dtype=np.float64)
-    if return_sequence:
-        if d_out.shape != (n, t, h):
-            raise ValueError(f"upstream gradient shape {d_out.shape} != {(n, t, h)}")
-        d_hidden = d_out
-    else:
-        if d_out.shape != (n, h):
-            raise ValueError(f"upstream gradient shape {d_out.shape} != {(n, h)}")
-        d_hidden = np.zeros((n, t, h))
-        d_hidden[:, -1] = d_out
+    if d_out.shape != (n, t, h):
+        raise ValueError(f"upstream gradient shape {d_out.shape} != {(n, t, h)}")
 
     spent, spent_cells = cache.pop("acts"), cache.pop("cells")
-    dz = _gate_gradients(layer, spent[:, :, :n], spent_cells[:, :, :n], d_hidden)
+    dz = _gate_gradients(layer, spent[:, :, :n], spent_cells[:, :, :n], d_out)
 
     # The activations are spent: their buffer takes the gate gradients in
     # (user, step) row order, the order every sum below runs over. The

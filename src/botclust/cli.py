@@ -43,7 +43,7 @@ from .autoencoder import load_model, save_model
 from .clustering import load_assignment_csv, save_assignment_csv, save_dendrogram_json
 from .globalfeats import load_features_csv, save_features_csv
 from .ingest import (FEATURE_NAMES, LabelTable, ParseError, load_labels, parse_tweets, reading,
-                     write_tweets_jsonl)
+                     save_id_csv, write_tweets_jsonl)
 from .legs import last_workers
 from .mts import MtsTensor, load_tensor, save_tensor
 from .pipeline import (
@@ -435,11 +435,7 @@ def cmd_synth(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     records, labels = generate_dataset(cfg)
     write_tweets_jsonl(records, out / A_TWEETS)
-    with open(out / A_LABELS, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("user_id", "class_id"))
-        for uid, cid in labels.labels.items():
-            writer.writerow((uid, cid))
+    save_id_csv(labels.labels.items(), out / A_LABELS, "class_id")
     supports = labels.supports()
     print(
         f"synth: {len(labels.labels)} users {supports}, "

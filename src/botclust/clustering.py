@@ -10,14 +10,13 @@ dendrogram cut follows parent pointers.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ingest import _open_text, _utf8_lines, reading
+from .ingest import load_id_csv, reading, save_id_csv
 
 log = logging.getLogger(__name__)
 
@@ -239,36 +238,16 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int,
 
 
 def save_assignment_csv(assignment: ClusterAssignment, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("user_id", "cluster_id"))
-        for uid, label in zip(assignment.user_ids, assignment.labels):
-            writer.writerow((uid, int(label)))
+    """The ``user_id,cluster_id`` CSV (see ingest.save_id_csv)."""
+    save_id_csv(zip(assignment.user_ids, assignment.labels.tolist()), path, "cluster_id")
 
 
 def load_assignment_csv(path) -> ClusterAssignment:
-    """save_assignment_csv's file; a byte that is not UTF-8 is a ParseError."""
-    with reading(path), _open_text(path) as fh:
-        reader = csv.reader(_utf8_lines(fh))
-        header = next(reader, None)
-        if header != ["user_id", "cluster_id"]:
-            raise ValueError("expected header user_id,cluster_id")
-        lines = {}   # user id -> its line
-        labels = []
-        for line_no, rec in enumerate(reader, start=2):
-            if len(rec) != 2:
-                raise ValueError(f"line {line_no}: expected 2 columns, got {len(rec)}")
-            try:
-                label = int(rec[1])
-            except ValueError:
-                raise ValueError(f"line {line_no}: cluster id is not an integer: {rec[1]!r}") from None
-            if label < NOISE:
-                raise ValueError(f"line {line_no}: cluster id {label} is negative (0 marks noise)")
-            if rec[0] in lines:
-                raise ValueError(f"line {line_no}: user id {rec[0]!r} repeats line {lines[rec[0]]}")
-            lines[rec[0]] = line_no
-            labels.append(label)
-        return ClusterAssignment(labels, tuple(lines))
+    """save_assignment_csv's file, read by ingest.load_id_csv: a damaged
+    row is a ParseError with its line."""
+    with reading(path):
+        clusters = load_id_csv(path, "cluster_id")
+        return ClusterAssignment(list(clusters.values()), tuple(clusters))
 
 
 def save_dendrogram_json(dendrogram: Dendrogram, path) -> None:

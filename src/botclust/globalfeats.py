@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import _open_text, _utf8_lines, reading
+from .ingest import ParseError, csv_rows, open_text, reading
 
 
 CATALOG = (
@@ -176,24 +176,23 @@ def save_features_csv(features: GlobalFeatureVector, path) -> None:
 
 
 def load_features_csv(path) -> GlobalFeatureVector:
-    """save_features_csv's file; a byte that is not UTF-8 is a ParseError."""
-    with reading(path), _open_text(path) as fh:
-        reader = csv.reader(_utf8_lines(fh))
-        header = next(reader, None)
+    """save_features_csv's file, split into rows by ingest.csv_rows: a
+    damaged row is a ParseError with its line."""
+    with reading(path), open_text(path) as fh:
+        rows = csv_rows(fh)
+        line_no, header = next(rows, (1, None))
         if not header or header[0] != "user_id":
-            raise ValueError("expected a user_id-first header")
+            raise ParseError(line_no, "expected a user_id-first header")
         columns = tuple(header[1:])
-        user_ids, rows = [], []
-        for line_no, rec in enumerate(reader, start=2):
-            if len(rec) != len(header):
-                raise ValueError(f"line {line_no}: expected {len(header)} columns, got {len(rec)}")
+        user_ids, values = [], []
+        for line_no, (uid, *fields) in rows:
             try:
-                rows.append([float(v) for v in rec[1:]])
+                values.append([float(v) for v in fields])
             except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
-            user_ids.append(rec[0])
+                raise ParseError(line_no, str(exc)) from None
+            user_ids.append(uid)
         return GlobalFeatureVector(
-            values=np.asarray(rows, dtype=np.float64).reshape(len(user_ids), len(columns)),
+            values=np.asarray(values, dtype=np.float64).reshape(len(user_ids), len(columns)),
             user_ids=tuple(user_ids),
             column_names=columns,
         )

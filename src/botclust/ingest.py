@@ -1,9 +1,10 @@
-"""Tweet-activity ingestion: tweet and label parsing, the tweet table.
+"""Tweet-activity ingestion: tweet and label parsing, the tweet table,
+and the one CSV row reader every CSV file goes through.
 
 Input rows are pre-extracted per-tweet entity counts, not raw tweet text.
 Timestamps are normalized to UTC; the day boundary sits at 00:00:00 UTC.
 
-Each tweets or labels file is read once, with ``errors="surrogateescape"``:
+Each tweets or CSV file is read once, with ``errors="surrogateescape"``:
 a byte that is not UTF-8 becomes a lone surrogate, which valid UTF-8
 never decodes to, and raises ParseError when its line is reached in line
 order, so a bad row before it is still the error reported. ``reading``
@@ -26,6 +27,13 @@ characters, each ending at a line break, along two paths:
 
 ``build_timelines`` indexes in-memory ``TweetRecord`` lists (from
 ``synth`` and the tests) into the same table.
+
+Every CSV file (tweets, labels, ``clusters.csv``, ``global_features.csv``)
+is split into rows by ``csv_rows`` alone: blank rows are skipped, a row's
+line number is its last physical line (blank lines and quoted line breaks
+count), and a row whose width differs from the header's raises
+ParseError. ``load_id_csv`` and ``save_id_csv`` read and write the
+``user_id,<id>`` tables, labels and cluster assignments alike.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -339,19 +347,14 @@ def reading(path):
 
 # A file open for one read as UTF-8, each byte that is not UTF-8 kept as a
 # lone surrogate for ``_check_utf8`` to report.
-_open_text = partial(open, encoding="utf-8", errors="surrogateescape", newline="")
+open_text = partial(open, encoding="utf-8", errors="surrogateescape", newline="")
 
 
-def _check_utf8(line: str, line_no: int) -> None:
+def _check_utf8(line: str, line_no: int) -> str:
+    """The line, if it holds no byte that is not UTF-8."""
     if bad := _ESCAPED_BYTE.search(line):
         raise ParseError(line_no, f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
-
-
-def _utf8_lines(fh) -> Iterator[str]:
-    """The file's lines, each checked by ``_check_utf8`` as a reader pulls it."""
-    for line_no, line in enumerate(fh, start=1):
-        _check_utf8(line, line_no)
-        yield line
+    return line
 
 
 def _blocks(fh) -> Iterator[str]:
@@ -378,17 +381,35 @@ def _jsonl_rows(lines: list[str], first_line_no: int) -> Iterator[tuple[int, dic
         yield line_no, fields
 
 
-def _csv_rows(fh) -> Iterator[tuple[int, dict]]:
-    reader = csv.DictReader(_utf8_lines(fh))
-    if reader.fieldnames is None:
+def csv_rows(fh) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank row of an ``open_text`` CSV file with its line
+    number, the header first. The number is the row's last physical line;
+    each line is checked by ``_check_utf8`` as it is read, and a row whose
+    width differs from the header's raises ParseError."""
+    reader = csv.reader(map(_check_utf8, fh, count(1)))
+    width = None
+    for row in reader:
+        if not row:
+            continue
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(reader.line_num, f"expected {width} columns, got {len(row)}")
+        yield reader.line_num, row
+
+
+def _csv_records(fh) -> Iterator[tuple[int, dict]]:
+    """The rows of a tweets CSV keyed by its header, which may hold extra
+    columns in any order."""
+    rows = csv_rows(fh)
+    line_no, header = next(rows, (1, None))
+    if header is None:
         return
-    expected = {"user_id", "timestamp", *FEATURE_NAMES}
-    if not expected.issubset(set(reader.fieldnames)):
-        raise ParseError(1, f"CSV header missing columns {sorted(expected - set(reader.fieldnames))}")
-    for line_no, row in enumerate(reader, start=2):
-        if None in row.values() or None in row:
-            raise ParseError(line_no, "wrong number of columns")
-        yield line_no, row
+    missing = {"user_id", "timestamp", *FEATURE_NAMES} - set(header)
+    if missing:
+        raise ParseError(line_no, f"CSV header missing columns {sorted(missing)}")
+    for line_no, row in rows:
+        yield line_no, dict(zip(header, row))
 
 
 def _add_rows(builder: _TableBuilder, rows: Iterator[tuple[int, dict]], path: Path) -> None:
@@ -421,9 +442,9 @@ def parse_tweets(path: str | Path, format: str = "jsonl") -> TweetTable:
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}, expected 'jsonl' or 'csv'")
     builder = _TableBuilder()
-    with reading(path), _open_text(path) as fh:
+    with reading(path), open_text(path) as fh:
         if format == "csv":
-            _add_rows(builder, _csv_rows(fh), path)
+            _add_rows(builder, _csv_records(fh), path)
         else:
             ordinals, floats = _Memo(_date_ordinal), _Memo(float)
             line_no = 1
@@ -497,32 +518,43 @@ def build_timelines(records: list[TweetRecord]) -> TweetTable:
     return builder.table()
 
 
-def load_labels(path: str | Path) -> LabelTable:
-    """Read the `user_id,class_id` CSV into a validated LabelTable.
-
-    A byte that is not UTF-8 raises ParseError with its file and line, unless
-    a bad row comes before it."""
-    with reading(path), _open_text(path) as fh:
-        labels: dict[str, int] = {}
-        reader = csv.reader(_utf8_lines(fh))
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty label file")
-        if [h.strip() for h in header] != ["user_id", "class_id"]:
-            raise ParseError(1, f"expected header 'user_id,class_id', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(line_no, f"expected 2 columns, got {len(row)}")
-            uid, raw_class = row[0].strip(), row[1].strip()
+def load_id_csv(path: str | Path, column: str) -> dict[str, int]:
+    """The ``user_id,<column>`` CSV ``save_id_csv`` writes, as user id ->
+    non-negative int in file order. Header and fields are blank-stripped;
+    each failure, a repeated user id included, is a ParseError with its
+    line, named by the caller's ``reading(path)``."""
+    name = column.replace("_", " ")
+    with open_text(path) as fh:
+        rows = csv_rows(fh)
+        line_no, header = next(rows, (1, None))
+        if header is None or [h.strip() for h in header] != ["user_id", column]:
+            raise ParseError(line_no, f"expected header 'user_id,{column}', got {header}")
+        values, lines = {}, {}   # user id -> its value, its line
+        for line_no, (uid, raw) in rows:
+            uid, raw = uid.strip(), raw.strip()
             try:
-                cid = int(raw_class)
-            except ValueError as exc:
-                raise ParseError(line_no, f"class id is not an integer: {raw_class!r}") from exc
-            if cid < 0:
-                raise ParseError(line_no, f"negative class id {cid}")
-            if uid in labels:
-                raise ParseError(line_no, f"duplicate user_id {uid!r}")
-            labels[uid] = cid
-        return LabelTable(labels=labels)
+                value = int(raw)
+            except ValueError:
+                raise ParseError(line_no, f"{name} is not an integer: {raw!r}") from None
+            if value < 0:
+                raise ParseError(line_no, f"{name} {value} is negative")
+            if uid in lines:
+                raise ParseError(line_no, f"user id {uid!r} repeats line {lines[uid]}")
+            lines[uid], values[uid] = line_no, value
+        return values
+
+
+def save_id_csv(pairs, path: str | Path, column: str) -> None:
+    """Write (user id, non-negative int) pairs as the ``user_id,<column>``
+    CSV ``load_id_csv`` reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("user_id", column))
+        writer.writerows(pairs)
+
+
+def load_labels(path: str | Path) -> LabelTable:
+    """Read the ``user_id,class_id`` CSV (see ``load_id_csv``) into a
+    LabelTable, whose class ids must be dense from 0."""
+    with reading(path):
+        return LabelTable(labels=load_id_csv(path, "class_id"))

@@ -364,16 +364,21 @@ def rowwise_parse_tweets(path, format="jsonl"):
                 if rec is not None:
                     records.append(rec)
         else:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            # Blank rows are skipped; a row is numbered by its last
+            # physical line, so blank lines and quoted line breaks count.
+            reader = csv.reader(fh)
+            rows = (row for row in reader if row)
+            header = next(rows, None)
+            if header is None:
                 return []
-            expected = {"user_id", "timestamp", *FEATURE_NAMES}
-            if not expected.issubset(set(reader.fieldnames)):
-                raise ParseError(1, f"CSV header missing columns {sorted(expected - set(reader.fieldnames))}")
-            for line_no, row in enumerate(reader, start=2):
-                if None in row.values() or None in row:
-                    raise ParseError(line_no, "wrong number of columns")
-                rec = _rowwise_record(row, line_no)
+            missing = {"user_id", "timestamp", *FEATURE_NAMES} - set(header)
+            if missing:
+                raise ParseError(reader.line_num, f"CSV header missing columns {sorted(missing)}")
+            for row in rows:
+                if len(row) != len(header):
+                    raise ParseError(reader.line_num,
+                                     f"expected {len(header)} columns, got {len(row)}")
+                rec = _rowwise_record(dict(zip(header, row)), reader.line_num)
                 if rec is not None:
                     records.append(rec)
     return records

@@ -78,6 +78,15 @@ def lstm_forward(layer, sequence, return_sequence=True):
     return hidden[0] if return_sequence else hidden[0, -1]
 
 
+def last_step_only(last, t_len):
+    """An upstream gradient (N, T, H) that is zero but at the last step,
+    where it is last (N, H): the gradient of a loss that reads only the
+    last hidden state."""
+    probe = np.zeros((last.shape[0], t_len, last.shape[1]))
+    probe[:, -1] = last
+    return probe
+
+
 def split_gates(fused: dict[str, np.ndarray], hidden_size: int) -> dict[str, np.ndarray]:
     """Fused W/U/b (weights or gradients) as the per-gate blocks W_i..b_c."""
     out = {}
@@ -103,13 +112,16 @@ def lstm_grad_max_rel_err(rng, input_size, hidden_size, t_len, n_seq=2,
     """Compare analytic BPTT gradients against central differences.
 
     Loss is the inner product of the hidden output with a fixed random
-    tensor, so the upstream gradient is exact and the finite-difference
-    error is dominated by the truncation of the recurrence itself.
+    tensor, zero but at the last step unless return_sequence, so the
+    upstream gradient is exact and the finite-difference error is
+    dominated by the truncation of the recurrence itself.
     """
     layer = LstmLayerParams.init(input_size, hidden_size, rng)
     x = rng.normal(size=(n_seq, t_len, input_size))
     out_shape = (n_seq, t_len, hidden_size) if return_sequence else (n_seq, hidden_size)
     probe = rng.normal(size=out_shape)
+    if not return_sequence:
+        probe = last_step_only(probe, t_len)
 
     blocks = layer.blocks("l")
     vec0, _ = flatten_blocks(blocks)
@@ -117,13 +129,12 @@ def lstm_grad_max_rel_err(rng, input_size, hidden_size, t_len, n_seq=2,
     def loss(vec):
         write_blocks(blocks, vec)
         hidden, _ = lstm_forward_cached(layer, x)
-        out = hidden if return_sequence else hidden[:, -1]
-        return float(np.sum(out * probe))
+        return float(np.sum(hidden * probe))
 
     numeric = finite_diff_grad(loss, vec0)
     write_blocks(blocks, vec0)
     _, cache = lstm_forward_cached(layer, x)
-    grads, _ = lstm_backward(layer, cache, probe, return_sequence=return_sequence)
+    grads, _ = lstm_backward(layer, cache, probe)
     analytic, _ = flatten_blocks({f"l.{k}": v for k, v in grads.items()})
     return max_rel_err(numeric, analytic)
 
@@ -230,7 +241,7 @@ def test_lstm_time_major_matches_batch_major_bitwise(input_size, hidden_size, n,
     hidden, cache = lstm_forward_cached(layer, x)
     ref_hidden, ref_cache = batch_major_lstm_forward(layer, x)
     assert np.array_equal(hidden, ref_hidden)
-    grads, dx = lstm_backward(layer, cache, probe, return_sequence=return_sequence)
+    grads, dx = lstm_backward(layer, cache, probe if return_sequence else last_step_only(probe, t))
     ref_grads, ref_dx = batch_major_lstm_backward(layer, ref_cache, probe, return_sequence)
     for name in ("W", "U", "b"):
         assert np.array_equal(grads[name], ref_grads[name]), name
@@ -326,12 +337,10 @@ def test_lstm_forward_reuses_buffers():
     assert wider.shape == (6, 5, 2) and buffers["hidden"] is wider
 
 
-@pytest.mark.parametrize("return_sequence", [True, False])
-def test_lstm_backward_peak_memory(return_sequence):
+def test_lstm_backward_peak_memory():
     """A decoder backward on a merged-split cache (N = 200 rows, the
     leading n = 160 backpropagated) allocates at its peak no more than
-    the time-major gate gradients, the zero-padded upstream gradient when
-    only the last state is given, and half a (T, H, n) array: tanh(c) and
+    the time-major gate gradients and half a (T, H, n) array: tanh(c) and
     dc/dh live in the cache's cell buffer, and the gate gradients are
     dropped before the products."""
     rng = seeded_rng(31)
@@ -340,12 +349,12 @@ def test_lstm_backward_peak_memory(return_sequence):
     x = rng.uniform(size=(big_n, t, 1))
     _, cache = lstm_forward_cached(layer, x, {})
     cache["x"] = x[:n]
-    probe = rng.normal(size=(n, t, h) if return_sequence else (n, h))
+    probe = rng.normal(size=(n, t, h))
     per_step = t * h * n * 8
-    bound = 4 * per_step + (0 if return_sequence else per_step) + per_step // 2
+    bound = 4 * per_step + per_step // 2
     tracemalloc.start()
     try:
-        lstm_backward(layer, cache, probe, return_sequence=return_sequence)
+        lstm_backward(layer, cache, probe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

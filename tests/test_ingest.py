@@ -9,6 +9,8 @@ import pytest
 
 from botclust import ingest
 from botclust.cli import main
+from botclust.clustering import load_assignment_csv
+from botclust.globalfeats import load_features_csv
 from botclust.ingest import (
     CHUNK_ROWS,
     FEATURE_NAMES,
@@ -452,6 +454,26 @@ def test_parse_csv_matches_rowwise_oracle(tmp_path, caplog, counts):
     _assert_matches_rowwise(p, caplog, format="csv")
 
 
+# A header and two rows laid out so that the rows' line numbers move with
+# blank lines and with a line break quoted in a field.
+CSV_LAYOUTS = {
+    "blank_lines": lambda h, a, b: f"{h}\n\n{a}\n\n\n{b}\n",
+    "quoted_line_break": lambda h, a, b: f'{h}\n"x\ny"{a[1:]}\n{b}\n',
+    "wide_row_after_blank": lambda h, a, b: f"{h}\n{a}\n\n{b},9\n",
+}
+
+
+@pytest.mark.parametrize("layout", CSV_LAYOUTS)
+@pytest.mark.parametrize("counts", [("1", "2"), ("-1", "0"), ("x", "0")])
+def test_parse_csv_line_numbers_match_rowwise_oracle(tmp_path, caplog, counts, layout):
+    header = ",".join(["user_id", "timestamp", *FEATURE_NAMES])
+    a = "a,2023-01-04T08:00:00Z,1,0,0,0,0,0"
+    b = ",".join(["b", "2023-01-05T10:00:00Z", *counts, "0", "0", "0", "0"])
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_LAYOUTS[layout](header, a, b))
+    _assert_matches_rowwise(p, caplog, format="csv")
+
+
 def _two_chunk_file(path, special, line=_line, newline="\n"):
     """2 * CHUNK_ROWS + 5 canonical rows over 9 users and 40 days, with
     the lines named in ``special`` (1-based line number -> text) replaced."""
@@ -720,3 +742,67 @@ def test_load_labels_undecodable_byte_is_line_numbered_and_exit_4(tmp_path, capl
     p.write_bytes(b"user_id,class_id\n" + rows + b"u298,x\n\xff\n")
     with pytest.raises(ParseError, match="line 300: class id is not an integer"):
         load_labels(p)
+
+
+# Every CSV reader, each splitting its file into rows by ingest.csv_rows:
+# the header, one good row for a user id, a row whose second field is
+# damaged, the error that field raises, the loader, and a view of the
+# loaded result that two equal files share.
+_TWEET_FIELDS = "2023-01-05T10:00:00Z,1,0,0,0,0,0"
+CSV_READERS = {
+    "tweets": (",".join(["user_id", "timestamp", *FEATURE_NAMES]),
+               lambda uid: f"{uid},{_TWEET_FIELDS}",
+               "u3,2023-01-05T10:00:00Z,x,0,0,0,0,0", "count 'num_urls' is not an integer",
+               lambda p: parse_tweets(p, format="csv"),
+               lambda t: (t.user_ids, t.rows.tolist(), t.days.tolist(), t.counts.tolist())),
+    "labels": ("user_id,class_id", lambda uid: f"{uid},0", "u3,x", "class id is not an integer",
+               load_labels, lambda t: t.labels),
+    "clusters": ("user_id,cluster_id", lambda uid: f"{uid},1", "u3,x",
+                 "cluster id is not an integer", load_assignment_csv,
+                 lambda a: (a.user_ids, a.labels.tolist())),
+    "global_features": ("user_id,mean", lambda uid: f"{uid},0.5", "u3,x", "could not convert",
+                        load_features_csv,
+                        lambda f: (f.user_ids, f.column_names, f.values.tolist())),
+}
+
+
+@pytest.mark.parametrize("reader", CSV_READERS)
+def test_csv_bad_field_after_blank_lines_names_its_physical_line(tmp_path, reader):
+    header, row, bad, message, load, _view = CSV_READERS[reader]
+    p = tmp_path / f"{reader}.csv"
+    p.write_text(f"{header}\n{row('u0')}\n\n\n{bad}\n")
+    with pytest.raises(ParseError, match=f"line 5: {message}") as err:
+        load(p)
+    assert err.value.line_no == 5 and err.value.path == p
+
+
+@pytest.mark.parametrize("reader", CSV_READERS)
+def test_csv_quoted_line_break_counts_toward_the_line(tmp_path, reader):
+    header, row, bad, message, load, _view = CSV_READERS[reader]
+    broken_id = '"u\n0"'   # lines 2 and 3
+    p = tmp_path / f"{reader}.csv"
+    p.write_text(f"{header}\n{row(broken_id)}\n{row('u1')}\n{bad}\n")
+    with pytest.raises(ParseError, match=f"line 5: {message}"):
+        load(p)
+
+
+@pytest.mark.parametrize("reader", CSV_READERS)
+def test_csv_wrong_column_count_names_its_physical_line(tmp_path, reader):
+    header, row, _bad, _message, load, _view = CSV_READERS[reader]
+    width = header.count(",") + 1
+    p = tmp_path / f"{reader}.csv"
+    p.write_text(f"{header}\n{row('u0')}\n\nu1\n{row('u2')},9\n")
+    with pytest.raises(ParseError, match=f"line 4: expected {width} columns, got 1"):
+        load(p)
+    p.write_text(f"{header}\n{row('u0')}\n\n{row('u2')},9\n")
+    with pytest.raises(ParseError, match=f"line 4: expected {width} columns, got {width + 1}"):
+        load(p)
+
+
+@pytest.mark.parametrize("reader", CSV_READERS)
+def test_csv_blank_line_between_good_rows_loads(tmp_path, reader):
+    header, row, _bad, _message, load, view = CSV_READERS[reader]
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text(f"{header}\n{row('u0')}\n{row('u1')}\n")
+    spaced.write_text(f"\n{header}\n\n{row('u0')}\n\n\n{row('u1')}\n\n")
+    assert view(load(spaced)) == view(load(plain))

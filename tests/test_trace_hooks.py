@@ -1,6 +1,7 @@
 """The benchmark's tracer (perfbench/spans.py) wraps program functions by
-name and reads their arguments; these tests fail when a function it
-lists is renamed or an argument it counts from moves."""
+name and reads their arguments, and its workloads and checks import
+program names; these tests fail when a function it lists is renamed, an
+argument it counts from moves, or a name it imports goes."""
 
 import importlib
 import importlib.util
@@ -10,10 +11,12 @@ import numpy as np
 
 import botclust.autoencoder as autoencoder
 from botclust.autoencoder import AutoencoderConfig, train
+from botclust.ingest import FEATURE_NAMES, load_labels, parse_tweets
 from botclust.mts import MtsTensor
 from botclust.numerics import seeded_rng
 
-SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS_PY = PERFBENCH / "spans.py"
 
 
 def _spans():
@@ -49,3 +52,17 @@ def test_lstm_step_counts_read_the_shapes_train_passes(monkeypatch):
         assert names.count(f"autoencoder.lstm_forward_cached/{side}") == epochs
         assert names.count(f"autoencoder.lstm_backward/{side}") == epochs
     assert np.isfinite(recorder.spans[-1][2])
+
+
+def test_benchmark_modules_import_and_write_a_population(tmp_path, monkeypatch):
+    # The benchmark runs them with perfbench/ on the path.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    importlib.import_module("checks")
+    monkeypatch.setattr(workloads, "kernel_seconds", lambda: 1.0)   # skip the host-speed kernel
+    tiny = workloads.Workload(name="tiny", flow="stepwise", preset="UTS_DBSCAN",
+                              task="multiclass", n_users=8, n_days=4, epochs=1, why="")
+    population = workloads.make_population(tiny, 0, tmp_path)
+    assert load_labels(population.labels).labels == population.classes
+    sums = parse_tweets(population.tweets).counts.sum(axis=0)
+    assert sums.tolist() == [population.feature_sums[name] for name in FEATURE_NAMES]
