@@ -47,6 +47,7 @@ loading one raises ValueError (exit 4 from the CLI): retrain the model.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -54,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .ingest import reading
-from .mts import MtsTensor, NormalizationParams, read_container, write_container
+from .mts import MtsTensor, NormalizationParams, header_count, read_container, write_container
 from .numerics import RmspropState, clip_global_norm, global_norm, rmsprop_step, seeded_rng
 
 GATE_ORDER = ("i", "f", "o", "c")
@@ -637,7 +638,14 @@ def _checkpoint_size(header: dict) -> int:
         raise ValueError("checkpoint version 1 is no longer supported; retrain")
     if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    return sum(int(np.prod(entry["shape"])) for entry in header["blocks"])
+    return sum(map(_block_size, header["blocks"]))
+
+
+def _block_size(entry: dict) -> int:
+    shape = entry["shape"]
+    if not isinstance(shape, list):
+        raise ValueError(f"header field 'shape' must be a list, got {shape!r}")
+    return math.prod(header_count("shape", dim) for dim in shape)
 
 
 def load_model(path) -> AutoencoderModel:

@@ -29,7 +29,6 @@ stderr; each subcommand prints a one-line summary to stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import logging
@@ -43,7 +42,7 @@ from .autoencoder import load_model, save_model
 from .clustering import load_assignment_csv, save_assignment_csv, save_dendrogram_json
 from .globalfeats import load_features_csv, save_features_csv
 from .ingest import (FEATURE_NAMES, LabelTable, ParseError, load_labels, parse_tweets, reading,
-                     save_id_csv, write_tweets_jsonl)
+                     save_id_csv, write_csv, write_json, write_tweets_jsonl)
 from .legs import last_workers
 from .mts import MtsTensor, load_tensor, save_tensor
 from .pipeline import (
@@ -191,9 +190,7 @@ def _write_report(path: Path, payload: dict, config: PipelineConfig,
     doc = dict(payload, config=config.to_dict(), config_hash=config_hash(config), seed=config.seed)
     if timing:
         doc["timing"] = timing
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _timing(started: float) -> dict:
@@ -297,12 +294,9 @@ def _save_clustering(out: Path, config: PipelineConfig, clustering: Clustering) 
 def _save_scores(out: Path, config: PipelineConfig, metrics, timing: dict | None = None) -> None:
     _write_report(out / A_METRICS, {"task": config.task, "metrics": metrics.to_dict()},
                   config, timing)
-    with open(out / A_CONFUSION, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        k = metrics.confusion.shape[0]
-        writer.writerow(["true\\pred"] + [str(j) for j in range(k)])
-        for i in range(k):
-            writer.writerow([str(i)] + [int(v) for v in metrics.confusion[i]])
+    rows = metrics.confusion.tolist()
+    write_csv(out / A_CONFUSION, ["true\\pred", *map(str, range(len(rows)))],
+              ((str(i), ",".join(map(str, row))) for i, row in enumerate(rows)))
 
 
 def cmd_extract(args, paths: dict, config: PipelineConfig) -> int:

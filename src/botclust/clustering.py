@@ -10,13 +10,12 @@ dendrogram cut follows parent pointers.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ingest import load_id_csv, reading, save_id_csv
+from .ingest import load_id_csv, reading, save_id_csv, write_json
 
 log = logging.getLogger(__name__)
 
@@ -62,9 +61,6 @@ class Dendrogram:
 
     n_leaves: int
     merges: list[tuple[int, int, float, int]]  # (id_a, id_b, height, new size)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -251,6 +247,5 @@ def load_assignment_csv(path) -> ClusterAssignment:
 
 
 def save_dendrogram_json(dendrogram: Dendrogram, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dendrogram.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """The merge history, through ingest.write_json."""
+    write_json(path, asdict(dendrogram))

@@ -4,17 +4,18 @@ After the encoder squeezes each user's activity to one length-T latent
 series, every statistic in the catalog collapses that series to a scalar,
 giving a tabular N x G matrix that hierarchical clustering handles well.
 Degenerate inputs (constant series where a statistic would divide by
-zero) map to 0 rather than raising.
+zero) map to 0 rather than raising. The ``global_features*.csv`` tables
+are written by ingest.write_csv, as UTF-8 whatever the locale, and read
+by ingest.user_table, which strips ids of blanks as in every user table.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ParseError, csv_rows, open_text, reading
+from .ingest import open_text, reading, user_table, write_csv
 
 
 CATALOG = (
@@ -156,43 +157,18 @@ def concat_features(globals_: GlobalFeatureVector, vec_latent: np.ndarray) -> Gl
     )
 
 
-def _csv_field(text: str) -> str:
-    """text as csv.writer's default dialect writes a field of a row with
-    others: quoted, with its quotes doubled, when it holds a comma, a
-    quote or a line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def save_features_csv(features: GlobalFeatureVector, path) -> None:
-    """The header through csv.writer, then each row as csv.writer writes
-    it: the user id, then the repr of each value (which needs no
-    quoting), without csv.writer's per-field work."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(("user_id",) + features.column_names)
-        fh.writelines(f"{_csv_field(uid)},{','.join(map(repr, row))}\r\n"
-                      for uid, row in zip(features.user_ids, features.values.tolist()))
+    """Each row as the user id, then the repr of each value (which needs
+    no quoting), through ingest.write_csv."""
+    write_csv(path, ("user_id",) + features.column_names,
+              ((uid, ",".join(map(repr, row)))
+               for uid, row in zip(features.user_ids, features.values.tolist())))
 
 
 def load_features_csv(path) -> GlobalFeatureVector:
-    """save_features_csv's file, split into rows by ingest.csv_rows: a
-    damaged row is a ParseError with its line."""
+    """save_features_csv's file, read by ingest.user_table: a damaged row,
+    a repeated user id included, is a ParseError with its line."""
     with reading(path), open_text(path) as fh:
-        rows = csv_rows(fh)
-        line_no, header = next(rows, (1, None))
-        if not header or header[0] != "user_id":
-            raise ParseError(line_no, "expected a user_id-first header")
-        columns = tuple(header[1:])
-        user_ids, values = [], []
-        for line_no, (uid, *fields) in rows:
-            try:
-                values.append([float(v) for v in fields])
-            except ValueError as exc:
-                raise ParseError(line_no, str(exc)) from None
-            user_ids.append(uid)
-        return GlobalFeatureVector(
-            values=np.asarray(values, dtype=np.float64).reshape(len(user_ids), len(columns)),
-            user_ids=tuple(user_ids),
-            column_names=columns,
-        )
+        columns, rows = user_table(fh, None, lambda fields: [float(v) for v in fields])
+        values = np.asarray(list(rows.values()), dtype=np.float64).reshape(len(rows), len(columns))
+        return GlobalFeatureVector(values, tuple(rows), tuple(columns))

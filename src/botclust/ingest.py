@@ -1,5 +1,5 @@
 """Tweet-activity ingestion: tweet and label parsing, the tweet table,
-and the one CSV row reader every CSV file goes through.
+and the one reader and one writer of each file format.
 
 Input rows are pre-extracted per-tweet entity counts, not raw tweet text.
 Timestamps are normalized to UTC; the day boundary sits at 00:00:00 UTC.
@@ -28,12 +28,15 @@ characters, each ending at a line break, along two paths:
 ``build_timelines`` indexes in-memory ``TweetRecord`` lists (from
 ``synth`` and the tests) into the same table.
 
-Every CSV file (tweets, labels, ``clusters.csv``, ``global_features.csv``)
+Every CSV file (tweets, labels, ``clusters.csv``, ``global_features*.csv``)
 is split into rows by ``csv_rows`` alone: blank rows are skipped, a row's
 line number is its last physical line (blank lines and quoted line breaks
 count), and a row whose width differs from the header's raises
-ParseError. ``load_id_csv`` and ``save_id_csv`` read and write the
-``user_id,<id>`` tables, labels and cluster assignments alike.
+ParseError. ``user_table`` reads every table keyed by user id (labels,
+cluster assignments, global features): it strips each field of blanks,
+checks the header and refuses a repeated id. ``write_csv`` writes those
+three and ``confusion.csv`` as UTF-8, and ``write_json`` every JSON
+report and the dendrogram.
 """
 
 from __future__ import annotations
@@ -518,39 +521,76 @@ def build_timelines(records: list[TweetRecord]) -> TweetTable:
     return builder.table()
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer's default dialect writes a field of a row with
+    others: quoted, quotes doubled, when it holds a comma, a quote or a
+    line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """A CSV file as UTF-8, byte for byte as csv.writer writes it: the
+    header through csv.writer, then each (key, text) row as the key's
+    ``_csv_field``, a comma and the text, which must need no quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(f"{_csv_field(key)},{text}\r\n" for key, text in rows)
+
+
+def user_table(fh, columns: Sequence[str] | None, parse) -> tuple[list[str], dict]:
+    """An ``open_text`` table keyed by user id, as its column names after
+    ``user_id`` and user id -> ``parse`` of the row's other fields, in file
+    order, every field stripped of surrounding blanks. The header must be
+    ``user_id`` and then ``columns`` (any names when None); a repeated id,
+    or a ValueError from ``parse``, raises ParseError at its line."""
+    rows = csv_rows(fh)
+    line_no, header = next(rows, (1, None))
+    key, *names = [h.strip() for h in header or ("",)]
+    if key != "user_id" or columns is not None and names != list(columns):
+        expected = ",".join(["user_id", *(columns or ["..."])])
+        raise ParseError(line_no, f"expected header '{expected}', got {header}")
+    values, lines = {}, {}   # user id -> its value, its line
+    for line_no, row in rows:
+        uid, *fields = [field.strip() for field in row]
+        if uid in lines:
+            raise ParseError(line_no, f"user id {uid!r} repeats line {lines[uid]}")
+        try:
+            lines[uid], values[uid] = line_no, parse(fields)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+    return names, values
+
+
 def load_id_csv(path: str | Path, column: str) -> dict[str, int]:
     """The ``user_id,<column>`` CSV ``save_id_csv`` writes, as user id ->
-    non-negative int in file order. Header and fields are blank-stripped;
-    each failure, a repeated user id included, is a ParseError with its
-    line, named by the caller's ``reading(path)``."""
+    non-negative int in file order (see ``user_table``); each failure is a
+    ParseError with its line, named by the caller's ``reading(path)``."""
     name = column.replace("_", " ")
+
+    def parse(fields: list[str]) -> int:
+        try:
+            value = int(fields[0])
+        except ValueError:
+            raise ValueError(f"{name} is not an integer: {fields[0]!r}") from None
+        if value < 0:
+            raise ValueError(f"{name} {value} is negative")
+        return value
+
     with open_text(path) as fh:
-        rows = csv_rows(fh)
-        line_no, header = next(rows, (1, None))
-        if header is None or [h.strip() for h in header] != ["user_id", column]:
-            raise ParseError(line_no, f"expected header 'user_id,{column}', got {header}")
-        values, lines = {}, {}   # user id -> its value, its line
-        for line_no, (uid, raw) in rows:
-            uid, raw = uid.strip(), raw.strip()
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ParseError(line_no, f"{name} is not an integer: {raw!r}") from None
-            if value < 0:
-                raise ParseError(line_no, f"{name} {value} is negative")
-            if uid in lines:
-                raise ParseError(line_no, f"user id {uid!r} repeats line {lines[uid]}")
-            lines[uid], values[uid] = line_no, value
-        return values
+        return user_table(fh, (column,), parse)[1]
 
 
 def save_id_csv(pairs, path: str | Path, column: str) -> None:
     """Write (user id, non-negative int) pairs as the ``user_id,<column>``
     CSV ``load_id_csv`` reads."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("user_id", column))
-        writer.writerows(pairs)
+    write_csv(path, ("user_id", column), pairs)
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write doc as every JSON report is laid out: keys sorted, indent 2, a final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def load_labels(path: str | Path) -> LabelTable:

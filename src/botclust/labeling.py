@@ -2,19 +2,19 @@
 
 Ground-truth labels enter the pipeline only here: clustering itself is
 unsupervised, and the true classes are consulted solely to name clusters
-and to score the result.
+and to score the result. feature_importance only builds its report from
+the scores pipeline.importance_run_from_mts computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .clustering import NOISE, ClusterAssignment, kth_neighbor_distances
 from .ingest import GENUINE_CLASS
-from .legs import map_legs
 
 
 def assign_labels_binary(
@@ -209,33 +209,18 @@ class ImportanceReport:
         }
 
 
-def feature_importance(
-    run_with_features: Callable[[tuple[str, ...]], float],
-    feature_names: tuple[str, ...],
-) -> ImportanceReport:
-    """Rank features by how much weighted F1 drops when each is removed.
-
-    run_with_features executes the full pipeline on a feature subset and
-    returns its weighted F1. The baseline and the F reduced runs are
-    independent, so they run side by side (see legs.map_legs). A ratio
-    above 1 (score improved without the feature) clamps to zero
+def feature_importance(feature_names: tuple[str, ...], baseline_f1: float,
+                       scores: Sequence[float]) -> ImportanceReport:
+    """Rank features by how much weighted F1 drops when each is removed:
+    baseline_f1 is the score with every feature, scores[i] the score
+    without feature i (pipeline.importance_run_from_mts runs both). A
+    ratio above 1 (score improved without the feature) clamps to zero
     importance; if no removal hurts, every importance is 0.
     """
-    if len(feature_names) < 2:
-        raise ValueError("importance needs at least 2 features")
-    subsets = [tuple(feature_names)] + [
-        tuple(n for j, n in enumerate(feature_names) if j != i) for i in range(len(feature_names))
-    ]
-    baseline, *scores = map_legs(run_with_features, [(subset,) for subset in subsets])
-    if baseline == 0.0:
+    if baseline_f1 == 0.0:
         raise ValueError("baseline weighted F1 is 0; importance ratios are undefined")
-    ratios = np.array(scores, dtype=np.float64) / baseline
+    ratios = np.array(scores, dtype=np.float64) / baseline_f1
     raw = np.maximum(0.0, 1.0 - ratios)
     total = raw.sum()
     importance = raw / total if total > 0 else np.zeros_like(raw)
-    return ImportanceReport(
-        feature_names=tuple(feature_names),
-        baseline_f1=baseline,
-        ratios=ratios,
-        importance=importance,
-    )
+    return ImportanceReport(tuple(feature_names), baseline_f1, ratios, importance)

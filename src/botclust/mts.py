@@ -9,6 +9,7 @@ from min-max statistics and pass through normalization unchanged.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -205,6 +206,14 @@ def read_container(path: str | Path, magic: bytes, what: str, body_size) -> tupl
     return header, body
 
 
+def header_count(key: str, value) -> int:
+    """A container header's count field ``key``, if it is a non-negative
+    int (a bool is not one)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"header field {key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def save_tensor(mts: MtsTensor, path: str | Path) -> None:
     header = {
         "kind": mts.kind,
@@ -221,8 +230,8 @@ def save_tensor(mts: MtsTensor, path: str | Path) -> None:
 
 def load_tensor(path: str | Path) -> MtsTensor:
     with reading(path):
-        header, body = read_container(path, _MAGIC, "tensor file",
-                                      lambda h: h["n"] * h["t"] * h["d"])
+        header, body = read_container(path, _MAGIC, "tensor file", lambda h: math.prod(
+            header_count(key, h[key]) for key in ("n", "t", "d")))
         return MtsTensor(
             values=body.reshape(header["n"], header["t"], header["d"]),
             user_ids=list(header["user_ids"]),

@@ -18,10 +18,10 @@ that matters for detecting botnets that were never seen during training;
 importance_run_from_mts reruns without one feature at a time. Each
 analysis starts from the raw tensor that prepare builds from a tweet table.
 
-Independent legs run side by side through legs.map_legs: glob_vec's two
-encoders in _train_models, the base run plus one leg per bot class in
-lobo_run_from_mts, and the full run plus one leg per left-out feature in
-importance_run_from_mts. A training leg that trained on every user also
+Independent legs run side by side through legs.map_legs, in two places:
+glob_vec's two encoders in _train_models, and scored_runs, which runs
+the reruns of both analyses (lobo's base run plus one per bot class,
+importance's full run plus one per left-out feature). A training leg that trained on every user also
 encodes the tensor it trained on, so no serial _encode follows the legs.
 Each leg is seeded on its own, so results are byte-identical to a one-CPU
 run, which runs every leg in-process, at the same BLAS thread count: the
@@ -423,6 +423,16 @@ def run_pipeline_from_mts(
                           train_reports=reports, latents=latents, features=features)
 
 
+def scored_runs(mts_raw: MtsTensor, true: np.ndarray, n_classes: int, jobs) -> list[float]:
+    """The weighted F1 of run_pipeline_from_mts on the raw tensor for each
+    (config, train_rows) job, in job order, side by side (see legs.map_legs)."""
+
+    def leg(config: PipelineConfig, rows: Optional[np.ndarray]) -> float:
+        return run_pipeline_from_mts(mts_raw, true, n_classes, config, rows).metrics.weighted_f1
+
+    return map_legs(leg, jobs)
+
+
 @dataclass
 class LoboReport:
     """Scores from retraining without one bot class at a time."""
@@ -461,18 +471,14 @@ def lobo_run_from_mts(
 
     Each leg is one run_pipeline_from_mts call, from a seed derived per
     excluded class. Excluding a class with no members is the base run, so
-    it is reported as exactly 0 change without retraining. The legs are
-    independent, so they run side by side (see legs.map_legs); the report
-    is the same as a sequential run's.
+    it is reported as exactly 0 change without retraining. The legs run
+    side by side (see scored_runs); the report is a sequential run's.
     """
     if bot_classes is None:
         bot_classes = sorted(c for c in labels.supports() if c != GENUINE_CLASS)
     check_bot_classes(bot_classes)
     n_classes = labels.num_classes
     check_population(config, mts_raw.n_users, n_classes)
-
-    def leg(leg_config: PipelineConfig, keep: Optional[np.ndarray]) -> float:
-        return run_pipeline_from_mts(mts_raw, true, n_classes, leg_config, keep).metrics.weighted_f1
 
     jobs = {None: (config, None)}
     for cid in bot_classes:
@@ -482,7 +488,7 @@ def lobo_run_from_mts(
         if keep.size < 2:
             raise ValueError(f"excluding class {cid} leaves fewer than 2 users")
         jobs[cid] = (replace(config, seed=derive_seed(config.seed, cid)), keep)
-    retrained = dict(zip(jobs, map_legs(leg, jobs.values())))
+    retrained = dict(zip(jobs, scored_runs(mts_raw, true, n_classes, jobs.values())))
     base_f1 = retrained.pop(None)
     if base_f1 == 0.0:
         raise ValueError("base weighted F1 is 0; percentage changes are undefined")
@@ -501,10 +507,11 @@ def importance_run_from_mts(
 ) -> ImportanceReport:
     """Leave-one-feature-out importance (see labeling.feature_importance):
     run_pipeline_from_mts on the raw tensor with all of its features, and
-    once without each one."""
-
-    def leg(features: tuple[str, ...]) -> float:
-        leg_config = replace(config, features=features)
-        return run_pipeline_from_mts(mts_raw, true, n_classes, leg_config).metrics.weighted_f1
-
-    return feature_importance(leg, mts_raw.feature_names)
+    once without each one, side by side (see scored_runs)."""
+    names = mts_raw.feature_names
+    if len(names) < 2:
+        raise ValueError("importance needs at least 2 features")
+    subsets = [names] + [names[:i] + names[i + 1:] for i in range(len(names))]
+    jobs = [(replace(config, features=subset), None) for subset in subsets]
+    baseline, *scores = scored_runs(mts_raw, true, n_classes, jobs)
+    return feature_importance(names, baseline, scores)

@@ -7,7 +7,6 @@ against the frozen default generator config (seed 42).
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +18,13 @@ from botclust.autoencoder import (
 from botclust.cli import main as cli_main
 from botclust.clustering import dbscan, distance_matrix, ward_agglomerative
 from botclust.ingest import build_timelines, write_tweets_jsonl
-from botclust.labeling import feature_importance, prf_metrics
+from botclust.labeling import prf_metrics
 from botclust.mts import SENTINEL, MtsTensor, extract_mts
 from botclust.numerics import seeded_rng
 from botclust.pipeline import (
     PipelineConfig,
     apply_preset,
+    importance_run_from_mts,
     lobo_run_from_mts,
     prepare,
     run_pipeline_from_mts,
@@ -228,12 +228,9 @@ def test_criterion_7_constant_feature_importance(frozen_synth):
         day_min=mts.day_min,
     )
     base_cfg = apply_preset(PipelineConfig(task="binary", seed=0), "Glob_Hier")
-
-    def run_with(feats):
-        cfg = replace(base_cfg, features=tuple(feats))
-        return run_pipeline_from_mts(mts7, true, 2, cfg).metrics.weighted_f1
-
-    report = feature_importance(run_with, list(mts7.feature_names))
+    # Every leg is one run_pipeline_from_mts call with a feature subset;
+    # labeling.feature_importance builds the report from their scores.
+    report = importance_run_from_mts(mts7, true, 2, base_cfg)
     const_importance = report.importance[-1]
     _verdict(
         7,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import logging
 
@@ -299,11 +301,18 @@ def test_assignment_counts_come_from_the_labels():
 
 
 def test_assignment_csv_roundtrip(tmp_path):
-    out = ClusterAssignment(labels=np.array([1, NOISE, 2]), user_ids=("a", "b", "c"))
+    # The last four ids need quoting or UTF-8.
+    out = ClusterAssignment(labels=np.array([1, NOISE, 2, 2, 1, NOISE, 1]),
+                            user_ids=("a", "b", "c", "a,b", 'a"b', "a\nb", "é"))
     p = tmp_path / "clusters.csv"
     save_assignment_csv(out, p)
-    text = p.read_text().splitlines()
+    text = p.read_text(encoding="utf-8").splitlines()
     assert text[0] == "user_id,cluster_id"
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(("user_id", "cluster_id"))
+    writer.writerows(zip(out.user_ids, out.labels.tolist()))
+    assert p.read_bytes() == expected.getvalue().encode("utf-8")
     back = load_assignment_csv(p)
     assert np.array_equal(back.labels, out.labels)
     assert back.user_ids == out.user_ids

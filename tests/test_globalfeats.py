@@ -138,10 +138,16 @@ def test_concat_rejects_row_mismatch():
 
 def test_features_csv_roundtrip_exact(tmp_path):
     rng = seeded_rng(7)
-    feats = extract_global_features(rng.normal(size=(5, 20)), user_ids=[f"u{i}" for i in range(5)])
+    ids = ["u0", "a,b", 'a"b', "a\nb", "é"]   # the last four need quoting or UTF-8
+    feats = extract_global_features(rng.normal(size=(5, 20)), user_ids=ids)
     z = zscore_standardize(feats)
     p = tmp_path / "f.csv"
     save_features_csv(z, p)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(("user_id",) + z.column_names)
+    writer.writerows([uid, *row] for uid, row in zip(ids, z.values.tolist()))
+    assert p.read_bytes() == expected.getvalue().encode("utf-8")
     back = load_features_csv(p)
     assert back.user_ids == z.user_ids
     assert back.column_names == z.column_names
@@ -183,5 +189,6 @@ def test_features_csv_bytes_follow_csv_rules(tmp_path):
         writer.writerow([uid] + [repr(float(v)) for v in row])
     assert path.read_bytes() == expected.getvalue().encode()
     back = load_features_csv(path)
-    assert back.user_ids == tuple(ids)
+    # Ids are stripped of surrounding blanks on reading, as in every user table.
+    assert back.user_ids == tuple(uid.strip() for uid in ids)
     assert np.array_equal(back.values, values, equal_nan=True)

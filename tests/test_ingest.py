@@ -766,6 +766,17 @@ CSV_READERS = {
 }
 
 
+@pytest.mark.parametrize("reader", ["labels", "clusters", "global_features"])
+def test_user_table_repeated_id_names_both_lines(tmp_path, reader):
+    # Every table keyed by user id refuses a repeat; ids are blank-stripped first.
+    header, row, _bad, _message, load, _view = CSV_READERS[reader]
+    p = tmp_path / f"{reader}.csv"
+    p.write_text(f"{header}\n{row('u0')}\n{row('u1')}\n{row(' u0 ')}\n")
+    with pytest.raises(ParseError, match="line 4: user id 'u0' repeats line 2") as err:
+        load(p)
+    assert err.value.line_no == 4 and err.value.path == p
+
+
 @pytest.mark.parametrize("reader", CSV_READERS)
 def test_csv_bad_field_after_blank_lines_names_its_physical_line(tmp_path, reader):
     header, row, bad, message, load, _view = CSV_READERS[reader]

@@ -1,3 +1,5 @@
+from datetime import date
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from botclust.labeling import (
     matthews_corrcoef,
     prf_metrics,
 )
+from botclust.mts import MtsTensor
+from botclust.pipeline import PipelineConfig, importance_run_from_mts
 
 from oracles import loop_assign_labels_multiclass
 
@@ -242,20 +246,15 @@ def test_feature_importance_hand_ratios():
         ("a", "b"): 0.8,   # drop c -> S = 1.0
     }
 
-    def run(feats):
-        return scores[tuple(feats)]
-
-    rep = feature_importance(run, ["a", "b", "c"])
+    rep = feature_importance(("a", "b", "c"), scores[("a", "b", "c")],
+                             [scores[("b", "c")], scores[("a", "c")], scores[("a", "b")]])
     assert rep.baseline_f1 == 0.8
     assert rep.ratios == pytest.approx([0.9, 1.0, 1.0])
     assert rep.importance == pytest.approx([1.0, 0.0, 0.0])
 
 
 def test_feature_importance_all_neutral_gives_zeros():
-    def run(feats):
-        return 0.5
-
-    rep = feature_importance(run, ["a", "b"])
+    rep = feature_importance(("a", "b"), 0.5, [0.5, 0.5])
     assert rep.importance == pytest.approx([0.0, 0.0])
 
 
@@ -264,16 +263,16 @@ def test_feature_importance_improvement_clamped():
     # and the rest still normalizes.
     scores = {("a", "b"): 0.5, ("b",): 0.7, ("a",): 0.25}
 
-    def run(feats):
-        return scores[tuple(feats)]
-
-    rep = feature_importance(run, ["a", "b"])
+    rep = feature_importance(("a", "b"), scores[("a", "b")], [scores[("b",)], scores[("a",)]])
     assert rep.importance[0] == 0.0
     assert rep.importance[1] == pytest.approx(1.0)
 
 
 def test_feature_importance_guards():
+    # One feature is refused before any run starts.
+    only = MtsTensor(values=np.zeros((4, 3, 1)), user_ids=["a", "b", "c", "d"],
+                     feature_names=("only",), day_min=date(2023, 1, 1))
+    with pytest.raises(ValueError, match="at least 2 features"):
+        importance_run_from_mts(only, np.zeros(4, dtype=np.int64), 1, PipelineConfig())
     with pytest.raises(ValueError):
-        feature_importance(lambda f: 1.0, ["only"])
-    with pytest.raises(ValueError):
-        feature_importance(lambda f: 0.0, ["a", "b"])
+        feature_importance(("a", "b"), 0.0, [0.0, 0.0])

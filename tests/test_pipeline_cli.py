@@ -621,6 +621,14 @@ def _rewrite_header(path, key, value):
     ("model_uts.ckpt", "encode", "version", 1, "checkpoint version 1 is no longer supported; retrain"),
     ("model_uts.ckpt", "encode", "config", {"variant": "uts"}, "has no 'latent_dim' key"),
     ("model_uts.ckpt", "encode", "input_dim", 5, "checkpoint blocks do not match"),
+    ("mts_raw.tensor", "train", "n", "4", "header field 'n' must be a non-negative integer, got '4'"),
+    ("mts_raw.tensor", "train", "n", -4, "header field 'n' must be a non-negative integer, got -4"),
+    ("mts_raw.tensor", "train", "n", 4.0, "header field 'n' must be a non-negative integer, got 4.0"),
+    ("mts_raw.tensor", "train", "d", True, "header field 'd' must be a non-negative integer, got True"),
+    ("model_uts.ckpt", "encode", "blocks", [{"name": "b", "shape": "x"}],
+     "header field 'shape' must be a list, got 'x'"),
+    ("model_uts.ckpt", "encode", "blocks", [{"name": "b", "shape": [2, -1]}],
+     "header field 'shape' must be a non-negative integer, got -1"),
 ])
 def test_cli_damaged_header_is_data_error(trained_workspace, tmp_path, caplog,
                                           artifact, command, key, value, message):
@@ -677,6 +685,7 @@ def test_cli_bad_encoder_setting_is_usage_error_before_parse(tmp_path, caplog, f
     ("global_features.csv", b"user_id,mean\nu0,0.5\nu1\n", "line 3: expected 2 columns, got 1"),
     ("global_features.csv", b"user_id,mean\nu0,0.5\nu1,x\n", "line 3: could not convert"),
     ("global_features.csv", b"user_id,mean\nu0,0.5\nu\xff,0.1\n", "line 3: byte 0xff is not UTF-8"),
+    ("global_features.csv", b"user_id,mean\nu0,0.5\nu1,0.1\nu0,0.2\n", "line 4: user id 'u0' repeats line 2"),
 ])
 def test_cli_damaged_csv_artifact_is_data_error(tmp_path, caplog, artifact, body, message):
     # Each file is damaged for the step that reads it: evaluate reads the
