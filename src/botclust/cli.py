@@ -9,9 +9,12 @@ write the same bytes; run-all, and each leg of lobo and importance, is
 one pipeline.run_pipeline_from_mts call. Settings merge with precedence
 flag > config file > default; --variant-preset expands to a
 representation plus clustering method before explicit flags apply.
-main resolves them once, before any command runs, so a bad setting, or
-one that run-all, lobo or importance can never score, exits 2 before
-any input is read or --outdir is made.
+main resolves them once, before any command runs, so a bad setting, one
+that run-all, lobo or importance can never score, or an input file that
+neither a flag nor the config file names exits 2 before any input is
+read or --outdir is made. build_parser's table declares the files each
+command reads: extract the tweets, evaluate the labels, run-all, lobo
+and importance both.
 
 Commands hold only what they still read while they train: run-all,
 importance and lobo read their inputs through _read_inputs, which turns
@@ -42,7 +45,7 @@ from .autoencoder import load_model, save_model
 from .clustering import load_assignment_csv, save_assignment_csv, save_dendrogram_json
 from .globalfeats import load_features_csv, save_features_csv
 from .ingest import (FEATURE_NAMES, LabelTable, ParseError, load_labels, parse_tweets, reading,
-                     save_id_csv, write_csv, write_json, write_tweets_jsonl)
+                     write_csv, write_json, write_tweets_jsonl)
 from .legs import last_workers
 from .mts import MtsTensor, load_tensor, save_tensor
 from .pipeline import (
@@ -56,7 +59,6 @@ from .pipeline import (
     _cluster,
     _encode,
     _label_and_score,
-    _make_points,
     _train_models,
     apply_preset,
     check_bot_classes,
@@ -66,6 +68,7 @@ from .pipeline import (
     global_features,
     importance_run_from_mts,
     lobo_run_from_mts,
+    names_by_polarity,
     prepare,
     run_pipeline_from_mts,
     truth_vector,
@@ -174,6 +177,9 @@ def _merged(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
     paths = {}
     for key in _PATH_KEYS:
         paths[key] = getattr(args, key, None) or file_cfg.get(key)
+    for key in args.inputs:
+        if not paths[key]:
+            raise ConfigError(f"no {key} file given (flag --{key} or config key '{key}')")
     paths["outdir"] = Path(paths["outdir"] or "out")
     paths["format"] = paths["format"] or "jsonl"
     return paths, config
@@ -199,18 +205,12 @@ def _timing(started: float) -> dict:
     return {"wall_time_s": time.perf_counter() - started, "workers": last_workers()}
 
 
-def _input(paths: dict, key: str) -> str:
-    if not paths[key]:
-        raise ConfigError(f"no {key} file given (flag --{key} or config key '{key}')")
-    return paths[key]
-
-
 def _read_inputs(paths: dict, config: PipelineConfig) -> tuple[MtsTensor, np.ndarray, LabelTable]:
     """The raw tensor of the tweets file (see prepare), its truth vector in
     tensor row order, and the labels. The parsed tweet table is dropped on
     return, so no command trains while holding it."""
-    tweets, labels = _input(paths, "tweets"), _input(paths, "labels")
-    table, labels = parse_tweets(tweets, format=paths["format"]), load_labels(labels)
+    table = parse_tweets(paths["tweets"], format=paths["format"])
+    labels = load_labels(paths["labels"])
     mts, true = prepare(table, labels, config)
     return mts, true, labels
 
@@ -242,7 +242,7 @@ def _load_points(config: PipelineConfig, out: Path) -> tuple[np.ndarray, tuple[s
         feats = load_features_csv(_require(out / A_FEATS, "features"))
         return feats.values, feats.user_ids
     latents, user_ids = _load_latents(out, ENCODERS[config.representation])
-    return _make_points(config, latents, user_ids)[0], user_ids
+    return latents[config.representation], user_ids
 
 
 def _recorded_polarity(out: Path) -> list[float]:
@@ -301,7 +301,7 @@ def _save_scores(out: Path, config: PipelineConfig, metrics, timing: dict | None
 
 def cmd_extract(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
-    mts, _ = prepare(parse_tweets(_input(paths, "tweets"), format=paths["format"]), None, config)
+    mts, _ = prepare(parse_tweets(paths["tweets"], format=paths["format"]), None, config)
     save_tensor(mts, out / A_MTS)
     print(f"extract: wrote {out / A_MTS} (N={mts.n_users}, T={mts.n_days}, D={mts.n_features})")
     return EXIT_OK
@@ -364,12 +364,9 @@ def cmd_cluster(args, paths: dict, config: PipelineConfig) -> int:
 
 def cmd_evaluate(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
-    labels_path = _input(paths, "labels")
     assignment = load_assignment_csv(_require(out / A_CLUSTERS, "cluster"))
-    polarity = None
-    if config.task == "binary" and config.cluster_method == "ward" and config.genuine_cluster is None:
-        polarity = _recorded_polarity(out)
-    labels = load_labels(labels_path)
+    polarity = _recorded_polarity(out) if names_by_polarity(config) else None
+    labels = load_labels(paths["labels"])
     true = truth_vector(labels, assignment.user_ids)
     _pred, metrics = _label_and_score(config, assignment, polarity, true, labels.num_classes)
     _save_scores(out, config, metrics)
@@ -429,7 +426,7 @@ def cmd_synth(args, paths: dict, config: PipelineConfig) -> int:
     out = _outdir(paths)
     records, labels = generate_dataset(cfg)
     write_tweets_jsonl(records, out / A_TWEETS)
-    save_id_csv(labels.labels.items(), out / A_LABELS, "class_id")
+    write_csv(out / A_LABELS, ("user_id", "class_id"), labels.labels.items())
     supports = labels.supports()
     print(
         f"synth: {len(labels.labels)} users {supports}, "
@@ -497,21 +494,23 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--format", choices=("jsonl", "csv"), help="tweet file format")
 
     subs = {}
-    for name, func, parents, text in (
-        ("extract", cmd_extract, [pipe, io], "tweets -> daily feature tensor"),
-        ("train", cmd_train, [pipe], "train the autoencoder(s) the representation needs"),
-        ("encode", cmd_encode, [pipe], "encode the tensor with the trained model(s)"),
-        ("features", cmd_features, [pipe],
+    both = ("tweets", "labels")
+    for name, func, parents, inputs, text in (
+        ("extract", cmd_extract, [pipe, io], ("tweets",), "tweets -> daily feature tensor"),
+        ("train", cmd_train, [pipe], (), "train the autoencoder(s) the representation needs"),
+        ("encode", cmd_encode, [pipe], (), "encode the tensor with the trained model(s)"),
+        ("features", cmd_features, [pipe], (),
          "summary statistics of the encoded series (plus the vec encoding for glob_vec)"),
-        ("cluster", cmd_cluster, [pipe], "cluster the representation's points"),
-        ("evaluate", cmd_evaluate, [pipe, io], "score a clustering against ground truth"),
-        ("importance", cmd_importance, [pipe, io], "leave-one-feature-out importance"),
-        ("lobo", cmd_lobo, [pipe, io], "leave-one-botnet-out generalization test"),
-        ("synth", cmd_synth, [], "generate a labeled synthetic dataset"),
-        ("run-all", cmd_run_all, [pipe, io], "extract, train, encode, cluster, evaluate"),
+        ("cluster", cmd_cluster, [pipe], (), "cluster the representation's points"),
+        ("evaluate", cmd_evaluate, [pipe, io], ("labels",),
+         "score a clustering against ground truth"),
+        ("importance", cmd_importance, [pipe, io], both, "leave-one-feature-out importance"),
+        ("lobo", cmd_lobo, [pipe, io], both, "leave-one-botnet-out generalization test"),
+        ("synth", cmd_synth, [], (), "generate a labeled synthetic dataset"),
+        ("run-all", cmd_run_all, [pipe, io], both, "extract, train, encode, cluster, evaluate"),
     ):
         subs[name] = sub.add_parser(name, parents=[common, *parents], help=text)
-        subs[name].set_defaults(func=func)
+        subs[name].set_defaults(func=func, inputs=inputs)
     subs["lobo"].add_argument("--bot-classes", help="comma-separated class ids (default: all)")
     for flag in ("--n-days", "--n-genuine", "--seed"):
         subs["synth"].add_argument(flag, type=int)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ingest import load_id_csv, reading, save_id_csv, write_json
+from .ingest import load_id_csv, reading, write_csv, write_json
 
 log = logging.getLogger(__name__)
 
@@ -234,8 +234,8 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int,
 
 
 def save_assignment_csv(assignment: ClusterAssignment, path) -> None:
-    """The ``user_id,cluster_id`` CSV (see ingest.save_id_csv)."""
-    save_id_csv(zip(assignment.user_ids, assignment.labels.tolist()), path, "cluster_id")
+    """The ``user_id,cluster_id`` CSV that ingest.load_id_csv reads."""
+    write_csv(path, ("user_id", "cluster_id"), zip(assignment.user_ids, assignment.labels.tolist()))
 
 
 def load_assignment_csv(path) -> ClusterAssignment:

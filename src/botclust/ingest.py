@@ -25,6 +25,9 @@ characters, each ending at a line break, along two paths:
   by row in line order, so errors, negative-row warnings and UTC days
   are those of a row-by-row parse.
 
+Both paths strip a user id of surrounding blanks, as ``user_table``
+strips table ids; the pattern path leaves a padded id to the validator.
+
 ``build_timelines`` indexes in-memory ``TweetRecord`` lists (from
 ``synth`` and the tests) into the same table.
 
@@ -89,7 +92,8 @@ def _line_pattern(space: str) -> re.Pattern:
 
     Whatever it matches decodes to the same values as ``json.loads``: the
     id holds no quote, backslash, control character or undecodable byte
-    (``_ESCAPED_BYTE``), so it is the text itself; digits are ASCII
+    (``_ESCAPED_BYTE``), so it is the text itself, and neither starts nor
+    ends with a blank, which the row validator strips; digits are ASCII
     ([0-9], not \d, which also matches other scripts' digits); and a
     count has at most 15 digits, so ``float()`` of the text is exact. The
     time of day is limited to hours 00-23 and minutes and seconds 00-59,
@@ -98,7 +102,7 @@ def _line_pattern(space: str) -> re.Pattern:
     (month 13, February 29 of a common year, year 0).
     """
     count = r"(0|[1-9][0-9]{0,14})"
-    fields = (("user_id", r'"([^"\\\x00-\x1f\udc80-\udcff]+)"'),
+    fields = (("user_id", r'"((?!\s)[^"\\\x00-\x1f\udc80-\udcff]+(?<!\s))"'),
               ("timestamp",
                r'"([0-9]{4}-[0-9]{2}-[0-9]{2})T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z"'),
               *((name, count) for name in FEATURE_NAMES))
@@ -146,11 +150,6 @@ class TweetRecord(NamedTuple):
 
     def counts(self) -> tuple[int, ...]:
         return self[2:]
-
-    def day(self) -> date:
-        """The UTC date; a naive timestamp is read as UTC, as the
-        interchange format reads it."""
-        return _as_utc(self.timestamp).date()
 
 
 @dataclass(frozen=True)
@@ -218,8 +217,10 @@ def _parse_timestamp(raw: str) -> datetime:
 
 
 def _row_from_fields(fields: dict, line_no: int, path: Path) -> tuple[str, int, list[float]] | None:
-    """Validate one row into its user id, UTC day ordinal and six counts.
+    """Validate one row into its blank-stripped user id, UTC day ordinal and six counts.
     Returns None for rows rejected with a diagnostic naming ``path``."""
+    if isinstance(user_id := fields.get("user_id"), str):
+        fields["user_id"] = user_id.strip()
     for key in ("user_id", "timestamp", *FEATURE_NAMES):
         if key not in fields or fields[key] is None or fields[key] == "":
             raise ParseError(line_no, f"missing field '{key}'")
@@ -508,13 +509,14 @@ def build_timelines(records: list[TweetRecord]) -> TweetTable:
     """Index in-memory records into one TweetTable, as ``parse_tweets``
     does for a file.
 
-    Records may come in any order. Each is bucketed on its UTC date.
+    Records may come in any order. Each is bucketed on its UTC date; a
+    naive timestamp is read as UTC, as the interchange format reads it.
     """
     m = len(records)
     builder = _TableBuilder()
     builder.add(
         [rec.user_id for rec in records],
-        np.fromiter((rec.day().toordinal() for rec in records), dtype=np.int64, count=m),
+        np.fromiter((_as_utc(rec.timestamp).toordinal() for rec in records), dtype=np.int64, count=m),
         np.fromiter((c for rec in records for c in rec.counts()), dtype=np.float64,
                     count=m * len(FEATURE_NAMES)).reshape(m, len(FEATURE_NAMES)),
     )
@@ -564,7 +566,7 @@ def user_table(fh, columns: Sequence[str] | None, parse) -> tuple[list[str], dic
 
 
 def load_id_csv(path: str | Path, column: str) -> dict[str, int]:
-    """The ``user_id,<column>`` CSV ``save_id_csv`` writes, as user id ->
+    """A ``user_id,<column>`` CSV (labels, ``clusters.csv``) as user id ->
     non-negative int in file order (see ``user_table``); each failure is a
     ParseError with its line, named by the caller's ``reading(path)``."""
     name = column.replace("_", " ")
@@ -580,12 +582,6 @@ def load_id_csv(path: str | Path, column: str) -> dict[str, int]:
 
     with open_text(path) as fh:
         return user_table(fh, (column,), parse)[1]
-
-
-def save_id_csv(pairs, path: str | Path, column: str) -> None:
-    """Write (user id, non-negative int) pairs as the ``user_id,<column>``
-    CSV ``load_id_csv`` reads."""
-    write_csv(path, ("user_id", column), pairs)
 
 
 def write_json(path: str | Path, doc: dict) -> None:

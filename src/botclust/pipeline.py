@@ -8,9 +8,9 @@ Representations
 
 The five named presets pair a representation with a clustering method;
 everything else (features, epochs, seeds, eps) comes from PipelineConfig.
-Each stage (prepare, _train_models, _encode, global_features,
-_make_points, _cluster, _label_and_score) is one function, called one
-at a time by the CLI steps and chained only by run_pipeline_from_mts:
+Each stage (prepare, _train_models, _encode, global_features, _cluster,
+_label_and_score) is one function, called one at a time by the CLI steps
+and chained only by run_pipeline_from_mts (with _make_points between):
 run-all and every leg of both analyses are one call of it each. The
 leave-one-botnet-out harness, lobo_run_from_mts, retrains on a reduced
 population and scores the full one, which is the generalization question
@@ -335,12 +335,18 @@ def check_population(config: PipelineConfig, n_users: int,
     return k
 
 
+def names_by_polarity(config: PipelineConfig) -> bool:
+    """Whether a run's partition is named by its polarity scores (see
+    assign_labels_binary): a binary Ward run without genuine_cluster."""
+    return (config.task == "binary" and config.cluster_method == "ward"
+            and config.genuine_cluster is None)
+
+
 def check_scorable(config: PipelineConfig) -> None:
     """Fail on a setting no run can score, before anything trains: the
     polarity rule names the genuine side of a binary Ward cut at two
     clusters only, so another cut size needs genuine_cluster."""
-    if (config.task == "binary" and config.cluster_method == "ward"
-            and config.n_clusters not in (None, 2) and config.genuine_cluster is None):
+    if names_by_polarity(config) and config.n_clusters not in (None, 2):
         raise ValueError(f"polarity rule needs exactly 2 clusters, got {config.n_clusters}; "
                          "pass genuine_cluster explicitly")
 

@@ -321,6 +321,8 @@ def _rowwise_parse_timestamp(raw):
 
 
 def _rowwise_record(fields, line_no):
+    if isinstance(fields.get("user_id"), str):
+        fields["user_id"] = fields["user_id"].strip()
     for key in ("user_id", "timestamp", *FEATURE_NAMES):
         if key not in fields or fields[key] is None or fields[key] == "":
             raise ParseError(line_no, f"missing field '{key}'")
@@ -392,7 +394,9 @@ def rowwise_table(records):
     seen = {}
     first_rows = np.fromiter((seen.setdefault(rec.user_id, len(seen)) for rec in records),
                              dtype=np.int64, count=m)
-    ordinals = np.fromiter((rec.day().toordinal() for rec in records), dtype=np.int64, count=m)
+    # The row-wise parse gives every record an aware UTC timestamp.
+    ordinals = np.fromiter((rec.timestamp.astimezone(timezone.utc).toordinal() for rec in records),
+                           dtype=np.int64, count=m)
     counts = np.fromiter((c for rec in records for c in rec.counts()),
                          dtype=np.float64, count=m * len(FEATURE_NAMES))
     user_ids = sorted(seen)

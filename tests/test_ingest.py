@@ -367,6 +367,9 @@ ROWWISE_CASES = {
     "count_1e20": _line(favorite_count=10**20),
     "numeric_user": _line(user=123),
     "empty_user": _line(user=""),
+    "blank_user": _line(user=" \t "),
+    "padded_user_raw_ideographic_space": _raw_line(user="u0\u3000"),
+    "padded_negative_user": _line(user=" neg ", num_mentions=-2),
     "null_user": _line(user=None),
     "null_timestamp": _line(ts=None),
     "null_count": _line(reply_count=None),
@@ -452,6 +455,29 @@ def test_parse_csv_matches_rowwise_oracle(tmp_path, caplog, counts):
     p = tmp_path / "t.csv"
     p.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
     _assert_matches_rowwise(p, caplog, format="csv")
+
+
+# A first line, then a row whose user id has blanks around it.
+PADDED_ID_FILES = {
+    "spaced": ("jsonl", _line(), _line(user=" u0 ")),
+    "compact": ("jsonl", _compact_line(), _compact_line(user=" u0")),
+    "reordered_keys": ("jsonl", _line(), json.dumps(_row(user="u0 "), sort_keys=True)),
+    "csv": ("csv", ",".join(["user_id", "timestamp", *FEATURE_NAMES]),
+            "\tu0 ,2023-01-05T10:00:00Z,0,0,0,0,0,0"),
+}
+
+
+@pytest.mark.parametrize("format, first, row", PADDED_ID_FILES.values(), ids=PADDED_ID_FILES)
+def test_padded_tweet_id_is_stripped_as_table_ids_are(tmp_path, caplog, format, first, row):
+    p = tmp_path / f"t.{format}"
+    p.write_text(f"{first}\n{row}\n", encoding="utf-8")
+    assert "u0" in parse_tweets(p, format=format).user_ids
+    _assert_matches_rowwise(p, caplog, format)
+    # Only blanks is no id at all.
+    p.write_text(f"{first}\n{row.replace('u0', ' ')}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="missing field 'user_id'") as err:
+        parse_tweets(p, format=format)
+    assert err.value.line_no == 2
 
 
 # A header and two rows laid out so that the rows' line numbers move with

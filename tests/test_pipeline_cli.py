@@ -2,13 +2,15 @@ import json
 import os
 import shutil
 from dataclasses import replace
+from datetime import date
 
 import numpy as np
 import pytest
 
+from botclust import pipeline
 from botclust.autoencoder import load_model
 from botclust.cli import _load_latents, _save_latents, main
-from botclust.ingest import build_timelines, write_tweets_jsonl
+from botclust.ingest import FEATURE_NAMES, LabelTable, build_timelines, write_tweets_jsonl
 from botclust.mts import MtsTensor, extract_mts, load_tensor, save_tensor
 from botclust.pipeline import (
     PRESETS,
@@ -22,6 +24,7 @@ from botclust.pipeline import (
     check_scorable,
     config_hash,
     derive_seed,
+    importance_run_from_mts,
     lobo_run_from_mts,
     prepare,
     run_pipeline_from_mts,
@@ -233,6 +236,52 @@ def test_lobo_guards(small_dataset):
         lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg, bot_classes=[1])
     with pytest.raises(ValueError):
         lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg, bot_classes=[0, 1])
+
+
+def _tiny_tensor(n_users, feature_names):
+    return MtsTensor(values=np.zeros((n_users, 3, len(feature_names))),
+                     user_ids=[f"u{i}" for i in range(n_users)],
+                     feature_names=tuple(feature_names), day_min=date(2023, 1, 1))
+
+
+def _recording_scored_runs(monkeypatch, scores):
+    """Replace pipeline.scored_runs by a fake that records its jobs and
+    returns scores, so nothing trains."""
+    jobs = []
+
+    def fake(mts_raw, true, n_classes, given):
+        jobs.extend((config, None if rows is None else rows.tolist()) for config, rows in given)
+        return scores[:len(jobs)]
+
+    monkeypatch.setattr(pipeline, "scored_runs", fake)
+    return jobs
+
+
+def test_lobo_jobs_leave_out_each_bot_class_with_members(monkeypatch):
+    jobs = _recording_scored_runs(monkeypatch, [0.8, 0.6, 0.4])
+    # Class 3's only user is not in the tensor, so no row has it.
+    labels = LabelTable({"u0": 0, "u1": 0, "u2": 1, "u3": 1, "u4": 2, "u5": 2, "x": 3})
+    true = np.array([0, 0, 1, 1, 2, 2])
+    cfg = apply_preset(PipelineConfig(task="binary", seed=5), "Glob_Hier")
+    rep = lobo_run_from_mts(_tiny_tensor(6, FEATURE_NAMES), true, labels, cfg)
+    assert jobs == [(cfg, None),
+                    (replace(cfg, seed=derive_seed(5, 1)), [0, 1, 4, 5]),
+                    (replace(cfg, seed=derive_seed(5, 2)), [0, 1, 2, 3])]
+    assert rep.base_f1 == 0.8
+    assert rep.entries == {1: {"weighted_f1": 0.6, "pct_change": pytest.approx(-25.0)},
+                           2: {"weighted_f1": 0.4, "pct_change": pytest.approx(-50.0)},
+                           3: {"weighted_f1": 0.8, "pct_change": 0.0}}
+
+
+def test_importance_jobs_leave_out_each_feature(monkeypatch):
+    jobs = _recording_scored_runs(monkeypatch, [0.5, 0.25, 0.5, 0.375])
+    names = FEATURE_NAMES[:3]
+    cfg = apply_preset(PipelineConfig(task="binary", seed=5), "Glob_Hier")
+    rep = importance_run_from_mts(_tiny_tensor(4, names), np.array([0, 0, 1, 1]), 2, cfg)
+    assert jobs == [(replace(cfg, features=subset), None)
+                    for subset in (names, names[1:], names[::2], names[:2])]
+    assert rep.feature_names == names and rep.baseline_f1 == 0.5
+    assert rep.ratios.tolist() == [0.5, 1.0, 0.75]
 
 
 # ----------------------------------------------------------------- CLI
@@ -853,6 +902,52 @@ def test_cli_setting_no_run_can_score_is_usage_error_before_parse(tmp_path, capl
                 "--labels", tmp_path / "nope.csv", *flags) == 2
     assert f"configuration error: {message}" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, missing", [
+    ("extract", (), "tweets"),
+    ("evaluate", (), "labels"),
+    *((command, given, missing) for command in ("run-all", "lobo", "importance")
+      for given, missing in ((("--labels", "labels.csv"), "tweets"),
+                             (("--tweets", "tweets.jsonl"), "labels"))),
+])
+def test_cli_missing_input_file_is_usage_error_before_outdir(tmp_path, caplog, command, flags,
+                                                             missing):
+    # The files given do not exist: only the one not given is refused.
+    out = tmp_path / "o"
+    assert _cli(command, "--outdir", out, *flags) == 2
+    assert (f"configuration error: no {missing} file given "
+            f"(flag --{missing} or config key '{missing}')") in caplog.text
+    assert not out.exists()
+
+
+def test_cli_input_files_from_config_file_only(cli_workspace, ward_workspace, tmp_path):
+    root, tweets, labels_csv = cli_workspace
+    cfg = tmp_path / "inputs.json"
+    cfg.write_text(json.dumps({"tweets": str(tweets), "labels": str(labels_csv)}))
+    assert _cli("extract", "--config", cfg, "--outdir", tmp_path / "a") == 0
+    assert _cli("extract", "--tweets", tweets, "--outdir", tmp_path / "b") == 0
+    assert ((tmp_path / "a" / "mts_raw.tensor").read_bytes()
+            == (tmp_path / "b" / "mts_raw.tensor").read_bytes())
+    out = tmp_path / "w"
+    shutil.copytree(ward_workspace, out)
+    assert _cli("evaluate", "--config", cfg, "--outdir", out, *_BINARY_WARD) == 0
+    assert (out / "confusion.csv").read_bytes() == (ward_workspace / "confusion.csv").read_bytes()
+
+
+def test_cli_padded_ids_in_tweets_and_labels_are_one_user(cli_workspace, small_dataset, tmp_path):
+    root, tweets, labels_csv = cli_workspace
+    records, labels = small_dataset
+    padded_tweets, padded_labels = tmp_path / "tweets.jsonl", tmp_path / "labels.csv"
+    write_tweets_jsonl([rec._replace(user_id=f" {rec.user_id}") for rec in records], padded_tweets)
+    padded_labels.write_text("user_id,class_id\n" + "".join(
+        f"{uid}\t,{cid}\n" for uid, cid in sorted(labels.labels.items())))
+    for out, inputs in ((tmp_path / "a", (tweets, labels_csv)),
+                        (tmp_path / "b", (padded_tweets, padded_labels))):
+        assert _cli("run-all", "--outdir", out, "--tweets", inputs[0], "--labels", inputs[1],
+                    "--variant-preset", "UTS_DBSCAN", *_FAST_FLAGS) == 0
+    for name in ("clusters.csv", "confusion.csv", "mts_raw.tensor"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_cli_binary_three_way_cut_is_scored_with_genuine_cluster(cli_workspace, ward_workspace,
