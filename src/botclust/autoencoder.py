@@ -361,9 +361,6 @@ class AutoencoderConfig:
             return self.learning_rate
         return 0.5 if self.variant == "uts" else 2e-4
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "AutoencoderConfig":
         return cls(**{f.name: d[f.name] for f in fields(cls)})
@@ -623,7 +620,7 @@ def save_model(model: AutoencoderModel, path) -> None:
     names = sorted(blocks)
     header = {
         "version": _CKPT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "seq_len": model.seq_len,
         "input_dim": model.input_dim,
         "norm_params": model.norm_params.to_dict() if model.norm_params else None,

@@ -37,6 +37,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +162,7 @@ def _merged(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
                 config = apply_preset(config, preset)
             if isinstance(keys.get("features"), str):
                 keys["features"] = [f.strip() for f in keys["features"].split(",") if f.strip()]
-            config = PipelineConfig.from_dict({**config.to_dict(), **keys})
+            config = replace(config, **keys)
         if args.command in ("run-all", "lobo", "importance"):   # each scores every run
             check_scorable(config)
     except (TypeError, ValueError) as exc:

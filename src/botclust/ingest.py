@@ -49,6 +49,7 @@ import io
 import json
 import logging
 import re
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -118,11 +119,10 @@ def _line_pattern(space: str) -> re.Pattern:
 _CANONICAL_LINES = (_line_pattern(" "), _line_pattern(""))
 
 # ``write_tweets_jsonl``'s line, with ``json.dumps``'s default separators,
-# for an id that ``json.dumps`` writes as it stands (printable ASCII other
-# than a quote or a backslash) and six plain ints.
-_LINE = ('{"user_id": "%s", "timestamp": "%s", '
+# for an id as ``json.dumps`` encodes it and six plain ints; a record with
+# other counts is written by ``json.dumps`` whole.
+_LINE = ('{"user_id": %s, "timestamp": "%s", '
          + ", ".join(f'"{name}": %d' for name in FEATURE_NAMES) + "}\n")
-_PLAIN_ID = re.compile(r'[ !#-\[\]-~]*')
 _INT_COUNTS = (int,) * len(FEATURE_NAMES)
 
 
@@ -191,10 +191,7 @@ class LabelTable:
         return max(self.labels.values()) + 1 if self.labels else 0
 
     def supports(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for cid in self.labels.values():
-            out[cid] = out.get(cid, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(self.labels.values()).items()))
 
 
 def _as_utc(ts: datetime) -> datetime:
@@ -210,10 +207,7 @@ def _parse_timestamp(raw: str) -> datetime:
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
-    ts = datetime.fromisoformat(text)
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
+    return _as_utc(datetime.fromisoformat(text))
 
 
 def _row_from_fields(fields: dict, line_no: int, path: Path) -> tuple[str, int, list[float]] | None:
@@ -469,6 +463,14 @@ def _utc_stamp(ts: datetime) -> str:
                                                ts.hour, ts.minute, ts.second)
 
 
+def _id_json(user_id) -> str:
+    """``json.dumps`` of an id that ``parse_tweets`` reads back unchanged:
+    not blank, and without the surrounding blanks the readers strip."""
+    if isinstance(user_id, str) and (not user_id or user_id.strip() != user_id):
+        raise ValueError(f"user id {user_id!r} is blank or has surrounding blanks")
+    return json.dumps(user_id)
+
+
 def _json_line(user_id, stamp: str, counts: tuple) -> str:
     row = {"user_id": user_id, "timestamp": stamp}
     row.update(zip(FEATURE_NAMES, counts))
@@ -482,12 +484,13 @@ def write_tweets_jsonl(records: list[TweetRecord], path: str | Path) -> None:
     a 'Z'.
 
     An aware timestamp is converted to UTC; a naive one is written as it
-    stands. Most records fill ``_LINE``; one whose id ``json.dumps`` would
-    escape, or whose counts are not all plain ints (a bool is written
-    ``true``), goes through ``json.dumps`` itself, so the bytes are the
-    same either way.
+    stands. Each distinct id is checked and encoded once (``_id_json``);
+    a blank id, or one with surrounding blanks, raises ValueError. A
+    record whose counts are all plain ints fills ``_LINE``; only one with
+    other counts (a bool is written ``true``) goes through ``json.dumps``
+    whole, so the bytes are the same either way.
     """
-    plain_ids = _Memo(lambda user_id: _PLAIN_ID.fullmatch(user_id) is not None)
+    ids = _Memo(_id_json)
     it = iter(records)
     with open(Path(path), "w", encoding="utf-8") as fh:
         while chunk := list(islice(it, CHUNK_ROWS)):
@@ -496,10 +499,9 @@ def write_tweets_jsonl(records: list[TweetRecord], path: str | Path) -> None:
             lines = []
             for rec in chunk:
                 user_id, ts, counts = rec.user_id, rec.timestamp, rec.counts()
-                stamp = stamps[ts]
-                plain = type(user_id) is str and plain_ids[user_id]
-                if plain and tuple(map(type, counts)) == _INT_COUNTS:
-                    lines.append(_LINE % (user_id, stamp, *counts))
+                stamp, id_json = stamps[ts], ids[user_id]
+                if tuple(map(type, counts)) == _INT_COUNTS:
+                    lines.append(_LINE % (id_json, stamp, *counts))
                 else:
                     lines.append(_json_line(user_id, stamp, counts))
             fh.write("".join(lines))

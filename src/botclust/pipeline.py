@@ -51,6 +51,7 @@ from .autoencoder import (
     train,
 )
 from .clustering import (
+    NOISE,
     ClusterAssignment,
     Dendrogram,
     cut_dendrogram,
@@ -134,10 +135,6 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return dict(asdict(self), features=list(self.features) if self.features else None)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(**d)
-
 
 def apply_preset(config: PipelineConfig, preset: str) -> PipelineConfig:
     if preset not in PRESETS:
@@ -173,7 +170,7 @@ class Clustering:
         doc = {
             "method": config.cluster_method,
             "n_clusters": self.assignment.n_clusters,
-            "n_noise": int(np.sum(self.assignment.labels == 0)),
+            "n_noise": int(np.sum(self.assignment.labels == NOISE)),
         }
         if self.dendrogram is None:
             doc.update(eps=self.eps, min_pts=config.min_pts)

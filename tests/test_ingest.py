@@ -179,17 +179,34 @@ def test_write_matches_dumps_oracle(tmp_path):
 
     # Each case between plain records, so a file mixes both kinds of line.
     cases = [
-        rec('a"b'), rec("a\\b"), rec("\u00e9"), rec("x\ty"),
+        rec('a"b'), rec("a\\b"), rec("\u00e9"), rec("x\ty"), rec(7),
         rec(ts=datetime(2023, 3, 2, 1, 0, tzinfo=timezone(timedelta(hours=5)))),
         rec(ts=datetime(2023, 3, 2, 1, 0)),
         rec(count=10**20), rec(count=True),
     ]
     records = [r for case in cases for r in (rec(), case)]
+    # 'a"b' also first and at CHUNK_ROWS, so the id memo is read across chunks.
+    records = [rec('a"b'), *records]
+    records += [rec()] * (CHUNK_ROWS - len(records)) + [rec('a"b')]
     write_tweets_jsonl(records, tmp_path / "out.jsonl")
     dumps_write_tweets_jsonl(records, tmp_path / "expected.jsonl")
     written = (tmp_path / "out.jsonl").read_bytes()
     assert written == (tmp_path / "expected.jsonl").read_bytes()
     assert b'"retweet_count": true' in written
+
+
+def test_write_refuses_an_id_parse_would_change(tmp_path):
+    ids = ['a"b', "a\\b", "\u00e9", "x\ty", 7]
+    records = [TweetRecord(uid, datetime(2023, 2, 1, tzinfo=timezone.utc), 1, 0, 0, 0, 0, 0)
+               for uid in ids]
+    p = tmp_path / "out.jsonl"
+    write_tweets_jsonl(records, p)
+    assert parse_tweets(p).user_ids == sorted(str(uid) for uid in ids)
+    # Refused on the template path and on the json.dumps path alike.
+    for bad in (" u0", " "):
+        for rec in (records[0], records[0]._replace(num_urls=True)):
+            with pytest.raises(ValueError, match=repr(bad)):
+                write_tweets_jsonl([rec._replace(user_id=bad)], p)
 
 
 @pytest.fixture
@@ -342,6 +359,7 @@ ROWWISE_CASES = {
     "no_zone": _line(ts="2023-01-05T10:00:00"),
     "lowercase_z": _line(ts="2023-01-05T10:00:00z"),
     "fraction": _line(ts="2023-01-05T10:00:00.750Z"),
+    "fraction_offset_crosses_day": _line(ts="2023-01-05T23:59:59.999999-00:30"),
     "whitespace": _line(ts="  2023-01-05T10:00:00Z "),
     "space_separator": _line(ts="2023-01-05 10:00:00Z"),
     # numpy would read the offset inside the first 19 characters.
