@@ -48,6 +48,7 @@ import csv
 import io
 import json
 import logging
+import os
 import re
 from collections import Counter
 from collections.abc import Iterator, Sequence
@@ -118,9 +119,8 @@ def _line_pattern(space: str) -> re.Pattern:
 # JavaScript's JSON.stringify and ``jq -c`` write.
 _CANONICAL_LINES = (_line_pattern(" "), _line_pattern(""))
 
-# ``write_tweets_jsonl``'s line, with ``json.dumps``'s default separators,
-# for an id as ``json.dumps`` encodes it and six plain ints; a record with
-# other counts is written by ``json.dumps`` whole.
+# ``write_tweets_jsonl``'s only line: ``json.dumps``'s bytes for a row of an
+# id as ``json.dumps`` encodes it, a UTC stamp and six plain ints.
 _LINE = ('{"user_id": %s, "timestamp": "%s", '
          + ", ".join(f'"{name}": %d' for name in FEATURE_NAMES) + "}\n")
 _INT_COUNTS = (int,) * len(FEATURE_NAMES)
@@ -465,46 +465,43 @@ def _utc_stamp(ts: datetime) -> str:
 
 def _id_json(user_id) -> str:
     """``json.dumps`` of an id that ``parse_tweets`` reads back unchanged:
-    not blank, and without the surrounding blanks the readers strip."""
-    if isinstance(user_id, str) and (not user_id or user_id.strip() != user_id):
-        raise ValueError(f"user id {user_id!r} is blank or has surrounding blanks")
+    not None, not blank, and without the surrounding blanks the readers strip."""
+    if user_id is None or (isinstance(user_id, str) and (not user_id or user_id.strip() != user_id)):
+        raise ValueError(f"user id {user_id!r} is missing, blank or has surrounding blanks")
     return json.dumps(user_id)
 
 
-def _json_line(user_id, stamp: str, counts: tuple) -> str:
-    row = {"user_id": user_id, "timestamp": stamp}
-    row.update(zip(FEATURE_NAMES, counts))
-    return json.dumps(row) + "\n"
-
-
 def write_tweets_jsonl(records: list[TweetRecord], path: str | Path) -> None:
-    """Serialize records to the JSONL interchange format: per record the
-    line ``json.dumps`` writes with its default separators, keys in
-    ``_LINE``'s order, and the timestamp in UTC with a four-digit year and
-    a 'Z'.
+    """Serialize records to the JSONL interchange format, one ``_LINE``
+    per record, the timestamp in UTC with a four-digit year and a 'Z'.
 
     An aware timestamp is converted to UTC; a naive one is written as it
-    stands. Each distinct id is checked and encoded once (``_id_json``);
-    a blank id, or one with surrounding blanks, raises ValueError. A
-    record whose counts are all plain ints fills ``_LINE``; only one with
-    other counts (a bool is written ``true``) goes through ``json.dumps``
-    whole, so the bytes are the same either way.
+    stands. Each distinct id is checked and encoded once (``_id_json``).
+    A record with a count that is not a plain int (a bool, a float, a
+    numpy integer) raises ValueError naming its user id, as a refused id
+    does. The lines go to ``<path>.partial``, renamed onto ``path``
+    when complete and removed on any failure, so ``path`` keeps its bytes.
     """
+    partial = Path(f"{path}.partial")
     ids = _Memo(_id_json)
     it = iter(records)
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        while chunk := list(islice(it, CHUNK_ROWS)):
-            # Per chunk, so a file of distinct stamps holds few at a time.
-            stamps = _Memo(_utc_stamp)
-            lines = []
-            for rec in chunk:
-                user_id, ts, counts = rec.user_id, rec.timestamp, rec.counts()
-                stamp, id_json = stamps[ts], ids[user_id]
-                if tuple(map(type, counts)) == _INT_COUNTS:
-                    lines.append(_LINE % (id_json, stamp, *counts))
-                else:
-                    lines.append(_json_line(user_id, stamp, counts))
-            fh.write("".join(lines))
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            while chunk := list(islice(it, CHUNK_ROWS)):
+                # Per chunk, so a file of distinct stamps holds few at a time.
+                stamps = _Memo(_utc_stamp)
+                lines = []
+                for rec in chunk:
+                    user_id, counts = rec.user_id, rec.counts()
+                    id_json = ids[user_id]
+                    if tuple(map(type, counts)) != _INT_COUNTS:
+                        raise ValueError(f"user id {user_id!r}: counts {counts!r} are not all plain ints")
+                    lines.append(_LINE % (id_json, stamps[rec.timestamp], *counts))
+                fh.write("".join(lines))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def build_timelines(records: list[TweetRecord]) -> TweetTable:

@@ -65,6 +65,19 @@ def test_distance_matrix_takes_2d_points_only(shape):
         distance_matrix(np.zeros(shape))
 
 
+@pytest.mark.parametrize("width", [1, 19, 64, 319])
+@pytest.mark.parametrize("n", [2, 3, 17, 80, 301])
+def test_distance_matrix_of_a_member_subset_is_the_submatrix_bit_for_bit(n, width):
+    # Sorted members keep each pair's operand order, so a cluster's
+    # submatrix can be rebuilt from its points instead of copied.
+    rng = seeded_rng(n * 1000 + width)
+    for points in (rng.normal(size=(n, width)), rng.integers(-50, 50, size=(n, width)).astype(float)):
+        dist = distance_matrix(points)
+        for _ in range(3):
+            members = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
+            assert np.array_equal(distance_matrix(points[members]), dist[np.ix_(members, members)])
+
+
 def test_kdist_knee_separates_blob_scale_from_outlier_scale():
     """Two tight blobs plus scattered outliers: the k-distance curve has a
     cliff between outlier reach and blob reach, and the knee eps lands

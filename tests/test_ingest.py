@@ -182,7 +182,7 @@ def test_write_matches_dumps_oracle(tmp_path):
         rec('a"b'), rec("a\\b"), rec("\u00e9"), rec("x\ty"), rec(7),
         rec(ts=datetime(2023, 3, 2, 1, 0, tzinfo=timezone(timedelta(hours=5)))),
         rec(ts=datetime(2023, 3, 2, 1, 0)),
-        rec(count=10**20), rec(count=True),
+        rec(count=10**20),
     ]
     records = [r for case in cases for r in (rec(), case)]
     # 'a"b' also first and at CHUNK_ROWS, so the id memo is read across chunks.
@@ -192,7 +192,6 @@ def test_write_matches_dumps_oracle(tmp_path):
     dumps_write_tweets_jsonl(records, tmp_path / "expected.jsonl")
     written = (tmp_path / "out.jsonl").read_bytes()
     assert written == (tmp_path / "expected.jsonl").read_bytes()
-    assert b'"retweet_count": true' in written
 
 
 def test_write_refuses_an_id_parse_would_change(tmp_path):
@@ -202,11 +201,38 @@ def test_write_refuses_an_id_parse_would_change(tmp_path):
     p = tmp_path / "out.jsonl"
     write_tweets_jsonl(records, p)
     assert parse_tweets(p).user_ids == sorted(str(uid) for uid in ids)
-    # Refused on the template path and on the json.dumps path alike.
+    # Refused for the id whatever the counts are.
     for bad in (" u0", " "):
         for rec in (records[0], records[0]._replace(num_urls=True)):
             with pytest.raises(ValueError, match=repr(bad)):
                 write_tweets_jsonl([rec._replace(user_id=bad)], p)
+
+
+@pytest.mark.parametrize("user_id, count", [
+    pytest.param(None, 0, id="none_id"),
+    pytest.param("u1", True, id="bool_count"),
+    pytest.param("u1", 2.5, id="fraction_count"),
+    pytest.param("u1", 2.0, id="integral_float_count"),
+    pytest.param("u7", np.int64(1), id="numpy_count"),
+])
+def test_write_refuses_a_record_parse_would_refuse_or_read_slowly(tmp_path, user_id, count):
+    rec = TweetRecord(user_id, datetime(2023, 2, 1, tzinfo=timezone.utc), 1, 0, 0, count, 0, 0)
+    with pytest.raises(ValueError, match=repr(user_id)):
+        write_tweets_jsonl([rec], tmp_path / "out.jsonl")
+
+
+@pytest.mark.parametrize("existing", [None, b"earlier bytes\n"], ids=["new", "existing"])
+def test_refused_write_leaves_no_partial_file(tmp_path, existing):
+    p = tmp_path / "out.jsonl"
+    if existing is not None:
+        p.write_bytes(existing)
+    good = TweetRecord("u0", datetime(2023, 2, 1, tzinfo=timezone.utc), 1, 0, 0, 0, 0, 0)
+    # Refused in the second chunk, after the first is written.
+    with pytest.raises(ValueError, match="' u0'"):
+        write_tweets_jsonl([good] * CHUNK_ROWS + [good._replace(user_id=" u0")], p)
+    assert sorted(tmp_path.iterdir()) == ([] if existing is None else [p])
+    if existing is not None:
+        assert p.read_bytes() == existing
 
 
 @pytest.fixture
