@@ -383,11 +383,12 @@ def cmd_importance(args, paths: dict, config: PipelineConfig) -> int:
     mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
     report = importance_run_from_mts(mts, true, labels.num_classes, config)
-    _write_report(out / A_IMPORTANCE, report.to_dict(), config, _timing(started))
+    _write_report(out / A_IMPORTANCE, report, config, _timing(started))
     # importances are non-negative, so a top share of 0 means every one is 0
-    top, share = max(zip(report.feature_names, report.importance), key=lambda p: p[1])
+    top, share = max(((name, f["importance"]) for name, f in report["features"].items()),
+                     key=lambda p: p[1])
     summary = (f"top {top} ({share:.3f})" if share > 0 else
-               f"no feature carries weight, baseline weighted_f1={report.baseline_f1:.4f}")
+               f"no feature carries weight, baseline weighted_f1={report['baseline_f1']:.4f}")
     print(f"importance: {summary} -> {out / A_IMPORTANCE}")
     return EXIT_OK
 
@@ -406,10 +407,10 @@ def cmd_lobo(args, paths: dict, config: PipelineConfig) -> int:
     mts, true, labels = _read_inputs(paths, config)
     started = time.perf_counter()
     report = lobo_run_from_mts(mts, true, labels, config, bot_classes=bot_classes)
-    _write_report(out / A_LOBO, report.to_dict(), config, _timing(started))
-    worst = max(abs(v["pct_change"]) for v in report.entries.values())
+    _write_report(out / A_LOBO, report, config, _timing(started))
+    worst = max(abs(v["pct_change"]) for v in report["excluded"].values())
     print(
-        f"lobo: base weighted_f1 {report.base_f1:.4f}, "
+        f"lobo: base weighted_f1 {report['base_weighted_f1']:.4f}, "
         f"max |change| {worst:.2f}% -> {out / A_LOBO}"
     )
     return EXIT_OK

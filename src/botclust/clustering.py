@@ -112,9 +112,7 @@ def kdist_knee_eps(dist: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     x = np.arange(n, dtype=np.float64)
     x0, y0 = 0.0, curve[0]
     x1, y1 = float(n - 1), curve[-1]
-    norm = np.hypot(y1 - y0, x1 - x0)
-    if norm == 0.0:
-        return float(curve[0]), curve
+    norm = np.hypot(y1 - y0, x1 - x0)   # >= 1, as n >= 2
     perp = np.abs((y1 - y0) * x - (x1 - x0) * curve + x1 * y0 - y1 * x0) / norm
     knee = int(np.argmax(perp))
     return float(curve[knee]), curve

@@ -2,8 +2,9 @@
 
 Ground-truth labels enter the pipeline only here: clustering itself is
 unsupervised, and the true classes are consulted solely to name clusters
-and to score the result. feature_importance only builds its report from
-the scores pipeline.importance_run_from_mts computes.
+and to score the result. feature_importance only builds the
+importance_report.json payload from the scores
+pipeline.importance_run_from_mts computes.
 """
 
 from __future__ import annotations
@@ -188,34 +189,14 @@ def prf_metrics(true_labels: Sequence[int], pred_labels: Sequence[int],
     )
 
 
-@dataclass
-class ImportanceReport:
-    """Leave-one-feature-out sensitivity. ratio[i] is the weighted F1
-    with feature i dropped over the all-features baseline; importance is
-    the normalized positive part of (1 - ratio)."""
-
-    feature_names: tuple[str, ...]
-    baseline_f1: float
-    ratios: np.ndarray
-    importance: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "baseline_f1": self.baseline_f1,
-            "features": {
-                name: {"ratio": float(self.ratios[i]), "importance": float(self.importance[i])}
-                for i, name in enumerate(self.feature_names)
-            },
-        }
-
-
 def feature_importance(feature_names: tuple[str, ...], baseline_f1: float,
-                       scores: Sequence[float]) -> ImportanceReport:
-    """Rank features by how much weighted F1 drops when each is removed:
-    baseline_f1 is the score with every feature, scores[i] the score
-    without feature i (pipeline.importance_run_from_mts runs both). A
-    ratio above 1 (score improved without the feature) clamps to zero
-    importance; if no removal hurts, every importance is 0.
+                       scores: Sequence[float]) -> dict:
+    """The importance_report.json payload: baseline_f1 is the weighted F1
+    with every feature, scores[i] the score without feature i
+    (pipeline.importance_run_from_mts runs both). A feature's ratio is its
+    score over baseline_f1, and its importance the normalized positive
+    part of (1 - ratio): a ratio above 1 clamps to zero importance, and
+    if no removal hurts, every importance is 0.
     """
     if baseline_f1 == 0.0:
         raise ValueError("baseline weighted F1 is 0; importance ratios are undefined")
@@ -223,4 +204,8 @@ def feature_importance(feature_names: tuple[str, ...], baseline_f1: float,
     raw = np.maximum(0.0, 1.0 - ratios)
     total = raw.sum()
     importance = raw / total if total > 0 else np.zeros_like(raw)
-    return ImportanceReport(tuple(feature_names), baseline_f1, ratios, importance)
+    return {
+        "baseline_f1": baseline_f1,
+        "features": {name: {"ratio": float(r), "importance": float(w)}
+                     for name, r, w in zip(feature_names, ratios, importance)},
+    }

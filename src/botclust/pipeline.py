@@ -68,7 +68,6 @@ from .globalfeats import (
 )
 from .ingest import GENUINE_CLASS, LabelTable, TweetTable
 from .labeling import (
-    ImportanceReport,
     MetricsReport,
     assign_labels_binary,
     assign_labels_multiclass,
@@ -123,6 +122,8 @@ class PipelineConfig:
             raise ValueError(f"min_pts must be >= 2 so the knee heuristic has k >= 1")
         if self.n_clusters is not None and self.n_clusters < 1:
             raise ValueError(f"n_clusters must be at least 1, got {self.n_clusters}")
+        if self.genuine_cluster is not None and self.genuine_cluster < 1:
+            raise ValueError(f"genuine_cluster must be at least 1, got {self.genuine_cluster}")
         if self.eps is not None and not self.eps >= 0.0:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
         for variant in ENCODERS[self.representation]:
@@ -342,10 +343,16 @@ def names_by_polarity(config: PipelineConfig) -> bool:
 def check_scorable(config: PipelineConfig) -> None:
     """Fail on a setting no run can score, before anything trains: the
     polarity rule names the genuine side of a binary Ward cut at two
-    clusters only, so another cut size needs genuine_cluster."""
+    clusters only, so another cut size needs genuine_cluster, and that
+    must name a cluster of the cut."""
     if names_by_polarity(config) and config.n_clusters not in (None, 2):
         raise ValueError(f"polarity rule needs exactly 2 clusters, got {config.n_clusters}; "
                          "pass genuine_cluster explicitly")
+    cut = config.n_clusters or 2
+    if (config.task == "binary" and config.cluster_method == "ward"
+            and (config.genuine_cluster or 0) > cut):
+        raise ValueError(f"genuine_cluster {config.genuine_cluster} out of range for a binary "
+                         f"Ward cut at {cut} clusters")
 
 
 def _cluster(
@@ -436,22 +443,6 @@ def scored_runs(mts_raw: MtsTensor, true: np.ndarray, n_classes: int, jobs) -> l
     return map_legs(leg, jobs)
 
 
-@dataclass
-class LoboReport:
-    """Scores from retraining without one bot class at a time."""
-
-    base_f1: float
-    task: str
-    entries: dict[int, dict[str, float]]  # class id -> weighted_f1, pct_change
-
-    def to_dict(self) -> dict:
-        return {
-            "base_weighted_f1": self.base_f1,
-            "task": self.task,
-            "excluded": {str(cid): dict(vals) for cid, vals in sorted(self.entries.items())},
-        }
-
-
 def check_bot_classes(bot_classes: list[int]) -> None:
     """The classes lobo can leave out one at a time: two or more bot classes."""
     if len(bot_classes) < 2:
@@ -466,11 +457,14 @@ def lobo_run_from_mts(
     labels: LabelTable,
     config: PipelineConfig,
     bot_classes: Optional[list[int]] = None,
-) -> LoboReport:
+) -> dict:
     """Leave-one-botnet-out: for each bot class, retrain the encoder(s)
     without it (normalization statistics from the reduced set too), then
     encode, cluster, label and score the FULL population of the raw
-    tensor, whose rows have the class ids in true.
+    tensor, whose rows have the class ids in true. Returns the
+    lobo_report.json payload: the base run's base_weighted_f1, the task,
+    and under "excluded" each class id (as a string) with its leg's
+    weighted_f1 and pct_change from the base.
 
     Each leg is one run_pipeline_from_mts call, from a seed derived per
     excluded class. Excluding a class with no members is the base run, so
@@ -495,11 +489,11 @@ def lobo_run_from_mts(
     base_f1 = retrained.pop(None)
     if base_f1 == 0.0:
         raise ValueError("base weighted F1 is 0; percentage changes are undefined")
-    entries: dict[int, dict[str, float]] = {}
+    excluded = {}
     for cid in bot_classes:
         f1 = retrained.get(cid, base_f1)
-        entries[cid] = {"weighted_f1": f1, "pct_change": 100.0 * (f1 - base_f1) / base_f1}
-    return LoboReport(base_f1=base_f1, task=config.task, entries=entries)
+        excluded[str(cid)] = {"weighted_f1": f1, "pct_change": 100.0 * (f1 - base_f1) / base_f1}
+    return {"base_weighted_f1": base_f1, "task": config.task, "excluded": excluded}
 
 
 def importance_run_from_mts(
@@ -507,10 +501,11 @@ def importance_run_from_mts(
     true: np.ndarray,
     n_classes: int,
     config: PipelineConfig,
-) -> ImportanceReport:
-    """Leave-one-feature-out importance (see labeling.feature_importance):
-    run_pipeline_from_mts on the raw tensor with all of its features, and
-    once without each one, side by side (see scored_runs)."""
+) -> dict:
+    """Leave-one-feature-out importance: run_pipeline_from_mts on the raw
+    tensor with all of its features, and once without each one, side by
+    side (see scored_runs). Returns the importance_report.json payload
+    that labeling.feature_importance builds from those scores."""
     names = mts_raw.feature_names
     if len(names) < 2:
         raise ValueError("importance needs at least 2 features")

@@ -204,7 +204,7 @@ def test_criterion_6_leave_one_botnet_out(frozen_synth):
     records, labels = frozen_synth
     cfg = apply_preset(PipelineConfig(task="binary", seed=0), "Glob_Hier")
     report = lobo_run_from_mts(*prepare(build_timelines(records), labels, cfg), labels, cfg)
-    changes = {cid: entry["pct_change"] for cid, entry in report.entries.items()}
+    changes = {int(cid): entry["pct_change"] for cid, entry in report["excluded"].items()}
     ok = all(abs(v) <= 5.0 for v in changes.values())
     _verdict(
         6,
@@ -231,7 +231,7 @@ def test_criterion_7_constant_feature_importance(frozen_synth):
     # Every leg is one run_pipeline_from_mts call with a feature subset;
     # labeling.feature_importance builds the report from their scores.
     report = importance_run_from_mts(mts7, true, 2, base_cfg)
-    const_importance = report.importance[-1]
+    const_importance = report["features"]["extra_const"]["importance"]
     _verdict(
         7,
         f"appended constant feature gets normalized importance "

@@ -107,6 +107,14 @@ def test_kdist_knee_all_identical_points_warns(caplog):
     assert any("k-distance" in r.message or "flat" in r.message.lower() for r in caplog.records)
 
 
+def test_kdist_knee_flat_positive_curve_is_its_value():
+    # Evenly spaced points: every point's nearest neighbor is 1 away, so
+    # every perpendicular distance is 0 and the knee is the first value.
+    eps, curve = kdist_knee_eps(distance_matrix(np.arange(6.0)[:, None]), k=1)
+    assert curve.tolist() == [1.0] * 6
+    assert eps == 1.0
+
+
 def test_kdist_requires_valid_k():
     dist = np.zeros((4, 4))
     with pytest.raises(ValueError):

@@ -238,6 +238,11 @@ def test_multiclass_rejects_negative_class_id():
 # ----------------------------------------------------------- importance
 
 
+def _column(report, key):
+    """One field of every feature in an importance payload, in feature order."""
+    return [entry[key] for entry in report["features"].values()]
+
+
 def test_feature_importance_hand_ratios():
     scores = {
         ("a", "b", "c"): 0.8,
@@ -248,14 +253,15 @@ def test_feature_importance_hand_ratios():
 
     rep = feature_importance(("a", "b", "c"), scores[("a", "b", "c")],
                              [scores[("b", "c")], scores[("a", "c")], scores[("a", "b")]])
-    assert rep.baseline_f1 == 0.8
-    assert rep.ratios == pytest.approx([0.9, 1.0, 1.0])
-    assert rep.importance == pytest.approx([1.0, 0.0, 0.0])
+    assert rep["baseline_f1"] == 0.8
+    assert list(rep["features"]) == ["a", "b", "c"]
+    assert _column(rep, "ratio") == pytest.approx([0.9, 1.0, 1.0])
+    assert _column(rep, "importance") == pytest.approx([1.0, 0.0, 0.0])
 
 
 def test_feature_importance_all_neutral_gives_zeros():
     rep = feature_importance(("a", "b"), 0.5, [0.5, 0.5])
-    assert rep.importance == pytest.approx([0.0, 0.0])
+    assert _column(rep, "importance") == pytest.approx([0.0, 0.0])
 
 
 def test_feature_importance_improvement_clamped():
@@ -264,8 +270,8 @@ def test_feature_importance_improvement_clamped():
     scores = {("a", "b"): 0.5, ("b",): 0.7, ("a",): 0.25}
 
     rep = feature_importance(("a", "b"), scores[("a", "b")], [scores[("b",)], scores[("a",)]])
-    assert rep.importance[0] == 0.0
-    assert rep.importance[1] == pytest.approx(1.0)
+    assert rep["features"]["a"]["importance"] == 0.0
+    assert rep["features"]["b"]["importance"] == pytest.approx(1.0)
 
 
 def test_feature_importance_guards():

@@ -222,11 +222,9 @@ def test_lobo_run_small(small_dataset):
     records, labels = small_dataset
     cfg = apply_preset(PipelineConfig(task="binary", seed=0, **FAST), "Glob_Hier")
     rep = lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg)
-    assert set(rep.entries) == {1, 2}
-    for entry in rep.entries.values():
+    assert set(rep["excluded"]) == {"1", "2"}
+    for entry in rep["excluded"].values():
         assert "weighted_f1" in entry and "pct_change" in entry
-    d = rep.to_dict()
-    assert set(d["excluded"]) == {"1", "2"}
 
 
 def test_lobo_guards(small_dataset):
@@ -267,10 +265,10 @@ def test_lobo_jobs_leave_out_each_bot_class_with_members(monkeypatch):
     assert jobs == [(cfg, None),
                     (replace(cfg, seed=derive_seed(5, 1)), [0, 1, 4, 5]),
                     (replace(cfg, seed=derive_seed(5, 2)), [0, 1, 2, 3])]
-    assert rep.base_f1 == 0.8
-    assert rep.entries == {1: {"weighted_f1": 0.6, "pct_change": pytest.approx(-25.0)},
-                           2: {"weighted_f1": 0.4, "pct_change": pytest.approx(-50.0)},
-                           3: {"weighted_f1": 0.8, "pct_change": 0.0}}
+    assert rep["base_weighted_f1"] == 0.8
+    assert rep["excluded"] == {"1": {"weighted_f1": 0.6, "pct_change": pytest.approx(-25.0)},
+                               "2": {"weighted_f1": 0.4, "pct_change": pytest.approx(-50.0)},
+                               "3": {"weighted_f1": 0.8, "pct_change": 0.0}}
 
 
 def test_importance_jobs_leave_out_each_feature(monkeypatch):
@@ -280,8 +278,8 @@ def test_importance_jobs_leave_out_each_feature(monkeypatch):
     rep = importance_run_from_mts(_tiny_tensor(4, names), np.array([0, 0, 1, 1]), 2, cfg)
     assert jobs == [(replace(cfg, features=subset), None)
                     for subset in (names, names[1:], names[::2], names[:2])]
-    assert rep.feature_names == names and rep.baseline_f1 == 0.5
-    assert rep.ratios.tolist() == [0.5, 1.0, 0.75]
+    assert tuple(rep["features"]) == names and rep["baseline_f1"] == 0.5
+    assert [f["ratio"] for f in rep["features"].values()] == [0.5, 1.0, 0.75]
 
 
 # ----------------------------------------------------------------- CLI
@@ -372,11 +370,20 @@ def test_cli_missing_artifact_names_producer(cli_workspace, tmp_path, capsys):
     assert rc == 3
 
 
-def test_cli_unknown_config_key_is_usage_error(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ('{"not_a_key": 1}', "unknown config keys ['not_a_key']"),
+    (None, "config file not found: "),
+    ('{"seed": 1,', "is not valid JSON: "),
+    ("[1, 2]", "must hold a JSON object"),
+], ids=["unknown-key", "missing", "truncated", "not-an-object"])
+def test_cli_bad_config_file_is_usage_error(tmp_path, caplog, text, message):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"not_a_key": 1}))
+    if text is not None:
+        cfg.write_text(text)
     rc = _cli("synth", "--config", cfg, "--outdir", tmp_path / "o")
     assert rc == 2
+    assert message in caplog.text
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_config_file_with_flag_override(cli_workspace, tmp_path):
@@ -712,6 +719,8 @@ def test_cli_train_zero_epochs_exits_0(trained_workspace, tmp_path, capsys):
     (("--learning-rate", -0.5), "learning_rate must be positive"),
     (("--learning-rate", 0), "learning_rate must be positive"),
     (("--n-clusters", 0), "n_clusters must be at least 1"),
+    (("--genuine-cluster", 0), "genuine_cluster must be at least 1, got 0"),
+    (("--genuine-cluster", 3), "genuine_cluster 3 out of range for a binary Ward cut at 2 clusters"),
     (("--eps", -1), "eps must be non-negative"),
     (("--seed", -1), "seed must be non-negative, got -1"),
 ])
@@ -839,6 +848,7 @@ _DAMAGED_INPUTS = {
                                   lambda data: b'{"polarity": {"local_density": [1.0]}}'),
     "tweets_empty": ("tweets.jsonl", lambda data: b""),
     "labels_not_dense": ("labels.csv", lambda data: b"user_id,class_id\na,0\nb,2\n"),
+    "labels_wrong_header": ("labels.csv", lambda data: b"user,class_id\na,0\n"),
 }
 
 
@@ -974,11 +984,11 @@ def test_importance_summary_names_a_feature_only_with_weight(cli_workspace, tmp_
                                                             capsys, importance, summary):
     from botclust import cli
     from botclust.ingest import FEATURE_NAMES
-    from botclust.labeling import ImportanceReport
 
     def fake_run(mts_raw, true, n_classes, config):
-        return ImportanceReport(feature_names=FEATURE_NAMES, baseline_f1=0.875,
-                                ratios=np.ones(6), importance=np.array(importance))
+        return {"baseline_f1": 0.875,
+                "features": {name: {"ratio": 1.0, "importance": w}
+                             for name, w in zip(FEATURE_NAMES, importance)}}
 
     monkeypatch.setattr(cli, "importance_run_from_mts", fake_run)
     root, tweets, labels_csv = cli_workspace
