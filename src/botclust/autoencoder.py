@@ -13,16 +13,22 @@ and batch-minor: gate activations are kept as (T, 4H, N) and cells as
 (T, H, N), so every step reads and writes contiguous (4H, N) and (H, N)
 blocks. The forward pass projects the input before the recurrence, one
 matrix product per chunk of about 8 steps over rows in (user, step)
-order, written straight into the time-major buffer; the hidden sequence
-is kept once, as (N, T, H). The backward pass forms tanh(c) and dc/dh
-in the cache's cell buffer, writes the gate gradients in (user, step)
-order into the spent activation buffer after its reverse loop, drops its
-time-major copy of them and forms the weight gradients with one product
-each, so each time step costs one product with U either way. A backward
-pass consumes its cache's activations and cells (a second one raises
-MissingCacheError). Every sum runs in the same order as in a batch-major
-layout, so outputs and gradients do not depend on the layout to the last
-bit.
+order, written straight into the time-major buffer (one broadcast
+product when the input has one feature); the hidden sequence is kept
+once, as (N, T, H). Each step then adds U.T @ h, formed into a
+contiguous (4H, N) block, and runs the gates with a fixed set of numpy
+calls into scratch arrays made once per pass, with no per-step
+temporaries; a single user keeps the (h.T @ U).T product, because both
+forms are then gemv calls whose kernels need not sum alike. The backward
+pass forms tanh(c) and dc/dh in the cache's cell buffer, runs its
+reverse loop the same way (one product with U per step, from a
+C-contiguous (N, 4H) copy of the step's gate gradients), writes the gate
+gradients in (user, step) order into the spent activation buffer, drops
+its time-major copy of them and forms the weight gradients with one
+product each. A backward pass consumes its cache's activations and
+cells (a second one raises MissingCacheError). Every sum runs in the
+same order as in a batch-major layout, so outputs and gradients do not
+depend on the layout to the last bit.
 
 Training runs one forward pass per epoch over the training rows followed
 by the holdout rows, so each LSTM runs its recurrence once; the dense
@@ -169,7 +175,11 @@ def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray, buffers: dict | N
     that is also returned. Given a buffers dict, those three arrays are
     the ones it holds from an earlier call of the same shape (and are
     overwritten), else new ones kept in it. The rows are read in place,
-    a chunk of steps at a time, so no copy of x[rows] is made.
+    a chunk of steps at a time, so no copy of x[rows] is made. Each step
+    makes the same dozen numpy calls into scratch arrays made once per
+    call: the recurrent term U.T @ h (h @ U for a single user, see the
+    module docstring), the sigmoid's two exponentials in one exp call,
+    and the cell and hidden updates with out=.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != layer.input_size:
@@ -181,31 +191,68 @@ def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray, buffers: dict | N
     # block. The input projection runs a chunk of steps per GEMM over rows
     # in (user, step) order and lands transposed in that chunk's blocks.
     # Chunks split T evenly, so none is a single row (a gemv, which sums in
-    # another order) unless the whole input is.
+    # another order) unless the whole input is. With one input feature each
+    # entry is a single exact product, the K = 1 GEMM's value, so one
+    # broadcast product fills the whole buffer.
     acts = _buffer(buffers, "acts", (t, 4 * h, n))
-    chunks = -(-t // _PROJECTION_STEPS)
-    bounds = [t * k // chunks for k in range(chunks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        proj = x[rows, lo:hi].reshape(n * (hi - lo), d) @ layer.W
-        proj += layer.b
-        acts[lo:hi] = proj.reshape(n, hi - lo, 4 * h).transpose(1, 2, 0)
+    if d == 1:
+        np.multiply(x[rows, :, 0].T[:, np.newaxis], layer.W.T, out=acts)
+        acts += layer.b[:, np.newaxis]
+    else:
+        chunks = -(-t // _PROJECTION_STEPS)
+        bounds = [t * k // chunks for k in range(chunks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            proj = x[rows, lo:hi].reshape(n * (hi - lo), d) @ layer.W
+            proj += layer.b
+            acts[lo:hi] = proj.reshape(n, hi - lo, 4 * h).transpose(1, 2, 0)
     cells = _buffer(buffers, "cells", (t, h, n))
     hidden = _buffer(buffers, "hidden", (n, t, h))
-    h_prev = np.zeros((n, h))
+    # Scratch for the loop, made once and filled in place. The recurrent
+    # term h_prev @ U lands in a contiguous (4H, N) block, formed after
+    # each step for the next one (zero at step 0) from h kept as a
+    # contiguous (H, N) array. With H = 1 it is one product per entry, as
+    # the K = 1 matrix product is. Above, U.T @ h is a GEMM that sums as
+    # (h.T @ U).T does. A single user makes both forms gemv calls of two
+    # different kernels, which need not sum alike (OpenBLAS 0.3.31's
+    # Haswell kernels agree), so that case keeps the (h.T @ U).T form.
+    rec = np.zeros((4 * h, n))
+    h_t = np.empty((h, n))
     c_prev = np.zeros((h, n))
-    for step in range(t):
-        z = acts[step]
-        z += (h_prev @ layer.U).T
-        # sigmoid of the i, f, o rows: 1/(1+e) for z >= 0, e/(1+e) below,
-        # with e = exp(-|z|) so that neither side overflows
-        s = z[:3 * h]
-        e = np.exp(-np.abs(s))
-        np.divide(np.where(s >= 0, 1.0, e), 1.0 + e, out=s)
-        i_t, f_t, o_t, g_t = z.reshape(4, h, n)
+    if h == 1:
+        product, lhs, rhs, rec_out = np.multiply, layer.U.T, h_t, rec
+    elif n > 1:
+        product, lhs, rhs, rec_out = np.matmul, layer.U.T, h_t, rec
+    else:
+        product, lhs, rhs, rec_out = np.matmul, h_t.T, layer.U, rec.T
+    # ex holds the sigmoid's two exp arguments, so one call forms both.
+    # The constants are 0-d arrays: a Python float operand costs a
+    # conversion per call.
+    ex = np.empty((2, 3 * h, n))
+    num, den = ex
+    zero, one, minus_one = np.zeros(()), np.ones(()), np.full((), -1.0)
+    # Each step's views come from one zip over per-step iterators, cheaper
+    # than indexing every array at every step.
+    gates = acts.reshape(t, 4, h, n).transpose(1, 0, 2, 3)
+    steps = zip(acts, acts[:, :3 * h], *gates, cells, hidden.transpose(1, 2, 0))
+    for z, s, i_t, f_t, o_t, g_t, c_t, h_out in steps:
+        z += rec
+        # sigmoid of the i, f, o rows s: exp(min(s, 0)) / (1 + exp(-|s|)),
+        # which is 1/(1+e) for s >= 0 and e/(1+e) below, e = exp(-|s|)
+        # (exp(0) is exactly 1, and below 0 min(s, 0) is -|s|), so that
+        # neither side overflows
+        np.minimum(s, zero, out=num)
+        np.copysign(s, minus_one, out=den)
+        np.exp(ex, out=ex)
+        den += one
+        np.divide(num, den, out=s)
         np.tanh(g_t, out=g_t)
-        c_prev = np.multiply(f_t, c_prev, out=cells[step])
-        c_prev += i_t * g_t
-        h_prev = np.multiply(o_t, np.tanh(c_prev), out=hidden[:, step].T).T
+        c_prev = np.multiply(f_t, c_prev, out=c_t)
+        np.multiply(i_t, g_t, out=h_t)
+        c_prev += h_t
+        np.tanh(c_prev, out=h_t)
+        h_t *= o_t
+        h_out[...] = h_t
+        product(lhs, rhs, out=rec_out)
     cache = {"x": x, "rows": rows, "acts": acts, "cells": cells, "hidden": hidden}
     return hidden, cache
 
@@ -289,21 +336,27 @@ def _gate_gradients(layer: LstmLayerParams, acts: np.ndarray, cells: np.ndarray,
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
 
-    dh_next = dc_next = np.zeros((h, n))
-    u_t = layer.U.T
-    for step in range(t - 1, -1, -1):
-        dh = d_hidden[:, step].T + dh_next
-        dc = dh * dc_dh[step]
+    # Per-step scratch, made once and filled in place. Each step's four
+    # gate factors are scaled by one product with (dc, dc, dh, dc), kept
+    # as a (4, H, N) block. The product with U reads a C-contiguous (N, 4H)
+    # copy of the step's gate gradients, the operand of a batch-major
+    # layout: with H = 1 the product is a gemv, and the transposed one
+    # would sum the four gate terms in another order.
+    scale = np.empty((4, h, n))
+    dh, dc = scale[2], scale[3]
+    dc_next, dh_next = np.zeros((h, n)), np.zeros((n, h))
+    dz_rows = np.empty((n, 4 * h))
+    u_t, dh_next_t, head = layer.U.T, dh_next.T, scale[:2]
+    steps = zip(dz[::-1], dz_gates[::-1], f[::-1], dc_dh[::-1], d_hidden.transpose(1, 2, 0)[::-1])
+    for dz_t, dzs, f_t, dc_dh_t, d_t in steps:
+        np.add(d_t, dh_next_t, out=dh)
+        np.multiply(dh, dc_dh_t, out=dc)
         dc += dc_next
-        dzs = dz_gates[step]
-        dzs[:2] *= dc
-        dzs[2] *= dh
-        dzs[3] *= dc
-        # A C-contiguous (N, 4H) operand, as in a batch-major layout: with
-        # H = 1 the product is a gemv, and the transposed one would sum the
-        # four gate terms in another order.
-        dh_next = (np.ascontiguousarray(dz[step].T) @ u_t).T
-        dc_next = dc * f[step]
+        np.copyto(head, dc)
+        dzs *= scale
+        np.copyto(dz_rows, dz_t.T)
+        np.matmul(dz_rows, u_t, out=dh_next)
+        np.multiply(dc, f_t, out=dc_next)
     return dz
 
 
@@ -568,7 +621,7 @@ def train(
         d_recon *= 2.0 / d_recon.size
         grads = _backward(model, caches, d_recon)
         norms.append(global_norm(grads))
-        step_grads = clip_global_norm(grads, config.clip_norm)
+        step_grads = clip_global_norm(grads, config.clip_norm, norm=norms[-1])
         clipped.append(step_grads is not grads)
         rmsprop_step(params, step_grads, opt)
     saturation = stall = None

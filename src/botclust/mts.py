@@ -135,13 +135,15 @@ def minmax_normalize(mts: MtsTensor) -> tuple[MtsTensor, NormalizationParams]:
     """
     if mts.normalized:
         raise ValueError("tensor is already normalized")
-    active = ~mts.sentinel_mask()[:, :, np.newaxis]
+    inactive = mts.sentinel_mask()
+    # The mask is per day: every feature has values, or none has. Min and
+    # max are exact in any order, so the active days are gathered once.
+    active_days = mts.values[~inactive]
     mins, maxs = np.zeros(mts.n_features), np.zeros(mts.n_features)
-    if active.any():   # the mask is per day: every feature has values, or none has
-        mins = mts.values.min(axis=(0, 1), where=active, initial=np.inf)
-        maxs = mts.values.max(axis=(0, 1), where=active, initial=-np.inf)
+    if len(active_days):
+        mins, maxs = active_days.min(axis=0), active_days.max(axis=0)
     params = NormalizationParams(feature_names=mts.feature_names, mins=mins, maxs=maxs)
-    return apply_normalization(mts, params), params
+    return _scaled(mts, params, inactive), params
 
 
 def apply_normalization(mts: MtsTensor, params: NormalizationParams) -> MtsTensor:
@@ -156,7 +158,11 @@ def apply_normalization(mts: MtsTensor, params: NormalizationParams) -> MtsTenso
         raise ValueError(
             f"feature mismatch: tensor has {mts.feature_names}, params have {params.feature_names}"
         )
-    inactive = mts.sentinel_mask()
+    return _scaled(mts, params, mts.sentinel_mask())
+
+
+def _scaled(mts: MtsTensor, params: NormalizationParams, inactive: np.ndarray) -> MtsTensor:
+    """The normalized copy of mts; inactive is its sentinel mask."""
     span = params.maxs - params.mins
     out = mts.values - params.mins
     np.divide(out, span, out=out, where=span != 0.0)
