@@ -18,14 +18,12 @@ product when the input has one feature); the hidden sequence is kept
 once, as (N, T, H). Each step then adds U.T @ h, formed into a
 contiguous (4H, N) block, and runs the gates with a fixed set of numpy
 calls into scratch arrays made once per pass, with no per-step
-temporaries; a single user keeps the (h.T @ U).T product, because both
-forms are then gemv calls whose kernels need not sum alike. The backward
-pass forms tanh(c) and dc/dh in the cache's cell buffer, runs its
-reverse loop the same way (one product with U per step, from a
-C-contiguous (N, 4H) copy of the step's gate gradients), writes the gate
-gradients in (user, step) order into the spent activation buffer, drops
-its time-major copy of them and forms the weight gradients with one
-product each. A backward pass consumes its cache's activations and
+temporaries. The backward pass forms tanh(c) and dc/dh in the cache's
+cell buffer, runs its reverse loop the same way (one product with U per
+step, from a C-contiguous (N, 4H) copy of the step's gate gradients),
+writes the gate gradients in (user, step) order into the spent
+activation buffer, drops its time-major copy of them and forms the
+weight gradients with one product each. A backward pass consumes its cache's activations and
 cells (a second one raises MissingCacheError). Every sum runs in the
 same order as in a batch-major layout, so outputs and gradients do not
 depend on the layout to the last bit.
@@ -177,9 +175,8 @@ def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray, buffers: dict | N
     overwritten), else new ones kept in it. The rows are read in place,
     a chunk of steps at a time, so no copy of x[rows] is made. Each step
     makes the same dozen numpy calls into scratch arrays made once per
-    call: the recurrent term U.T @ h (h @ U for a single user, see the
-    module docstring), the sigmoid's two exponentials in one exp call,
-    and the cell and hidden updates with out=.
+    call: the recurrent term U.T @ h, the sigmoid's two exponentials in
+    one exp call, and the cell and hidden updates with out=.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != layer.input_size:
@@ -211,19 +208,11 @@ def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray, buffers: dict | N
     # term h_prev @ U lands in a contiguous (4H, N) block, formed after
     # each step for the next one (zero at step 0) from h kept as a
     # contiguous (H, N) array. With H = 1 it is one product per entry, as
-    # the K = 1 matrix product is. Above, U.T @ h is a GEMM that sums as
-    # (h.T @ U).T does. A single user makes both forms gemv calls of two
-    # different kernels, which need not sum alike (OpenBLAS 0.3.31's
-    # Haswell kernels agree), so that case keeps the (h.T @ U).T form.
+    # the K = 1 matrix product is. Above, U.T @ h sums as (h.T @ U).T does.
     rec = np.zeros((4 * h, n))
     h_t = np.empty((h, n))
     c_prev = np.zeros((h, n))
-    if h == 1:
-        product, lhs, rhs, rec_out = np.multiply, layer.U.T, h_t, rec
-    elif n > 1:
-        product, lhs, rhs, rec_out = np.matmul, layer.U.T, h_t, rec
-    else:
-        product, lhs, rhs, rec_out = np.matmul, h_t.T, layer.U, rec.T
+    product, u_t = np.multiply if h == 1 else np.matmul, layer.U.T
     # ex holds the sigmoid's two exp arguments, so one call forms both.
     # The constants are 0-d arrays: a Python float operand costs a
     # conversion per call.
@@ -252,7 +241,7 @@ def lstm_forward_cached(layer: LstmLayerParams, x: np.ndarray, buffers: dict | N
         np.tanh(c_prev, out=h_t)
         h_t *= o_t
         h_out[...] = h_t
-        product(lhs, rhs, out=rec_out)
+        product(u_t, h_t, out=rec)
     cache = {"x": x, "rows": rows, "acts": acts, "cells": cells, "hidden": hidden}
     return hidden, cache
 
@@ -621,7 +610,7 @@ def train(
         d_recon *= 2.0 / d_recon.size
         grads = _backward(model, caches, d_recon)
         norms.append(global_norm(grads))
-        step_grads = clip_global_norm(grads, config.clip_norm, norm=norms[-1])
+        step_grads = clip_global_norm(grads, config.clip_norm, norms[-1])
         clipped.append(step_grads is not grads)
         rmsprop_step(params, step_grads, opt)
     saturation = stall = None

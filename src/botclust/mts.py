@@ -142,6 +142,7 @@ def minmax_normalize(mts: MtsTensor) -> tuple[MtsTensor, NormalizationParams]:
     mins, maxs = np.zeros(mts.n_features), np.zeros(mts.n_features)
     if len(active_days):
         mins, maxs = active_days.min(axis=0), active_days.max(axis=0)
+    del active_days   # freed before _scaled makes its full-size copy
     params = NormalizationParams(feature_names=mts.feature_names, mins=mins, maxs=maxs)
     return _scaled(mts, params, inactive), params
 

@@ -47,13 +47,11 @@ def rmsprop_step(
     v <- rho*v + (1-rho)*g^2 ; theta <- theta - lr * g / (sqrt(v) + eps).
     Each block of ``params`` and its accumulator in ``state.v`` (keyed
     like ``params``; a missing one starts at zero) is stepped in place,
-    so every array keeps its identity. The terms are formed in two
-    scratch arrays made once per call, in the order written above.
+    so every array keeps its identity.
     """
     if set(params) != set(grads):
         missing = set(params) ^ set(grads)
         raise ValueError(f"parameter/gradient key mismatch: {sorted(missing)}")
-    scratch = np.empty((2, max((p.size for p in params.values()), default=0)))
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -63,16 +61,9 @@ def rmsprop_step(
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p)
-        term, root = (w[:p.size].reshape(p.shape) for w in scratch)
         v *= RMSPROP_RHO
-        np.multiply(1.0 - RMSPROP_RHO, g, out=term)
-        term *= g
-        v += term
-        np.sqrt(v, out=root)
-        root += RMSPROP_EPSILON
-        np.multiply(state.learning_rate, g, out=term)
-        term /= root
-        p -= term
+        v += (1.0 - RMSPROP_RHO) * g * g
+        p -= state.learning_rate * g / (np.sqrt(v) + RMSPROP_EPSILON)
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -84,15 +75,13 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float,
-                     norm: float | None = None) -> dict[str, np.ndarray]:
-    """Scale all blocks so the joint L2 norm is at most ``max_norm``.
+                     norm: float) -> dict[str, np.ndarray]:
+    """Scale all blocks so the joint L2 norm is at most ``max_norm``;
+    ``norm`` is their measured joint norm, ``global_norm(grads)``.
     Returns ``grads`` itself when nothing is scaled (``max_norm <= 0``
-    turns clipping off). ``norm`` is global_norm(grads) when the caller
-    has measured it already; otherwise it is measured here."""
+    turns clipping off)."""
     if max_norm <= 0.0:
         return grads
-    if norm is None:
-        norm = global_norm(grads)
     if norm <= max_norm:
         return grads
     scale = max_norm / norm

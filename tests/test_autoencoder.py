@@ -407,7 +407,7 @@ def _split_pass_train(config, data):
         d_recon *= 2.0 / recon.size
         grads = _backward(model, caches, d_recon)
         curves["grad_norm"].append(global_norm(grads))
-        rmsprop_step(params, clip_global_norm(grads, config.clip_norm), opt)
+        rmsprop_step(params, clip_global_norm(grads, config.clip_norm, curves["grad_norm"][-1]), opt)
     return model, curves
 
 

@@ -4,6 +4,7 @@ import pytest
 from botclust.numerics import (
     RmspropState,
     clip_global_norm,
+    global_norm,
     rmsprop_step,
     seeded_rng,
 )
@@ -78,7 +79,7 @@ def test_rmsprop_steps_in_place_as_the_out_of_place_step():
         if step == 2:
             grads = {name: np.zeros(shape) for name, shape in shapes.items()}
         if step == 4:
-            clipped = clip_global_norm(grads, 1.0)
+            clipped = clip_global_norm(grads, 1.0, global_norm(grads))
             assert clipped is not grads
             grads = clipped
         rmsprop_step(params, grads, state)
@@ -92,7 +93,7 @@ def test_rmsprop_steps_in_place_as_the_out_of_place_step():
 
 def test_clip_global_norm_scales_jointly():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    clipped = clip_global_norm(grads, 1.0)
+    clipped = clip_global_norm(grads, 1.0, global_norm(grads))
     total = np.sqrt(sum(float(np.sum(g * g)) for g in clipped.values()))
     assert total == pytest.approx(1.0, rel=1e-12)
     assert clipped["a"][0] / clipped["b"][0] == pytest.approx(0.75, rel=1e-12)
@@ -100,7 +101,7 @@ def test_clip_global_norm_scales_jointly():
 
 def test_clip_global_norm_untouched_below_threshold():
     grads = {"a": np.array([0.3, 0.4])}
-    clipped = clip_global_norm(grads, 5.0)
+    clipped = clip_global_norm(grads, 5.0, global_norm(grads))
     assert clipped["a"] is grads["a"]
 
 
