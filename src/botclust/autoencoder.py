@@ -393,8 +393,10 @@ class AutoencoderConfig:
             raise ValueError(f"latent_dim must be positive, got {self.latent_dim}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.learning_rate is not None and not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.learning_rate is not None and not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if math.isnan(self.clip_norm):
+            raise ValueError("clip_norm must be a number (<= 0 turns clipping off), got nan")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -406,31 +408,6 @@ class AutoencoderConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "AutoencoderConfig":
         return cls(**{f.name: d[f.name] for f in fields(cls)})
-
-
-@dataclass
-class TrainReport:
-    """Per-epoch curves: MSE on both splits, and the global gradient norm
-    before clipping with whether clipping fired. Two label-free health
-    checks of the last epoch (None without epochs): latent_saturation,
-    the share of training-latent entries with |value| > 0.99, and
-    stall_ratio, the last training MSE over the MSE of predicting every
-    entry by its feature's mean over the training split. timing holds the
-    epoch loop's wall time and this process's CPU time over it (a training
-    that shared its CPU shows wall well above CPU); to_dict leaves it out."""
-
-    train_mse: list[float]
-    holdout_mse: list[float]
-    grad_norm: list[float]
-    clipped: list[bool]
-    latent_saturation: Optional[float]
-    stall_ratio: Optional[float]
-    final_epoch: int
-    seed: int
-    timing: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timing"}
 
 
 @dataclass
@@ -559,16 +536,26 @@ def train(
     config: AutoencoderConfig,
     data: MtsTensor,
     norm_params: NormalizationParams | None = None,
-) -> tuple[AutoencoderModel, TrainReport]:
+) -> tuple[AutoencoderModel, dict]:
     """Train on a normalized tensor: seeded split, full-batch RMSProp.
 
-    Runs exactly config.epochs optimizer steps on the training split and
-    records training and holdout MSE (both measured before each step, by
-    one forward pass over both splits), the gradient norm before clipping
-    and whether clipping fired, then the last epoch's latent saturation
-    and stall ratio. The holdout curve is monitored only; there is no
-    early stopping. Both splits are read from data in place, and the
-    optimizer steps the model's own weight arrays in place.
+    Runs exactly config.epochs optimizer steps on the training split.
+    The holdout curve is monitored only; there is no early stopping.
+    Both splits are read from data in place, and the optimizer steps the
+    model's own weight arrays in place.
+
+    Returns the model and the body of train_report_<variant>.json. Its
+    "train" block holds the per-epoch curves train_mse and holdout_mse
+    (both measured before each step, by one forward pass over both
+    splits), grad_norm (the global gradient norm before clipping) and
+    clipped (whether clipping fired); two label-free health checks of
+    the last epoch (None without epochs): latent_saturation, the share
+    of training-latent entries with |value| > 0.99, and stall_ratio, the
+    last training MSE over the MSE of predicting every entry by its
+    feature's mean over the training split; and final_epoch and seed.
+    Its "timing" block holds the epoch loop's wall_time_s and this
+    process's cpu_time_s over it (a training that shared its CPU shows
+    wall well above CPU).
     """
     if not data.normalized:
         raise ValueError("train expects a normalized tensor; run minmax_normalize first")
@@ -619,18 +606,13 @@ def train(
         x_train = x[train_rows]
         baseline = mse_loss(np.broadcast_to(x_train.mean(axis=(0, 1)), x_train.shape), x_train)
         stall = loss / baseline if baseline > 0.0 else None
-    report = TrainReport(
-        train_mse=train_curve,
-        holdout_mse=hold_curve,
-        grad_norm=norms,
-        clipped=clipped,
-        latent_saturation=saturation,
-        stall_ratio=stall,
-        final_epoch=config.epochs,
-        seed=config.seed,
-        timing={"wall_time_s": time.perf_counter() - started,
-                "cpu_time_s": time.process_time() - cpu_started},
-    )
+    report = {
+        "train": {"train_mse": train_curve, "holdout_mse": hold_curve, "grad_norm": norms,
+                  "clipped": clipped, "latent_saturation": saturation, "stall_ratio": stall,
+                  "final_epoch": config.epochs, "seed": config.seed},
+        "timing": {"wall_time_s": time.perf_counter() - started,
+                   "cpu_time_s": time.process_time() - cpu_started},
+    }
     return model, report
 
 

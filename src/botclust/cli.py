@@ -266,9 +266,7 @@ def _recorded_polarity(out: Path) -> list[float]:
 def _save_models(out: Path, config: PipelineConfig, models: dict, reports: dict) -> None:
     for variant, model in models.items():
         save_model(model, out / _model_name(variant))
-        report = reports[variant]
-        _write_report(out / f"train_report_{variant}.json", {"train": report.to_dict()}, config,
-                      report.timing)
+        _write_report(out / f"train_report_{variant}.json", reports[variant], config)
 
 
 def _save_latents(out: Path, latents: dict[str, np.ndarray], user_ids, day_min) -> None:
@@ -292,10 +290,10 @@ def _save_clustering(out: Path, config: PipelineConfig, clustering: Clustering) 
     return report
 
 
-def _save_scores(out: Path, config: PipelineConfig, metrics, timing: dict | None = None) -> None:
-    _write_report(out / A_METRICS, {"task": config.task, "metrics": metrics.to_dict()},
-                  config, timing)
-    rows = metrics.confusion.tolist()
+def _save_scores(out: Path, config: PipelineConfig, metrics: dict,
+                 timing: dict | None = None) -> None:
+    _write_report(out / A_METRICS, {"task": config.task, "metrics": metrics}, config, timing)
+    rows = metrics["confusion"]
     write_csv(out / A_CONFUSION, ["true\\pred", *map(str, range(len(rows)))],
               ((str(i), ",".join(map(str, row))) for i, row in enumerate(rows)))
 
@@ -316,7 +314,8 @@ def cmd_train(args, paths: dict, config: PipelineConfig) -> int:
     models, reports, _ = _train_models(config, (mts, mts := None)[0])
     _save_models(out, config, models, reports)
     for variant, report in reports.items():
-        final = f"final train MSE {report.train_mse[-1]:.6f}" if report.train_mse else "0 epochs"
+        curve = report["train"]["train_mse"]
+        final = f"final train MSE {curve[-1]:.6f}" if curve else "0 epochs"
         print(f"train: {variant} autoencoder, {final} -> {out / _model_name(variant)}")
     return EXIT_OK
 
@@ -372,8 +371,8 @@ def cmd_evaluate(args, paths: dict, config: PipelineConfig) -> int:
     _pred, metrics = _label_and_score(config, assignment, polarity, true, labels.num_classes)
     _save_scores(out, config, metrics)
     print(
-        f"evaluate: task={config.task} weighted_f1={metrics.weighted_f1:.4f} "
-        f"accuracy={metrics.accuracy:.4f} mcc={metrics.mcc:.4f} -> {out / A_METRICS}"
+        f"evaluate: task={config.task} weighted_f1={metrics['weighted_f1']:.4f} "
+        f"accuracy={metrics['accuracy']:.4f} mcc={metrics['mcc']:.4f} -> {out / A_METRICS}"
     )
     return EXIT_OK
 
@@ -454,8 +453,8 @@ def cmd_run_all(args, paths: dict, config: PipelineConfig) -> int:
     _save_scores(out, config, metrics, _timing(started))
     print(
         f"run-all: task={config.task} rep={config.representation} "
-        f"method={config.cluster_method} weighted_f1={metrics.weighted_f1:.4f} "
-        f"accuracy={metrics.accuracy:.4f} mcc={metrics.mcc:.4f} -> {out / A_METRICS}"
+        f"method={config.cluster_method} weighted_f1={metrics['weighted_f1']:.4f} "
+        f"accuracy={metrics['accuracy']:.4f} mcc={metrics['mcc']:.4f} -> {out / A_METRICS}"
     )
     return EXIT_OK
 

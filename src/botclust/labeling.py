@@ -2,14 +2,14 @@
 
 Ground-truth labels enter the pipeline only here: clustering itself is
 unsupervised, and the true classes are consulted solely to name clusters
-and to score the result. feature_importance only builds the
+and to score the result. prf_metrics returns the "metrics" block of
+metrics_report.json, and feature_importance only builds the
 importance_report.json payload from the scores
 pipeline.importance_run_from_mts computes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -120,48 +120,17 @@ def matthews_corrcoef(cm: np.ndarray) -> float:
     f2 = s * s - float(t @ t)
     if f1 <= 0.0 or f2 <= 0.0:
         return 0.0
-    return cov / np.sqrt(f1 * f2)
-
-
-@dataclass
-class MetricsReport:
-    """Per-class and weighted precision/recall/F1, accuracy, and MCC."""
-
-    confusion: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
-    support: np.ndarray
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    accuracy: float
-    mcc: float
-
-    def to_dict(self) -> dict:
-        return {
-            "confusion": self.confusion.tolist(),
-            "per_class": {
-                str(k): {
-                    "precision": float(self.precision[k]),
-                    "recall": float(self.recall[k]),
-                    "f1": float(self.f1[k]),
-                    "support": int(self.support[k]),
-                }
-                for k in range(len(self.support))
-            },
-            "weighted_precision": self.weighted_precision,
-            "weighted_recall": self.weighted_recall,
-            "weighted_f1": self.weighted_f1,
-            "accuracy": self.accuracy,
-            "mcc": self.mcc,
-        }
+    return float(cov / np.sqrt(f1 * f2))
 
 
 def prf_metrics(true_labels: Sequence[int], pred_labels: Sequence[int],
-                n_classes: int) -> MetricsReport:
-    """Score predictions. Any zero denominator (empty class, no
-    predictions of a class) contributes 0 rather than raising."""
+                n_classes: int) -> dict:
+    """The "metrics" block of metrics_report.json: the confusion matrix
+    (rows true, columns predicted), per_class precision, recall, F1 and
+    support under each class id as a string, their support-weighted
+    means, accuracy and the Matthews correlation. Any zero denominator
+    (empty class, no predictions of a class) contributes 0 rather than
+    raising."""
     cm = confusion_matrix(true_labels, pred_labels, n_classes)
     diag = np.diag(cm).astype(np.float64)
     rowsum = cm.sum(axis=1).astype(np.float64)
@@ -175,18 +144,17 @@ def prf_metrics(true_labels: Sequence[int], pred_labels: Sequence[int],
     total = support.sum()
     if total == 0:
         raise ValueError("cannot score an empty label set")
-    return MetricsReport(
-        confusion=cm,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        support=support,
-        weighted_precision=float(precision @ support / total),
-        weighted_recall=float(recall @ support / total),
-        weighted_f1=float(f1 @ support / total),
-        accuracy=float(np.trace(cm) / total),
-        mcc=matthews_corrcoef(cm),
-    )
+    return {
+        "confusion": cm.tolist(),
+        "per_class": {str(k): {"precision": float(p), "recall": float(r), "f1": float(f),
+                               "support": int(s)}
+                      for k, (p, r, f, s) in enumerate(zip(precision, recall, f1, support))},
+        "weighted_precision": float(precision @ support / total),
+        "weighted_recall": float(recall @ support / total),
+        "weighted_f1": float(f1 @ support / total),
+        "accuracy": float(np.trace(cm) / total),
+        "mcc": matthews_corrcoef(cm),
+    }
 
 
 def feature_importance(feature_names: tuple[str, ...], baseline_f1: float,

@@ -46,7 +46,6 @@ import numpy as np
 from .autoencoder import (
     AutoencoderConfig,
     AutoencoderModel,
-    TrainReport,
     encode,
     train,
 )
@@ -68,7 +67,6 @@ from .globalfeats import (
 )
 from .ingest import GENUINE_CLASS, LabelTable, TweetTable
 from .labeling import (
-    MetricsReport,
     assign_labels_binary,
     assign_labels_multiclass,
     feature_importance,
@@ -127,7 +125,8 @@ class PipelineConfig:
         if self.eps is not None and not self.eps >= 0.0:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
         for variant in ENCODERS[self.representation]:
-            # epochs, learning_rate, holdout_fraction and latent_dim, by the encoder's rules
+            # epochs, learning_rate, holdout_fraction, latent_dim and clip_norm,
+            # by the encoder's rules
             _ae_config(self, variant)
         self.features = tuple(self.features or ()) or None
         if self.features and len(set(self.features)) != len(self.features):
@@ -190,9 +189,9 @@ class PipelineResult:
     true_labels: np.ndarray
     pred_labels: np.ndarray
     clustering: Clustering
-    metrics: MetricsReport
+    metrics: dict   # metrics_report.json's "metrics" block
     models: dict[str, AutoencoderModel] = field(default_factory=dict)
-    train_reports: dict[str, TrainReport] = field(default_factory=dict)
+    train_reports: dict[str, dict] = field(default_factory=dict)
     latents: dict[str, np.ndarray] = field(default_factory=dict)
     # (raw statistics, clustering table) for the glob representations
     features: Optional[tuple[GlobalFeatureVector, GlobalFeatureVector]] = None
@@ -243,7 +242,7 @@ def _train_models(
     config: PipelineConfig,
     mts_raw: MtsTensor,
     encoded: bool = False,
-) -> tuple[dict[str, AutoencoderModel], dict[str, TrainReport], dict[str, np.ndarray]]:
+) -> tuple[dict[str, AutoencoderModel], dict[str, dict], dict[str, np.ndarray]]:
     """Min-max fit the configured features of a raw tensor (see
     _configured_features) and train the encoder(s) a representation needs;
     each model keeps the fitted statistics. The encoders share only
@@ -386,7 +385,7 @@ def _label_and_score(
     polarity: Optional[list[float]],
     true_labels: np.ndarray,
     n_classes: int,
-) -> tuple[np.ndarray, MetricsReport]:
+) -> tuple[np.ndarray, dict]:
     """Account labels and scores. A binary Ward partition is named by its
     polarity scores (Clustering.polarity) unless genuine_cluster is set
     (check_scorable refuses a cut with neither); other partitions read
@@ -438,7 +437,7 @@ def scored_runs(mts_raw: MtsTensor, true: np.ndarray, n_classes: int, jobs) -> l
     (config, train_rows) job, in job order, side by side (see legs.map_legs)."""
 
     def leg(config: PipelineConfig, rows: Optional[np.ndarray]) -> float:
-        return run_pipeline_from_mts(mts_raw, true, n_classes, config, rows).metrics.weighted_f1
+        return run_pipeline_from_mts(mts_raw, true, n_classes, config, rows).metrics["weighted_f1"]
 
     return map_legs(leg, jobs)
 
@@ -467,13 +466,17 @@ def lobo_run_from_mts(
     weighted_f1 and pct_change from the base.
 
     Each leg is one run_pipeline_from_mts call, from a seed derived per
-    excluded class. Excluding a class with no members is the base run, so
-    it is reported as exactly 0 change without retraining. The legs run
+    excluded class. A class no labelled user has is refused. Excluding a
+    labelled class with no rows in the tensor is the base run, so it is
+    reported as exactly 0 change without retraining. The legs run
     side by side (see scored_runs); the report is a sequential run's.
     """
+    supports = labels.supports()
     if bot_classes is None:
-        bot_classes = sorted(c for c in labels.supports() if c != GENUINE_CLASS)
+        bot_classes = sorted(c for c in supports if c != GENUINE_CLASS)
     check_bot_classes(bot_classes)
+    if missing := [c for c in bot_classes if c not in supports]:
+        raise ValueError(f"bot classes {missing} have no labelled users")
     n_classes = labels.num_classes
     check_population(config, mts_raw.n_users, n_classes)
 

@@ -122,21 +122,22 @@ def test_criterion_3_metrics_fixtures():
     true = [0] * 60 + [1] * 40
     pred = [0] * 50 + [1] * 10 + [0] * 5 + [1] * 35
     rep = prf_metrics(true, pred, 2)
-    ok &= abs(rep.accuracy - 0.85) <= tol
-    ok &= abs(rep.precision[0] - 50 / 55) <= tol
-    ok &= abs(rep.recall[0] - 50 / 60) <= tol
-    ok &= abs(rep.f1[0] - 20 / 23) <= tol
-    ok &= abs(rep.f1[1] - 14 / 17) <= tol
-    ok &= abs(rep.weighted_f1 - (0.6 * 20 / 23 + 0.4 * 14 / 17)) <= tol
-    ok &= abs(rep.mcc - 3400 / np.sqrt(23760000)) <= tol
+    cls = rep["per_class"]
+    ok &= abs(rep["accuracy"] - 0.85) <= tol
+    ok &= abs(cls["0"]["precision"] - 50 / 55) <= tol
+    ok &= abs(cls["0"]["recall"] - 50 / 60) <= tol
+    ok &= abs(cls["0"]["f1"] - 20 / 23) <= tol
+    ok &= abs(cls["1"]["f1"] - 14 / 17) <= tol
+    ok &= abs(rep["weighted_f1"] - (0.6 * 20 / 23 + 0.4 * 14 / 17)) <= tol
+    ok &= abs(rep["mcc"] - 3400 / np.sqrt(23760000)) <= tol
 
     diag_true = [0] * 3 + [1] * 4 + [2] * 2
     diag = prf_metrics(diag_true, diag_true, 3)
-    ok &= diag.accuracy == 1.0 and diag.mcc == 1.0
-    ok &= bool(np.all(diag.precision == 1.0) and np.all(diag.f1 == 1.0))
+    ok &= diag["accuracy"] == 1.0 and diag["mcc"] == 1.0
+    ok &= all(c["precision"] == 1.0 and c["f1"] == 1.0 for c in diag["per_class"].values())
 
     single = prf_metrics([0] * 25 + [1] * 25, [0] * 50, 2)
-    ok &= single.mcc == 0.0
+    ok &= single["mcc"] == 0.0
 
     _verdict(
         3,
@@ -185,15 +186,15 @@ def test_criterion_5_synthetic_separation(frozen_synth):
 
     elapsed = time.time() - start
     ok = (
-        glob_res.metrics.weighted_f1 >= 0.90
-        and dbscan_res.metrics.weighted_f1 >= 0.85
+        glob_res.metrics["weighted_f1"] >= 0.90
+        and dbscan_res.metrics["weighted_f1"] >= 0.85
         and elapsed < 300.0
     )
     _verdict(
         5,
         f"frozen seed-42 dataset: stats+Ward binary wf1 "
-        f"{glob_res.metrics.weighted_f1:.4f} (>= 0.90), series+DBSCAN "
-        f"multiclass wf1 {dbscan_res.metrics.weighted_f1:.4f} (>= 0.85), "
+        f"{glob_res.metrics['weighted_f1']:.4f} (>= 0.90), series+DBSCAN "
+        f"multiclass wf1 {dbscan_res.metrics['weighted_f1']:.4f} (>= 0.85), "
         f"{elapsed:.1f}s (< 300s)",
         ok,
     )

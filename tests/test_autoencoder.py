@@ -423,7 +423,7 @@ def test_train_one_pass_matches_split_passes_bitwise(variant, n, t, latent_dim):
     ref_model, curves = _split_pass_train(cfg, data)
     for name, block in ref_model.params_dict().items():
         assert np.array_equal(model.params_dict()[name], block), name
-    assert {key: getattr(report, key) for key in curves} == curves
+    assert {key: report["train"][key] for key in curves} == curves
 
 
 def test_lstm_init_draws_gates_in_order():
@@ -482,10 +482,11 @@ def test_train_uts_report_and_shapes():
     data = _toy_tensor(rng)
     cfg = AutoencoderConfig(variant="uts", epochs=5, seed=3)
     model, report = train(cfg, data)
-    assert report.final_epoch == 5
-    assert len(report.train_mse) == 5
-    assert len(report.holdout_mse) == 5
-    assert all(np.isfinite(report.train_mse))
+    curves = report["train"]
+    assert curves["final_epoch"] == 5
+    assert len(curves["train_mse"]) == 5
+    assert len(curves["holdout_mse"]) == 5
+    assert all(np.isfinite(curves["train_mse"]))
     latent, recon = forward_autoencoder(model, data.values)
     assert latent.shape == (6, 8, 1)
     assert recon.shape == data.values.shape
@@ -499,15 +500,15 @@ def test_train_reports_grad_norm_and_clipping():
     data = _toy_tensor(seeded_rng(39))
     _, tight = train(AutoencoderConfig(variant="uts", epochs=3, seed=1, clip_norm=1e-6), data)
     _, off = train(AutoencoderConfig(variant="uts", epochs=3, seed=1, clip_norm=0.0), data)
-    assert tight.clipped == [True] * 3
-    assert off.clipped == [False] * 3
+    assert tight["train"]["clipped"] == [True] * 3
+    assert off["train"]["clipped"] == [False] * 3
     # the norm is taken before clipping, so the first epochs agree
-    assert tight.grad_norm[0] == off.grad_norm[0] > 1e-6
-    doc = tight.to_dict()
-    assert doc["grad_norm"] == tight.grad_norm and doc["clipped"] == tight.clipped
-    assert "timing" not in doc
-    assert set(tight.timing) == {"cpu_time_s", "wall_time_s"}
-    assert tight.timing["cpu_time_s"] >= 0.0 and tight.timing["wall_time_s"] >= 0.0
+    assert tight["train"]["grad_norm"][0] == off["train"]["grad_norm"][0] > 1e-6
+    assert set(tight) == {"train", "timing"}
+    assert "timing" not in tight["train"]
+    timing = tight["timing"]
+    assert set(timing) == {"cpu_time_s", "wall_time_s"}
+    assert timing["cpu_time_s"] >= 0.0 and timing["wall_time_s"] >= 0.0
 
 
 def test_train_reports_saturation_and_stall_ratio():
@@ -520,14 +521,23 @@ def test_train_reports_saturation_and_stall_ratio():
     # the last epoch's forward pass runs on the parameters after two steps
     before, _ = train(replace(cfg, epochs=2), data)
     latent, recon = forward_autoencoder(before, one.values)
-    assert 0.0 < report.latent_saturation == float(np.mean(np.abs(latent) > 0.99))
+    health = report["train"]
+    assert 0.0 < health["latent_saturation"] == float(np.mean(np.abs(latent) > 0.99))
     baseline = np.mean((one.values - one.values.mean(axis=(0, 1))) ** 2)
-    assert report.stall_ratio == pytest.approx(mse_loss(recon, one.values) / baseline, rel=1e-12)
-    doc = report.to_dict()
-    assert (doc["latent_saturation"], doc["stall_ratio"]) == (report.latent_saturation, report.stall_ratio)
-    assert "stall_ratio" not in report.timing
+    assert health["stall_ratio"] == pytest.approx(mse_loss(recon, one.values) / baseline, rel=1e-12)
+    assert "stall_ratio" not in report["timing"]
     _, idle = train(replace(cfg, epochs=0), data)
-    assert idle.latent_saturation is None and idle.stall_ratio is None
+    assert idle["train"]["latent_saturation"] is None and idle["train"]["stall_ratio"] is None
+
+
+@pytest.mark.parametrize("variant", ["uts", "vec"])
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_train_report_is_plain_json(variant, epochs):
+    data = _toy_tensor(seeded_rng(41), n=5, t=6, d=2)
+    _, report = train(AutoencoderConfig(variant=variant, epochs=epochs, latent_dim=4, seed=1), data)
+    # repr tells a numpy scalar from the Python number it equals; == does not.
+    assert json.loads(json.dumps(report)) == report
+    assert repr(json.loads(json.dumps(report))) == repr(report)
 
 
 def test_train_deterministic_per_seed():
@@ -536,7 +546,7 @@ def test_train_deterministic_per_seed():
     cfg = AutoencoderConfig(variant="uts", epochs=4, seed=9)
     model_a, rep_a = train(cfg, data)
     model_b, rep_b = train(cfg, data)
-    assert rep_a.train_mse == rep_b.train_mse
+    assert rep_a["train"]["train_mse"] == rep_b["train"]["train_mse"]
     assert np.array_equal(encode(model_a, data), encode(model_b, data))
     model_c, _ = train(AutoencoderConfig(variant="uts", epochs=4, seed=10), data)
     assert not np.array_equal(encode(model_a, data), encode(model_c, data))

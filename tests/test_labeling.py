@@ -1,3 +1,4 @@
+import json
 from datetime import date
 
 import numpy as np
@@ -26,6 +27,11 @@ def _assignment(labels):
 # ---------------------------------------------------------------- metrics
 
 
+def _per_class(report, key):
+    """One field of every class in a metrics payload, in class order."""
+    return np.array([entry[key] for entry in report["per_class"].values()])
+
+
 def test_binary_cm_hand_fractions_to_1e12():
     # true class 0: 50 kept, 10 lost; true class 1: 5 lost, 35 kept.
     true = [0] * 60 + [1] * 40
@@ -34,18 +40,18 @@ def test_binary_cm_hand_fractions_to_1e12():
     assert np.array_equal(cm, np.array([[50, 10], [5, 35]]))
     rep = prf_metrics(true, pred, 2)
     tol = 1e-12
-    assert rep.accuracy == pytest.approx(0.85, abs=tol)
-    assert rep.precision[0] == pytest.approx(50 / 55, abs=tol)
-    assert rep.recall[0] == pytest.approx(50 / 60, abs=tol)
-    assert rep.f1[0] == pytest.approx(20 / 23, abs=tol)
-    assert rep.precision[1] == pytest.approx(35 / 45, abs=tol)
-    assert rep.recall[1] == pytest.approx(35 / 40, abs=tol)
-    assert rep.f1[1] == pytest.approx(14 / 17, abs=tol)
-    assert rep.weighted_precision == pytest.approx(0.6 * 50 / 55 + 0.4 * 35 / 45, abs=tol)
-    assert rep.weighted_recall == pytest.approx(0.85, abs=tol)
-    assert rep.weighted_f1 == pytest.approx(0.6 * 20 / 23 + 0.4 * 14 / 17, abs=tol)
+    assert rep["accuracy"] == pytest.approx(0.85, abs=tol)
+    assert _per_class(rep, "precision")[0] == pytest.approx(50 / 55, abs=tol)
+    assert _per_class(rep, "recall")[0] == pytest.approx(50 / 60, abs=tol)
+    assert _per_class(rep, "f1")[0] == pytest.approx(20 / 23, abs=tol)
+    assert _per_class(rep, "precision")[1] == pytest.approx(35 / 45, abs=tol)
+    assert _per_class(rep, "recall")[1] == pytest.approx(35 / 40, abs=tol)
+    assert _per_class(rep, "f1")[1] == pytest.approx(14 / 17, abs=tol)
+    assert rep["weighted_precision"] == pytest.approx(0.6 * 50 / 55 + 0.4 * 35 / 45, abs=tol)
+    assert rep["weighted_recall"] == pytest.approx(0.85, abs=tol)
+    assert rep["weighted_f1"] == pytest.approx(0.6 * 20 / 23 + 0.4 * 14 / 17, abs=tol)
     # c*s - sum(p*t) = 3400 ; (s^2-sum(p^2))*(s^2-sum(t^2)) = 4950*4800.
-    assert rep.mcc == pytest.approx(3400 / np.sqrt(23760000), abs=tol)
+    assert rep["mcc"] == pytest.approx(3400 / np.sqrt(23760000), abs=tol)
 
 
 def test_multiclass_cm_hand_fractions_to_1e12():
@@ -57,33 +63,33 @@ def test_multiclass_cm_hand_fractions_to_1e12():
             pred += [j] * cm_target[i, j]
     rep = prf_metrics(true, pred, 3)
     tol = 1e-12
-    assert np.array_equal(rep.confusion, cm_target)
-    assert rep.accuracy == pytest.approx(12 / 17, abs=tol)
-    assert rep.f1[0] == pytest.approx(4 / 5, abs=tol)
-    assert rep.f1[1] == pytest.approx(6 / 11, abs=tol)
-    assert rep.f1[2] == pytest.approx(10 / 13, abs=tol)
+    assert np.array_equal(rep["confusion"], cm_target)
+    assert rep["accuracy"] == pytest.approx(12 / 17, abs=tol)
+    assert _per_class(rep, "f1")[0] == pytest.approx(4 / 5, abs=tol)
+    assert _per_class(rep, "f1")[1] == pytest.approx(6 / 11, abs=tol)
+    assert _per_class(rep, "f1")[2] == pytest.approx(10 / 13, abs=tol)
     expected_wf1 = (5 * (4 / 5) + 5 * (6 / 11) + 7 * (10 / 13)) / 17
-    assert rep.weighted_f1 == pytest.approx(expected_wf1, abs=tol)
-    assert rep.mcc == pytest.approx(107 / np.sqrt(192 * 190), abs=tol)
+    assert rep["weighted_f1"] == pytest.approx(expected_wf1, abs=tol)
+    assert rep["mcc"] == pytest.approx(107 / np.sqrt(192 * 190), abs=tol)
 
 
 def test_diagonal_cm_gives_all_ones():
     true = [0] * 3 + [1] * 4 + [2] * 2
     rep = prf_metrics(true, true, 3)
-    assert rep.accuracy == 1.0
-    assert np.all(rep.precision == 1.0)
-    assert np.all(rep.recall == 1.0)
-    assert np.all(rep.f1 == 1.0)
-    assert rep.weighted_f1 == 1.0
-    assert rep.mcc == 1.0
+    assert rep["accuracy"] == 1.0
+    assert np.all(_per_class(rep, "precision") == 1.0)
+    assert np.all(_per_class(rep, "recall") == 1.0)
+    assert np.all(_per_class(rep, "f1") == 1.0)
+    assert rep["weighted_f1"] == 1.0
+    assert rep["mcc"] == 1.0
 
 
 def test_single_class_predictor_on_balanced_binary_mcc_zero():
     true = [0] * 25 + [1] * 25
     pred = [0] * 50
     rep = prf_metrics(true, pred, 2)
-    assert rep.mcc == 0.0
-    assert rep.accuracy == 0.5
+    assert rep["mcc"] == 0.0
+    assert rep["accuracy"] == 0.5
 
 
 def test_weighted_recall_equals_accuracy_identity():
@@ -91,16 +97,24 @@ def test_weighted_recall_equals_accuracy_identity():
     true = rng.integers(0, 3, size=60)
     pred = rng.integers(0, 3, size=60)
     rep = prf_metrics(true, pred, 3)
-    assert rep.weighted_recall == pytest.approx(rep.accuracy, abs=1e-12)
+    assert rep["weighted_recall"] == pytest.approx(rep["accuracy"], abs=1e-12)
+
+
+def test_metrics_payload_is_plain_json():
+    # repr tells a numpy scalar from the Python number it equals; == does not.
+    for true, pred, k in (([0, 0, 1, 1], [0, 1, 1, 1], 2), ([0, 1, 2, 2, 1], [0, 2, 2, 1, 1], 3)):
+        rep = prf_metrics(true, pred, k)
+        assert json.loads(json.dumps(rep)) == rep
+        assert repr(json.loads(json.dumps(rep))) == repr(rep)
 
 
 def test_absent_class_yields_zero_metrics_not_nan():
     true = [0, 0, 1, 1]
     pred = [0, 0, 0, 0]
     rep = prf_metrics(true, pred, 3)
-    assert rep.precision[1] == 0.0
-    assert rep.f1[2] == 0.0
-    assert np.all(np.isfinite(rep.f1))
+    assert _per_class(rep, "precision")[1] == 0.0
+    assert _per_class(rep, "f1")[2] == 0.0
+    assert np.all(np.isfinite(_per_class(rep, "f1")))
 
 
 def test_prf_rejects_empty_and_out_of_range():

@@ -99,7 +99,7 @@ def test_run_pipeline_binary_ward(small_dataset):
     assert res.pred_labels.shape == res.true_labels.shape
     assert set(np.unique(res.pred_labels)) <= {0, 1}
     assert res.clustering.assignment.n_clusters == 2
-    assert res.metrics.confusion.shape == (2, 2)
+    assert np.shape(res.metrics["confusion"]) == (2, 2)
     assert res.clustering.dendrogram is not None
     assert "uts" in res.models
 
@@ -137,7 +137,7 @@ def test_run_pipeline_multiclass_dbscan(small_dataset):
     cfg = apply_preset(PipelineConfig(task="multiclass", seed=0, **FAST), "UTS_DBSCAN")
     res = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     assert res.clustering.eps is not None and res.clustering.eps > 0
-    assert res.metrics.confusion.shape == (3, 3)
+    assert np.shape(res.metrics["confusion"]) == (3, 3)
     assert set(np.unique(res.pred_labels)) <= {0, 1, 2}
 
 
@@ -202,7 +202,7 @@ def test_pipeline_deterministic_per_seed(small_dataset):
     r2 = run_pipeline_from_mts(*_prepared(records, labels, cfg), labels.num_classes, cfg)
     assert np.array_equal(r1.pred_labels, r2.pred_labels)
     assert np.array_equal(r1.features[1].values, r2.features[1].values)
-    assert r1.metrics.weighted_f1 == r2.metrics.weighted_f1
+    assert r1.metrics["weighted_f1"] == r2.metrics["weighted_f1"]
 
 
 def test_run_pipeline_from_mts_feature_subset(small_dataset):
@@ -234,6 +234,8 @@ def test_lobo_guards(small_dataset):
         lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg, bot_classes=[1])
     with pytest.raises(ValueError):
         lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg, bot_classes=[0, 1])
+    with pytest.raises(ValueError, match=r"bot classes \[7, 9\] have no labelled users"):
+        lobo_run_from_mts(*_prepared(records, labels, cfg), labels, cfg, bot_classes=[1, 7, 9])
 
 
 def _tiny_tensor(n_users, feature_names):
@@ -426,6 +428,42 @@ def test_cli_run_all_deterministic_reports(cli_workspace, tmp_path):
         ra.pop("timing", None)
         rb.pop("timing", None)
         assert ra == rb, name
+
+
+def test_run_all_writes_its_result_payloads(cli_workspace, tmp_path, monkeypatch):
+    """metrics_report.json's metrics block and each train report's train
+    block are the in-memory payloads as they are, and those are plain
+    JSON: repr tells a numpy scalar from the Python number it equals."""
+    from botclust import cli
+
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(run_pipeline_from_mts(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_pipeline_from_mts", recording)
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path / "run"
+    assert _cli("run-all", "--outdir", out, "--tweets", tweets, "--labels", labels_csv,
+                "--variant-preset", "Glob_Vec_Hier", "--task", "binary", *_FAST_FLAGS) == 0
+    (result,) = results
+    blocks = [("metrics_report.json", "metrics", result.metrics)]
+    blocks += [(f"train_report_{variant}.json", "train", report["train"])
+               for variant, report in result.train_reports.items()]
+    assert len(blocks) == 3  # the uts and vec encoders
+    for name, key, payload in blocks:
+        assert json.loads((out / name).read_text())[key] == payload, name
+        assert repr(json.loads(json.dumps(payload))) == repr(payload), name
+
+
+def test_cli_lobo_bot_class_no_user_has_is_data_error(cli_workspace, tmp_path, caplog):
+    root, tweets, labels_csv = cli_workspace
+    out = tmp_path / "lobo"
+    assert _cli("lobo", "--outdir", out, "--tweets", tweets, "--labels", labels_csv,
+                "--variant-preset", "Glob_Hier", "--bot-classes", "1,7") == 4
+    assert "bot classes [7] have no labelled users" in caplog.text
+    assert not (out / "lobo_report.json").exists()
 
 
 def test_run_all_and_lobo_legs_train_without_their_raw_tensor(cli_workspace, small_dataset,
@@ -718,6 +756,8 @@ def test_cli_train_zero_epochs_exits_0(trained_workspace, tmp_path, capsys):
     (("--variant-preset", "Vec_Hier", "--latent-dim", 0), "latent_dim must be positive"),
     (("--learning-rate", -0.5), "learning_rate must be positive"),
     (("--learning-rate", 0), "learning_rate must be positive"),
+    (("--learning-rate", "inf"), "learning_rate must be positive and finite, got inf"),
+    (("--clip-norm", "nan"), "clip_norm must be a number (<= 0 turns clipping off), got nan"),
     (("--n-clusters", 0), "n_clusters must be at least 1"),
     (("--genuine-cluster", 0), "genuine_cluster must be at least 1, got 0"),
     (("--genuine-cluster", 3), "genuine_cluster 3 out of range for a binary Ward cut at 2 clusters"),
